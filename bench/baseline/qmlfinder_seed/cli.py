@@ -1,0 +1,257 @@
+"""Command-line surface: point it at a CSV and a task, get a trained model.
+
+Subcommands: find-model, tune, report, predict. Exit codes: 0 success,
+1 usage error, 2 data error, 3 study failure.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import json
+import sys
+
+import numpy as np
+
+from .models import default_registry
+from .records import StudyFailureError
+from .registry import TaskType
+from .search import FinderConfig, UnsupportedModelError, find_hyperparameters, find_model
+from .simulator import CallCounter
+from .store import (
+    StoreCorruptionError,
+    StudyStore,
+    export_report,
+    model_from_spec,
+    read_model_spec,
+    write_model_spec,
+)
+
+EXIT_OK = 0
+EXIT_USAGE = 1
+EXIT_DATA = 2
+EXIT_STUDY = 3
+
+
+class DataFormatError(ValueError):
+    """The input CSV violates the data contract."""
+
+
+def _read_table(path: str) -> tuple[list[str], np.ndarray]:
+    """Numeric CSV with a mandatory header row."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+    if not rows:
+        raise DataFormatError(f"{path}: empty file, header row required")
+    header = rows[0]
+    if not header or any(not name for name in header):
+        raise DataFormatError(f"{path}: header row has empty column names")
+    data = np.empty((len(rows) - 1, len(header)))
+    for i, row in enumerate(rows[1:], start=1):
+        if len(row) != len(header):
+            raise DataFormatError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
+        for j, cell in enumerate(row):
+            try:
+                data[i - 1, j] = float(cell)
+            except ValueError as exc:
+                raise DataFormatError(
+                    f"{path}: non-numeric value {cell!r} in column {header[j]!r} (row {i})"
+                ) from exc
+    if data.shape[0] == 0:
+        raise DataFormatError(f"{path}: no data rows")
+    return header, data
+
+
+def _split_target(
+    header: list[str], data: np.ndarray, target: str
+) -> tuple[np.ndarray, np.ndarray]:
+    if target not in header:
+        raise DataFormatError(f"target column {target!r} not found; columns are {header}")
+    idx = header.index(target)
+    mask = np.ones(len(header), dtype=bool)
+    mask[idx] = False
+    X = data[:, mask]
+    if X.shape[1] == 0:
+        raise DataFormatError("no feature columns remain after removing the target")
+    return X, data[:, idx]
+
+
+def _check_binary(y: np.ndarray, target: str) -> np.ndarray:
+    values = set(np.unique(y))
+    if not values <= {0.0, 1.0}:
+        raise DataFormatError(
+            f"classification target {target!r} must be binary 0/1, found values {sorted(values)}"
+        )
+    return y.astype(int)
+
+
+def _cmd_find_model(args: argparse.Namespace) -> int:
+    header, data = _read_table(args.data)
+    task = TaskType(args.task)
+    if task == TaskType.CLUSTERING:
+        if args.target is not None:
+            print(f"warning: --target {args.target!r} is ignored for clustering", file=sys.stderr)
+        X, y = data, None
+    else:
+        if args.target is None:
+            raise _Usage("--target is required for classification and regression")
+        X, y = _split_target(header, data, args.target)
+        if task == TaskType.CLASSIFICATION:
+            y = _check_binary(y, args.target)
+    config = FinderConfig(
+        task=task,
+        n_trials=args.trials,
+        n_seeds=args.seeds,
+        n_epochs=args.epochs,
+        threshold=args.threshold,
+        base_seed=args.seed,
+    )
+    spec = find_model(config, default_registry(), X, y, StudyStore(args.store))
+    write_model_spec(spec, args.out)
+    meta = spec.metadata
+    tag = "feasible" if meta["feasible"] else "infeasible-best"
+    print(
+        f"wrote {args.out}: {spec.model_family} ({tag}), "
+        f"mean_score={meta['mean_score']!r}, total_calls={meta['total_calls']}"
+    )
+    return EXIT_OK
+
+
+def _cmd_tune(args: argparse.Namespace) -> int:
+    spec = read_model_spec(args.model)
+    header, data = _read_table(args.data)
+    target = args.target
+    if target is None:
+        raise _Usage("--target is required for tune")
+    X, y = _split_target(header, data, target)
+    if spec.task == TaskType.CLASSIFICATION.value:
+        y = _check_binary(y, target)
+    best = find_hyperparameters(
+        spec,
+        X,
+        y,
+        default_registry(),
+        n_trials=args.trials,
+        n_seeds=args.seeds,
+        store=StudyStore(args.store),
+        base_seed=args.seed,
+    )
+    text = json.dumps(best.as_dict(), indent=2, sort_keys=True) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    print(text, end="")
+    return EXIT_OK
+
+
+def _cmd_report(args: argparse.Namespace) -> int:
+    summary = export_report(StudyStore(args.store), args.out)
+    print(summary)
+    return EXIT_OK
+
+
+def _cmd_predict(args: argparse.Namespace) -> int:
+    spec = read_model_spec(args.model)
+    header, data = _read_table(args.data)
+    if data.shape[1] != spec.n_features:
+        raise DataFormatError(
+            f"model expects {spec.n_features} feature columns, {args.data} has "
+            f"{data.shape[1]} ({header})"
+        )
+    model = model_from_spec(spec, default_registry())
+    predictions = model.predict(data, CallCounter())
+    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("prediction\n")
+        for value in predictions:
+            cell = repr(float(value)) if spec.task == "regression" else str(int(value))
+            fh.write(cell + "\n")
+    print(f"wrote {len(predictions)} predictions to {args.out}")
+    return EXIT_OK
+
+
+class _Usage(Exception):
+    pass
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="qmlfinder",
+        description="Search, train, and serialize quantum ML models from CSV data.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    find = sub.add_parser("find-model", help="search for the best model on a dataset")
+    find.add_argument("--task", required=True, choices=[t.value for t in TaskType])
+    find.add_argument("--data", required=True, help="CSV file with header row")
+    find.add_argument("--target", default=None, help="target column (ignored for clustering)")
+    find.add_argument("--trials", type=int, default=20)
+    find.add_argument("--seeds", type=int, default=3)
+    find.add_argument("--epochs", type=int, default=10)
+    find.add_argument("--threshold", type=float, default=0.8)
+    find.add_argument("--seed", type=int, default=0)
+    find.add_argument("--store", default="study.jsonl")
+    find.add_argument("--out", default="model.json")
+    # reserved for forward compatibility; only the built-in simulator exists
+    find.add_argument("--device", choices=["simulator"], default="simulator")
+    find.set_defaults(func=_cmd_find_model)
+
+    tune = sub.add_parser("tune", help="compare optimizers on a trained model's architecture")
+    tune.add_argument("--model", required=True)
+    tune.add_argument("--data", required=True)
+    tune.add_argument("--target", default=None)
+    tune.add_argument("--trials", type=int, default=20)
+    tune.add_argument("--seeds", type=int, default=3)
+    tune.add_argument("--seed", type=int, default=0)
+    tune.add_argument("--store", default="tuning.jsonl")
+    tune.add_argument("--out", default=None)
+    tune.set_defaults(func=_cmd_tune)
+
+    report = sub.add_parser("report", help="export a study store as CSV")
+    report.add_argument("--store", required=True)
+    report.add_argument("--out", default="report.csv")
+    report.set_defaults(func=_cmd_report)
+
+    predict = sub.add_parser("predict", help="apply a saved model to new data")
+    predict.add_argument("--model", required=True)
+    predict.add_argument("--data", required=True)
+    predict.add_argument("--out", default="predictions.csv")
+    predict.set_defaults(func=_cmd_predict)
+
+    return parser
+
+
+def cli_main(argv: list[str] | None = None) -> int:
+    parser = _build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
+    try:
+        return args.func(args)
+    except _Usage as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (
+        DataFormatError,
+        StoreCorruptionError,
+        UnsupportedModelError,
+        OSError,
+        json.JSONDecodeError,
+        KeyError,
+    ) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except (StudyFailureError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_STUDY
+
+
+def main() -> None:
+    sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

@@ -1,0 +1,659 @@
+"""The trainable model families the finder chooses among.
+
+Four families share a small surface: construct with a seed, `fit`, `predict`,
+and `score`, with every simulated device call booked on the caller's ledger.
+Label convention is fixed: class 0 maps to target +1 (the <Z> of |0>), so a
+classifier predicts 1 exactly when its expectation drops to 0 or below.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from math import pi
+from typing import Mapping, Sequence
+
+import numpy as np
+
+from .registry import (
+    CircuitSpec,
+    FloatRange,
+    IntRange,
+    ModelFamilyConfig,
+    Registry,
+    TaskType,
+    base_registry,
+)
+from .rng import PortableRng, derive_seed
+from .simulator import CallCounter, expectation_z, fidelity, parameter_shift_gradient, run_circuit
+from .training import BudgetLedger, OptimizerConfig, train_epochs
+
+GRADIENT_TRAINED_FAMILIES = ("QNN", "QNN_REGRESSOR")
+
+
+class ScoreUndefinedError(RuntimeError):
+    """Raised when a score has no defined value (degenerate clustering)."""
+
+
+@dataclass(frozen=True)
+class Score:
+    value: float
+    kind: str  # mean_accuracy | r2 | silhouette
+
+    def __post_init__(self) -> None:
+        if self.kind == "mean_accuracy" and not 0.0 <= self.value <= 1.0:
+            raise ValueError(f"mean accuracy {self.value} outside [0, 1]")
+        if self.kind == "silhouette" and not -1.0 <= self.value <= 1.0:
+            raise ValueError(f"silhouette {self.value} outside [-1, 1]")
+
+
+def _accuracy(values: np.ndarray, targets: np.ndarray) -> float:
+    # predicted label 1 iff f <= 0; true label 1 iff target == -1
+    return float(np.mean((values <= 0) == (targets < 0)))
+
+
+def _r_squared(values: np.ndarray, targets: np.ndarray) -> float:
+    ss_res = float(np.sum((targets - values) ** 2))
+    ss_tot = float(np.sum((targets - targets.mean()) ** 2))
+    return 1.0 - ss_res / ss_tot
+
+
+def _initial_weights(param_count: int, seed: int) -> np.ndarray:
+    rng = PortableRng(derive_seed(seed, 0))
+    return np.array(rng.uniforms(param_count, 0.0, pi))
+
+
+def _check_binary_labels(y: np.ndarray) -> None:
+    if not set(np.unique(y)) <= {0, 1}:
+        raise ValueError("labels must be binary {0, 1}")
+
+
+class QNNClassifier:
+    """Variational binary classifier read out as p(1) = (1 - <Z_0>)/2."""
+
+    task = TaskType.CLASSIFICATION
+    family = "QNN"
+    score_kind = "mean_accuracy"
+
+    def __init__(
+        self,
+        circuit: CircuitSpec,
+        *,
+        batch_size: int,
+        n_epochs: int,
+        accuracy_threshold: float,
+        seed: int = 0,
+        weights: Sequence[float] | None = None,
+    ) -> None:
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if not 0.0 <= accuracy_threshold <= 1.0:
+            raise ValueError("accuracy_threshold must be in [0, 1]")
+        self.circuit = circuit
+        self.batch_size = batch_size
+        self.n_epochs = n_epochs
+        self.accuracy_threshold = accuracy_threshold
+        self.seed = seed
+        self.weights = (
+            np.asarray(weights, dtype=float)
+            if weights is not None
+            else _initial_weights(circuit.param_count, seed)
+        )
+        self.epochs_run = 0
+        self.train_score: float | None = None
+
+    def expectations(self, X: np.ndarray, counter: CallCounter) -> np.ndarray:
+        return np.array(
+            [expectation_z(run_circuit(self.circuit, self.weights, x, counter), 0) for x in X]
+        )
+
+    def predict_one(self, x: Sequence[float], counter: CallCounter) -> tuple[int, float]:
+        value = expectation_z(run_circuit(self.circuit, self.weights, x, counter), 0)
+        p_one = (1.0 - value) / 2.0
+        return (1 if p_one >= 0.5 else 0), p_one
+
+    def predict(self, X: np.ndarray, counter: CallCounter) -> np.ndarray:
+        return (self.expectations(X, counter) <= 0).astype(int)
+
+    def fit(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        ledger: BudgetLedger,
+        optimizer: OptimizerConfig | None = None,
+    ) -> "QNNClassifier":
+        X = np.asarray(X, dtype=float)
+        y = np.asarray(y)
+        if len(X) < 2:
+            raise ValueError("need at least 2 training samples")
+        _check_binary_labels(y)
+        if len(np.unique(y)) < 2:
+            raise ValueError("training data must contain both classes")
+        result = train_epochs(
+            weights=self.weights,
+            X=X,
+            targets=1.0 - 2.0 * y.astype(float),
+            forward_one=lambda w, x, c: expectation_z(run_circuit(self.circuit, w, x, c), 0),
+            gradient_one=lambda w, x, c: parameter_shift_gradient(self.circuit, w, x, 0, c),
+            score_fn=_accuracy,
+            ledger=ledger,
+            opt_config=optimizer or OptimizerConfig(),
+            batch_size=self.batch_size,
+            n_epochs=self.n_epochs,
+            threshold=self.accuracy_threshold,
+            seed=self.seed,
+        )
+        self.weights = result.weights
+        self.epochs_run = result.epochs_run
+        self.train_score = result.final_score
+        return self
+
+    def score(self, X: np.ndarray, y: np.ndarray, counter: CallCounter) -> float:
+        return _accuracy(self.expectations(X, counter), 1.0 - 2.0 * np.asarray(y, dtype=float))
+
+
+class QNNRegressor:
+    """Variational regressor: targets are affinely mapped onto [-1, 1] and the
+    circuit expectation is trained against them; predictions invert the map."""
+
+    task = TaskType.REGRESSION
+    family = "QNN_REGRESSOR"
+    score_kind = "r2"
+
+    def __init__(
+        self,
+        circuit: CircuitSpec,
+        *,
+        batch_size: int,
+        n_epochs: int,
+        r2_threshold: float,
+        seed: int = 0,
+        weights: Sequence[float] | None = None,
+        target_min: float | None = None,
+        target_max: float | None = None,
+    ) -> None:
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        self.circuit = circuit
+        self.batch_size = batch_size
+        self.n_epochs = n_epochs
+        self.r2_threshold = r2_threshold
+        self.seed = seed
+        self.weights = (
+            np.asarray(weights, dtype=float)
+            if weights is not None
+            else _initial_weights(circuit.param_count, seed)
+        )
+        self.target_min = target_min
+        self.target_max = target_max
+        self.epochs_run = 0
+        self.train_score: float | None = None
+
+    def _rescale(self, y: np.ndarray) -> np.ndarray:
+        return 2.0 * (y - self.target_min) / (self.target_max - self.target_min) - 1.0
+
+    def _inverse(self, values: np.ndarray) -> np.ndarray:
+        return (values + 1.0) / 2.0 * (self.target_max - self.target_min) + self.target_min
+
+    def expectations(self, X: np.ndarray, counter: CallCounter) -> np.ndarray:
+        return np.array(
+            [expectation_z(run_circuit(self.circuit, self.weights, x, counter), 0) for x in X]
+        )
+
+    def predict(self, X: np.ndarray, counter: CallCounter) -> np.ndarray:
+        if self.target_min is None or self.target_max is None:
+            raise ValueError("regressor must be fit (or restored) before predicting")
+        return self._inverse(self.expectations(X, counter))
+
+    def fit(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        ledger: BudgetLedger,
+        optimizer: OptimizerConfig | None = None,
+    ) -> "QNNRegressor":
+        X = np.asarray(X, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if len(X) < 2:
+            raise ValueError("need at least 2 training samples")
+        self.target_min = float(y.min())
+        self.target_max = float(y.max())
+        if self.target_min == self.target_max:
+            raise ValueError("constant targets: rescaling to [-1, 1] is undefined")
+        result = train_epochs(
+            weights=self.weights,
+            X=X,
+            targets=self._rescale(y),
+            forward_one=lambda w, x, c: expectation_z(run_circuit(self.circuit, w, x, c), 0),
+            gradient_one=lambda w, x, c: parameter_shift_gradient(self.circuit, w, x, 0, c),
+            score_fn=_r_squared,
+            ledger=ledger,
+            opt_config=optimizer or OptimizerConfig(),
+            batch_size=self.batch_size,
+            n_epochs=self.n_epochs,
+            threshold=self.r2_threshold,
+            seed=self.seed,
+        )
+        self.weights = result.weights
+        self.epochs_run = result.epochs_run
+        self.train_score = result.final_score
+        return self
+
+    def score(self, X: np.ndarray, y: np.ndarray, counter: CallCounter) -> float:
+        y = np.asarray(y, dtype=float)
+        if float(y.min()) == float(y.max()):
+            raise ValueError("R^2 is undefined for constant targets")
+        predictions = self.predict(X, counter)
+        ss_res = float(np.sum((y - predictions) ** 2))
+        ss_tot = float(np.sum((y - y.mean()) ** 2))
+        return 1.0 - ss_res / ss_tot
+
+
+def kernel_matrix(
+    circuit: CircuitSpec,
+    weights: Sequence[float],
+    X1: np.ndarray,
+    X2: np.ndarray,
+    counter: CallCounter,
+) -> np.ndarray:
+    """Fidelity kernel K[i][j] = |<phi(x1_i)|phi(x2_j)>|^2.
+
+    When X1 and X2 hold the same rows (the training kernel), only the strict
+    upper triangle is executed: the diagonal is 1 analytically and the lower
+    triangle mirrors it, so N points cost exactly N*(N-1)/2 pair evaluations
+    at 2 circuit executions per pair.
+    """
+    X1 = np.asarray(X1, dtype=float)
+    X2 = np.asarray(X2, dtype=float)
+
+    def embed_state(x):
+        return run_circuit(circuit, weights, x, counter)
+
+    if X1.shape == X2.shape and np.array_equal(X1, X2):
+        n = len(X1)
+        K = np.eye(n)
+        for i in range(n):
+            for j in range(i + 1, n):
+                K[i, j] = K[j, i] = fidelity(embed_state(X1[i]), embed_state(X1[j]))
+        return K
+    K = np.empty((len(X1), len(X2)))
+    for i in range(len(X1)):
+        for j in range(len(X2)):
+            K[i, j] = fidelity(embed_state(X1[i]), embed_state(X2[j]))
+    return K
+
+
+class QEKClassifier:
+    """Kernel ridge classifier over the fidelity kernel of a fixed feature map.
+
+    The feature-map weights are drawn once from the seed and frozen; only the
+    ridge system (K + lambda*I) alpha = t is solved during fit, with targets
+    t = 1 - 2y. Prediction is 1 exactly when sum_i alpha_i k(x_i, x) < 0.
+    """
+
+    task = TaskType.CLASSIFICATION
+    family = "QEK"
+    score_kind = "mean_accuracy"
+
+    def __init__(
+        self,
+        circuit: CircuitSpec,
+        *,
+        ridge_lambda: float = 1e-3,
+        seed: int = 0,
+        weights: Sequence[float] | None = None,
+    ) -> None:
+        if ridge_lambda <= 0:
+            raise ValueError("ridge_lambda must be > 0")
+        self.circuit = circuit
+        self.ridge_lambda = ridge_lambda
+        self.seed = seed
+        self.weights = (
+            np.asarray(weights, dtype=float)
+            if weights is not None
+            else _initial_weights(circuit.param_count, seed)
+        )
+        self.support_data: np.ndarray | None = None
+        self.dual_coeffs: np.ndarray | None = None
+        self._train_kernel: np.ndarray | None = None
+        self.train_score: float | None = None
+
+    def fit(self, X: np.ndarray, y: np.ndarray, ledger: BudgetLedger) -> "QEKClassifier":
+        X = np.asarray(X, dtype=float)
+        y = np.asarray(y)
+        if len(X) < 2:
+            raise ValueError("need at least 2 training samples")
+        _check_binary_labels(y)
+        targets = 1.0 - 2.0 * y.astype(float)
+        K = kernel_matrix(self.circuit, self.weights, X, X, ledger.kernel)
+        self.dual_coeffs = np.linalg.solve(K + self.ridge_lambda * np.eye(len(X)), targets)
+        self.support_data = X
+        self._train_kernel = K
+        # training accuracy comes from the kernel already built: no extra calls
+        decisions = self.dual_coeffs @ K
+        self.train_score = float(np.mean((decisions < 0) == (targets < 0)))
+        return self
+
+    def decision_values(self, X: np.ndarray, counter: CallCounter) -> np.ndarray:
+        if self.dual_coeffs is None:
+            raise ValueError("classifier must be fit before predicting")
+        X = np.asarray(X, dtype=float)
+        if self._train_kernel is not None and np.array_equal(X, self.support_data):
+            return self.dual_coeffs @ self._train_kernel
+        K = kernel_matrix(self.circuit, self.weights, self.support_data, X, counter)
+        return self.dual_coeffs @ K
+
+    def predict(self, X: np.ndarray, counter: CallCounter) -> np.ndarray:
+        return (self.decision_values(X, counter) < 0).astype(int)
+
+    def score(self, X: np.ndarray, y: np.ndarray, counter: CallCounter) -> float:
+        return float(np.mean(self.predict(X, counter) == np.asarray(y)))
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z, dtype=float)
+    positive = z >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
+    exp_z = np.exp(z[~positive])
+    out[~positive] = exp_z / (1.0 + exp_z)
+    return out
+
+
+class BinaryEncoder:
+    """Stack of affine+sigmoid maps trained as an autoencoder (mirrored,
+    untied decoder) under squared reconstruction error, full-batch descent."""
+
+    def __init__(self, input_size: int, n_layers: int, latent_size: int, seed: int) -> None:
+        if n_layers < 1:
+            raise ValueError("encoder needs at least one layer")
+        widths = [
+            round(input_size + (latent_size - input_size) * i / n_layers)
+            for i in range(n_layers + 1)
+        ]
+        rng = PortableRng(derive_seed(seed, 0))
+        self.widths = widths
+        self.enc_weights, self.enc_biases = self._init_stack(widths, rng)
+        self.dec_weights, self.dec_biases = self._init_stack(widths[::-1], rng)
+
+    @staticmethod
+    def _init_stack(widths: list[int], rng: PortableRng):
+        weights, biases = [], []
+        for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+            scale = 1.0 / np.sqrt(fan_in)
+            weights.append(
+                np.array(rng.uniforms(fan_out * fan_in, -scale, scale)).reshape(fan_out, fan_in)
+            )
+            biases.append(np.zeros(fan_out))
+        return weights, biases
+
+    @staticmethod
+    def _forward(X, weights, biases):
+        activations = [X]
+        for W, b in zip(weights, biases):
+            activations.append(_sigmoid(activations[-1] @ W.T + b))
+        return activations
+
+    def encode(self, X: np.ndarray) -> np.ndarray:
+        return self._forward(X, self.enc_weights, self.enc_biases)[-1]
+
+    def reconstruct(self, X: np.ndarray) -> np.ndarray:
+        return self._forward(self.encode(X), self.dec_weights, self.dec_biases)[-1]
+
+    def reconstruction_error(self, X: np.ndarray) -> float:
+        return float(np.mean((X - self.reconstruct(X)) ** 2))
+
+    def train(self, X: np.ndarray, n_epochs: int, learning_rate: float = 0.5) -> None:
+        weights = self.enc_weights + self.dec_weights
+        biases = self.enc_biases + self.dec_biases
+        n = len(X)
+        for _ in range(n_epochs):
+            activations = self._forward(X, weights, biases)
+            output = activations[-1]
+            delta = 2.0 * (output - X) / n * output * (1.0 - output)
+            for layer in range(len(weights) - 1, -1, -1):
+                grad_w = delta.T @ activations[layer]
+                grad_b = delta.sum(axis=0)
+                if layer > 0:
+                    prev = activations[layer]
+                    delta = (delta @ weights[layer]) * prev * (1.0 - prev)
+                weights[layer] -= learning_rate * grad_w
+                biases[layer] -= learning_rate * grad_b
+
+
+class RBM:
+    """Bernoulli restricted Boltzmann machine trained by one-step contrastive
+    divergence; sampling uses the portable generator for determinism."""
+
+    # O(1) init spreads hidden activations enough for firing thresholds to bite
+    init_scale = 1.0
+
+    def __init__(self, n_visible: int, n_hidden: int, seed: int) -> None:
+        if n_visible < 1 or n_hidden < 1:
+            raise ValueError("RBM needs at least one visible and one hidden unit")
+        rng = PortableRng(derive_seed(seed, 1))
+        self.weights = np.array(
+            rng.uniforms(n_visible * n_hidden, -self.init_scale, self.init_scale)
+        ).reshape(n_visible, n_hidden)
+        self.visible_bias = np.zeros(n_visible)
+        self.hidden_bias = np.zeros(n_hidden)
+        self._sample_rng = PortableRng(derive_seed(seed, 2))
+
+    def hidden_probabilities(self, visible: np.ndarray) -> np.ndarray:
+        return _sigmoid(visible @ self.weights + self.hidden_bias)
+
+    def visible_probabilities(self, hidden: np.ndarray) -> np.ndarray:
+        return _sigmoid(hidden @ self.weights.T + self.visible_bias)
+
+    def _bernoulli(self, probs: np.ndarray) -> np.ndarray:
+        draws = np.array(self._sample_rng.uniforms(probs.size)).reshape(probs.shape)
+        return (draws < probs).astype(float)
+
+    def cd1_epoch(self, V: np.ndarray, learning_rate: float = 0.1) -> None:
+        p_h = self.hidden_probabilities(V)
+        h_sample = self._bernoulli(p_h)
+        v_model = self._bernoulli(self.visible_probabilities(h_sample))
+        p_h_model = self.hidden_probabilities(v_model)
+        n = len(V)
+        self.weights += learning_rate * (V.T @ p_h - v_model.T @ p_h_model) / n
+        self.visible_bias += learning_rate * (V - v_model).mean(axis=0)
+        self.hidden_bias += learning_rate * (p_h - p_h_model).mean(axis=0)
+
+    def reconstruction_error(self, V: np.ndarray) -> float:
+        recon = self.visible_probabilities(self.hidden_probabilities(V))
+        return float(np.mean((V - recon) ** 2))
+
+
+class RBMClusterer:
+    """Binary encoder feeding an RBM; a sample's cluster id is the integer
+    encoding of which hidden units fire (unit j contributes 2**j).
+
+    Entirely classical: fitting and assignment touch no device-call counter.
+    """
+
+    task = TaskType.CLUSTERING
+    family = "RBM"
+    score_kind = "silhouette"
+    # The encoder phase has its own fixed budget: full-batch sigmoid autoencoders
+    # need a long warmup to leave the symmetric plateau, and only the CD-1 phase
+    # is bound to the sampled epoch count.
+    encoder_epochs = 800
+    encoder_learning_rate = 5.0
+    rbm_learning_rate = 1.0
+
+    def __init__(
+        self,
+        *,
+        input_size: int,
+        encoder_layers: int,
+        latent_size: int,
+        n_hidden: int,
+        firing_threshold: float,
+        n_epochs: int,
+        seed: int = 0,
+    ) -> None:
+        if input_size < 2:
+            raise ValueError("input size must be >= 2")
+        if latent_size < 1:
+            raise ValueError("latent_size must be >= 1")
+        if n_hidden < 1:
+            raise ValueError("n_hidden must be >= 1")
+        if not 0.0 < firing_threshold < 1.0:
+            raise ValueError("firing_threshold must be in (0, 1)")
+        self.input_size = input_size
+        self.encoder_layers = encoder_layers
+        self.latent_size = latent_size
+        self.n_hidden = n_hidden
+        self.firing_threshold = firing_threshold
+        self.n_epochs = n_epochs
+        self.seed = seed
+        self.encoder = BinaryEncoder(input_size, encoder_layers, latent_size, seed)
+        self.rbm = RBM(latent_size, n_hidden, seed)
+        # per-feature affine scaling fitted on the training data
+        self.feature_min: np.ndarray | None = None
+        self.feature_max: np.ndarray | None = None
+        self.train_score: float | None = None
+
+    def _scale(self, X: np.ndarray) -> np.ndarray:
+        span = np.where(self.feature_max > self.feature_min, self.feature_max - self.feature_min, 1.0)
+        return (X - self.feature_min) / span
+
+    def _latent_bits(self, X: np.ndarray) -> np.ndarray:
+        return (self.encoder.encode(self._scale(X)) >= 0.5).astype(float)
+
+    def fit(self, X: np.ndarray, ledger: BudgetLedger | None = None) -> "RBMClusterer":
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.input_size:
+            raise ValueError(f"expected 2D data with {self.input_size} features")
+        self.feature_min = X.min(axis=0)
+        self.feature_max = X.max(axis=0)
+        self.encoder.train(self._scale(X), self.encoder_epochs, self.encoder_learning_rate)
+        latents = self._latent_bits(X)
+        for _ in range(self.n_epochs):
+            self.rbm.cd1_epoch(latents, self.rbm_learning_rate)
+        return self
+
+    def cluster_assign(self, x: Sequence[float]) -> int:
+        probs = self.rbm.hidden_probabilities(self._latent_bits(np.atleast_2d(x))[0])
+        bits = probs >= self.firing_threshold
+        return int(sum(1 << j for j, fired in enumerate(bits) if fired))
+
+    def predict(self, X: np.ndarray, counter: CallCounter | None = None) -> np.ndarray:
+        return np.array([self.cluster_assign(x) for x in np.asarray(X, dtype=float)])
+
+    def score(self, X: np.ndarray, y=None, counter: CallCounter | None = None) -> float:
+        return silhouette_score(np.asarray(X, dtype=float), self.predict(X))
+
+
+def silhouette_score(X: np.ndarray, labels: np.ndarray) -> float:
+    """Mean silhouette over Euclidean distances in the given feature space.
+
+    Undefined (raises ScoreUndefinedError) when all points share one cluster
+    or when any cluster is a singleton.
+    """
+    X = np.asarray(X, dtype=float)
+    labels = np.asarray(labels)
+    n = len(X)
+    if n != len(labels):
+        raise ValueError("X and labels must have equal length")
+    unique, counts = np.unique(labels, return_counts=True)
+    if len(unique) < 2:
+        raise ScoreUndefinedError("silhouette undefined: all points share one cluster")
+    if np.any(counts == 1):
+        raise ScoreUndefinedError("silhouette undefined: singleton cluster present")
+    diffs = X[:, None, :] - X[None, :, :]
+    distances = np.sqrt((diffs**2).sum(axis=-1))
+    one_hot = (labels[:, None] == unique[None, :]).astype(float)
+    cluster_sums = distances @ one_hot  # n x k: summed distance to each cluster
+    own = np.argmax(one_hot, axis=1)
+    a = cluster_sums[np.arange(n), own] / (counts[own] - 1)
+    mean_other = cluster_sums / counts[None, :]
+    mean_other[np.arange(n), own] = np.inf
+    b = mean_other.min(axis=1)
+    denom = np.maximum(a, b)
+    s = np.where(denom > 0, (b - a) / np.where(denom > 0, denom, 1.0), 0.0)
+    return float(s.mean())
+
+
+def _build_qnn_classifier(kwargs: Mapping, seed: int) -> QNNClassifier:
+    return QNNClassifier(
+        CircuitSpec(kwargs["n_wires"], kwargs["embedding"], tuple(kwargs["layers"])),
+        batch_size=kwargs["batch_size"],
+        n_epochs=kwargs["n_epochs"],
+        accuracy_threshold=kwargs["threshold"],
+        seed=seed,
+    )
+
+
+def _build_qnn_regressor(kwargs: Mapping, seed: int) -> QNNRegressor:
+    return QNNRegressor(
+        CircuitSpec(kwargs["n_wires"], kwargs["embedding"], tuple(kwargs["layers"])),
+        batch_size=kwargs["batch_size"],
+        n_epochs=kwargs["n_epochs"],
+        r2_threshold=kwargs["threshold"],
+        seed=seed,
+    )
+
+
+def _build_qek_classifier(kwargs: Mapping, seed: int) -> QEKClassifier:
+    return QEKClassifier(
+        CircuitSpec(kwargs["n_wires"], kwargs["embedding"], tuple(kwargs["layers"])),
+        ridge_lambda=kwargs.get("ridge_lambda", 1e-3),
+        seed=seed,
+    )
+
+
+def _build_rbm_clusterer(kwargs: Mapping, seed: int) -> RBMClusterer:
+    return RBMClusterer(
+        input_size=kwargs["input_size"],
+        encoder_layers=kwargs["lbae_n_layers"],
+        latent_size=kwargs["lbae_out_channels"],
+        n_hidden=kwargs["rbm_n_hidden_neurons"],
+        firing_threshold=kwargs["firing_threshold"],
+        n_epochs=kwargs["n_epochs"],
+        seed=seed,
+    )
+
+
+def default_registry() -> Registry:
+    """The shipped search space: two embeddings, two layers, four families."""
+    reg = base_registry()
+    reg.register(
+        "model",
+        ModelFamilyConfig(
+            name="QNN",
+            task=TaskType.CLASSIFICATION,
+            n_layers=(1, 3),
+            builder=_build_qnn_classifier,
+            tunables={"batch_size": IntRange(15, 25)},
+        ),
+    )
+    reg.register(
+        "model",
+        ModelFamilyConfig(
+            name="QEK",
+            task=TaskType.CLASSIFICATION,
+            n_layers=(3, 5),
+            builder=_build_qek_classifier,
+            fixed_options={"ridge_lambda": 1e-3},
+        ),
+    )
+    reg.register(
+        "model",
+        ModelFamilyConfig(
+            name="QNN_REGRESSOR",
+            task=TaskType.REGRESSION,
+            n_layers=(1, 3),
+            builder=_build_qnn_regressor,
+            tunables={"batch_size": IntRange(15, 25)},
+        ),
+    )
+    reg.register(
+        "model",
+        ModelFamilyConfig(
+            name="RBM",
+            task=TaskType.CLUSTERING,
+            n_layers=(1, 3),  # encoder depth bounds (lbae_n_layers)
+            builder=_build_rbm_clusterer,
+            tunables={"firing_threshold": FloatRange(0.3, 0.7)},
+        ),
+    )
+    return reg
