@@ -194,8 +194,6 @@ def _build_parser() -> argparse.ArgumentParser:
     find.add_argument("--seed", type=int, default=0)
     find.add_argument("--store", default="study.jsonl")
     find.add_argument("--out", default="model.json")
-    # reserved for forward compatibility; only the built-in simulator exists
-    find.add_argument("--device", choices=["simulator"], default="simulator")
     find.set_defaults(func=_cmd_find_model)
 
     tune = sub.add_parser("tune", help="compare optimizers on a trained model's architecture")

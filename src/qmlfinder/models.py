@@ -1,7 +1,10 @@
 """The trainable model families the finder chooses among.
 
-Four families share a small surface: construct with a seed, `fit`, `predict`,
-and `score`, with every simulated device call booked on the caller's ledger.
+Every family presents one protocol: class attributes `task`, `family` and
+`score_kind`; construct with a seed, `fit` (which sets `train_score`),
+`predict`, and `score`, with every simulated device call booked on the
+caller's ledger; `spec_fields()` freezes a trained model into model-file
+fields and the class-level `from_spec(spec, registry)` restores it.
 Label convention is fixed: class 0 maps to target +1 (the <Z> of |0>), so a
 classifier predicts 1 exactly when its expectation drops to 0 or below.
 """
@@ -10,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import pi
-from typing import Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,8 +29,6 @@ from .registry import (
 from .rng import PortableRng, derive_seed
 from .simulator import CallCounter, expectation_z, fidelity, parameter_shift_gradient, run_circuit
 from .training import BudgetLedger, OptimizerConfig, train_epochs
-
-GRADIENT_TRAINED_FAMILIES = ("QNN", "QNN_REGRESSOR")
 
 
 class ScoreUndefinedError(RuntimeError):
@@ -62,17 +63,142 @@ def _initial_weights(param_count: int, seed: int) -> np.ndarray:
     return np.array(rng.uniforms(param_count, 0.0, pi))
 
 
+def _floats(values) -> list[float]:
+    return [float(v) for v in np.asarray(values).reshape(-1)]
+
+
 def _check_binary_labels(y: np.ndarray) -> None:
     if not set(np.unique(y)) <= {0, 1}:
         raise ValueError("labels must be binary {0, 1}")
 
 
-class QNNClassifier:
+class CircuitModel:
+    """A variational circuit with weights drawn from the seed unless given.
+
+    The circuit families serialize as the circuit's registry names, its flat
+    weights, and the family's `spec_extras()`, which `_from_extras` restores.
+    """
+
+    task: TaskType
+    family: str
+    score_kind: str
+
+    def __init__(self, circuit: CircuitSpec, seed: int, weights: Sequence[float] | None) -> None:
+        self.circuit = circuit
+        self.seed = seed
+        self.weights = (
+            np.asarray(weights, dtype=float)
+            if weights is not None
+            else _initial_weights(circuit.param_count, seed)
+        )
+        self.train_score: float | None = None
+
+    def spec_fields(self) -> dict[str, Any]:
+        """Model-file fields other than task, family, feature count and metadata."""
+        embedding = self.circuit.embedding
+        return {
+            "n_wires": self.circuit.n_wires,
+            "embedding": {"name": embedding.name, "fixed_options": dict(embedding.fixed_options)},
+            "layers": self.circuit.layer_names(),
+            "weights": _floats(self.weights),
+            "extras": self.spec_extras(),
+        }
+
+    @classmethod
+    def from_spec(cls, spec, registry: Registry) -> "CircuitModel":
+        """Rebuild a ready-to-predict model from a ModelSpec written by `spec_fields`."""
+        if spec.embedding is None:
+            raise ValueError(f"{spec.model_family} model carries no circuit")
+        circuit = CircuitSpec(
+            spec.n_wires,
+            registry.embedding(spec.embedding["name"]),
+            tuple(registry.layer(name) for name in spec.layers),
+        )
+        weights = np.asarray(spec.weights, dtype=float)
+        if weights.size != circuit.param_count:
+            raise ValueError("weights length inconsistent with declared architecture")
+        return cls._from_extras(circuit, weights, spec.extras)
+
+
+class QNN(CircuitModel):
+    """Variational model read out as <Z_0>, trained by parameter-shift gradient
+    descent on the squared error against targets in [-1, 1].
+
+    Subclasses map labels to targets, pick the training score, and name their
+    model-file extras in `extras_keys`: constructor keywords that are also
+    attributes.
+    """
+
+    extras_keys: tuple[str, ...] = ()
+
+    def __init__(
+        self,
+        circuit: CircuitSpec,
+        *,
+        batch_size: int,
+        n_epochs: int,
+        seed: int,
+        weights: Sequence[float] | None,
+    ) -> None:
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        super().__init__(circuit, seed, weights)
+        self.batch_size = batch_size
+        self.n_epochs = n_epochs
+        self.epochs_run = 0
+
+    def expectations(self, X: np.ndarray, counter: CallCounter) -> np.ndarray:
+        return np.array(
+            [expectation_z(run_circuit(self.circuit, self.weights, x, counter), 0) for x in X]
+        )
+
+    def _train(
+        self,
+        X: np.ndarray,
+        targets: np.ndarray,
+        score_fn: Callable[[np.ndarray, np.ndarray], float],
+        threshold: float,
+        ledger: BudgetLedger,
+        optimizer: OptimizerConfig | None,
+    ) -> "QNN":
+        result = train_epochs(
+            weights=self.weights,
+            X=X,
+            targets=targets,
+            forward_one=lambda w, x, c: expectation_z(run_circuit(self.circuit, w, x, c), 0),
+            gradient_one=lambda w, x, c: parameter_shift_gradient(self.circuit, w, x, 0, c),
+            score_fn=score_fn,
+            ledger=ledger,
+            opt_config=optimizer or OptimizerConfig(),
+            batch_size=self.batch_size,
+            n_epochs=self.n_epochs,
+            threshold=threshold,
+            seed=self.seed,
+        )
+        self.weights = result.weights
+        self.epochs_run = result.epochs_run
+        self.train_score = result.final_score
+        return self
+
+    def spec_extras(self) -> dict[str, Any]:
+        return {key: getattr(self, key) for key in self.extras_keys}
+
+    @classmethod
+    def _from_extras(cls, circuit: CircuitSpec, weights: np.ndarray, extras: Mapping) -> "QNN":
+        return cls(circuit, weights=weights, **{key: extras[key] for key in cls.extras_keys})
+
+    def reseeded(self, seed: int) -> "QNN":
+        """An untrained copy with the same circuit and options, initialised from `seed`."""
+        return type(self)(self.circuit, seed=seed, **self.spec_extras())
+
+
+class QNNClassifier(QNN):
     """Variational binary classifier read out as p(1) = (1 - <Z_0>)/2."""
 
     task = TaskType.CLASSIFICATION
     family = "QNN"
     score_kind = "mean_accuracy"
+    extras_keys = ("batch_size", "n_epochs", "accuracy_threshold")
 
     def __init__(
         self,
@@ -84,27 +210,11 @@ class QNNClassifier:
         seed: int = 0,
         weights: Sequence[float] | None = None,
     ) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if not 0.0 <= accuracy_threshold <= 1.0:
             raise ValueError("accuracy_threshold must be in [0, 1]")
-        self.circuit = circuit
-        self.batch_size = batch_size
-        self.n_epochs = n_epochs
+        super().__init__(circuit, batch_size=batch_size, n_epochs=n_epochs, seed=seed,
+                         weights=weights)
         self.accuracy_threshold = accuracy_threshold
-        self.seed = seed
-        self.weights = (
-            np.asarray(weights, dtype=float)
-            if weights is not None
-            else _initial_weights(circuit.param_count, seed)
-        )
-        self.epochs_run = 0
-        self.train_score: float | None = None
-
-    def expectations(self, X: np.ndarray, counter: CallCounter) -> np.ndarray:
-        return np.array(
-            [expectation_z(run_circuit(self.circuit, self.weights, x, counter), 0) for x in X]
-        )
 
     def predict_one(self, x: Sequence[float], counter: CallCounter) -> tuple[int, float]:
         value = expectation_z(run_circuit(self.circuit, self.weights, x, counter), 0)
@@ -128,36 +238,21 @@ class QNNClassifier:
         _check_binary_labels(y)
         if len(np.unique(y)) < 2:
             raise ValueError("training data must contain both classes")
-        result = train_epochs(
-            weights=self.weights,
-            X=X,
-            targets=1.0 - 2.0 * y.astype(float),
-            forward_one=lambda w, x, c: expectation_z(run_circuit(self.circuit, w, x, c), 0),
-            gradient_one=lambda w, x, c: parameter_shift_gradient(self.circuit, w, x, 0, c),
-            score_fn=_accuracy,
-            ledger=ledger,
-            opt_config=optimizer or OptimizerConfig(),
-            batch_size=self.batch_size,
-            n_epochs=self.n_epochs,
-            threshold=self.accuracy_threshold,
-            seed=self.seed,
-        )
-        self.weights = result.weights
-        self.epochs_run = result.epochs_run
-        self.train_score = result.final_score
-        return self
+        targets = 1.0 - 2.0 * y.astype(float)
+        return self._train(X, targets, _accuracy, self.accuracy_threshold, ledger, optimizer)
 
     def score(self, X: np.ndarray, y: np.ndarray, counter: CallCounter) -> float:
         return _accuracy(self.expectations(X, counter), 1.0 - 2.0 * np.asarray(y, dtype=float))
 
 
-class QNNRegressor:
+class QNNRegressor(QNN):
     """Variational regressor: targets are affinely mapped onto [-1, 1] and the
     circuit expectation is trained against them; predictions invert the map."""
 
     task = TaskType.REGRESSION
     family = "QNN_REGRESSOR"
     score_kind = "r2"
+    extras_keys = ("batch_size", "n_epochs", "r2_threshold", "target_min", "target_max")
 
     def __init__(
         self,
@@ -171,33 +266,17 @@ class QNNRegressor:
         target_min: float | None = None,
         target_max: float | None = None,
     ) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self.circuit = circuit
-        self.batch_size = batch_size
-        self.n_epochs = n_epochs
+        super().__init__(circuit, batch_size=batch_size, n_epochs=n_epochs, seed=seed,
+                         weights=weights)
         self.r2_threshold = r2_threshold
-        self.seed = seed
-        self.weights = (
-            np.asarray(weights, dtype=float)
-            if weights is not None
-            else _initial_weights(circuit.param_count, seed)
-        )
         self.target_min = target_min
         self.target_max = target_max
-        self.epochs_run = 0
-        self.train_score: float | None = None
 
     def _rescale(self, y: np.ndarray) -> np.ndarray:
         return 2.0 * (y - self.target_min) / (self.target_max - self.target_min) - 1.0
 
     def _inverse(self, values: np.ndarray) -> np.ndarray:
         return (values + 1.0) / 2.0 * (self.target_max - self.target_min) + self.target_min
-
-    def expectations(self, X: np.ndarray, counter: CallCounter) -> np.ndarray:
-        return np.array(
-            [expectation_z(run_circuit(self.circuit, self.weights, x, counter), 0) for x in X]
-        )
 
     def predict(self, X: np.ndarray, counter: CallCounter) -> np.ndarray:
         if self.target_min is None or self.target_max is None:
@@ -219,33 +298,13 @@ class QNNRegressor:
         self.target_max = float(y.max())
         if self.target_min == self.target_max:
             raise ValueError("constant targets: rescaling to [-1, 1] is undefined")
-        result = train_epochs(
-            weights=self.weights,
-            X=X,
-            targets=self._rescale(y),
-            forward_one=lambda w, x, c: expectation_z(run_circuit(self.circuit, w, x, c), 0),
-            gradient_one=lambda w, x, c: parameter_shift_gradient(self.circuit, w, x, 0, c),
-            score_fn=_r_squared,
-            ledger=ledger,
-            opt_config=optimizer or OptimizerConfig(),
-            batch_size=self.batch_size,
-            n_epochs=self.n_epochs,
-            threshold=self.r2_threshold,
-            seed=self.seed,
-        )
-        self.weights = result.weights
-        self.epochs_run = result.epochs_run
-        self.train_score = result.final_score
-        return self
+        return self._train(X, self._rescale(y), _r_squared, self.r2_threshold, ledger, optimizer)
 
     def score(self, X: np.ndarray, y: np.ndarray, counter: CallCounter) -> float:
         y = np.asarray(y, dtype=float)
         if float(y.min()) == float(y.max()):
             raise ValueError("R^2 is undefined for constant targets")
-        predictions = self.predict(X, counter)
-        ss_res = float(np.sum((y - predictions) ** 2))
-        ss_tot = float(np.sum((y - y.mean()) ** 2))
-        return 1.0 - ss_res / ss_tot
+        return _r_squared(self.predict(X, counter), y)
 
 
 def kernel_matrix(
@@ -282,7 +341,7 @@ def kernel_matrix(
     return K
 
 
-class QEKClassifier:
+class QEKClassifier(CircuitModel):
     """Kernel ridge classifier over the fidelity kernel of a fixed feature map.
 
     The feature-map weights are drawn once from the seed and frozen; only the
@@ -304,18 +363,11 @@ class QEKClassifier:
     ) -> None:
         if ridge_lambda <= 0:
             raise ValueError("ridge_lambda must be > 0")
-        self.circuit = circuit
+        super().__init__(circuit, seed, weights)
         self.ridge_lambda = ridge_lambda
-        self.seed = seed
-        self.weights = (
-            np.asarray(weights, dtype=float)
-            if weights is not None
-            else _initial_weights(circuit.param_count, seed)
-        )
         self.support_data: np.ndarray | None = None
         self.dual_coeffs: np.ndarray | None = None
         self._train_kernel: np.ndarray | None = None
-        self.train_score: float | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray, ledger: BudgetLedger) -> "QEKClassifier":
         X = np.asarray(X, dtype=float)
@@ -347,6 +399,22 @@ class QEKClassifier:
 
     def score(self, X: np.ndarray, y: np.ndarray, counter: CallCounter) -> float:
         return float(np.mean(self.predict(X, counter) == np.asarray(y)))
+
+    def spec_extras(self) -> dict[str, Any]:
+        return {
+            "ridge_lambda": self.ridge_lambda,
+            "dual_coeffs": _floats(self.dual_coeffs),
+            "support_data": [_floats(row) for row in self.support_data],
+        }
+
+    @classmethod
+    def _from_extras(
+        cls, circuit: CircuitSpec, weights: np.ndarray, extras: Mapping
+    ) -> "QEKClassifier":
+        model = cls(circuit, ridge_lambda=extras["ridge_lambda"], weights=weights)
+        model.support_data = np.asarray(extras["support_data"], dtype=float)
+        model.dual_coeffs = np.asarray(extras["dual_coeffs"], dtype=float)
+        return model
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -542,6 +610,65 @@ class RBMClusterer:
     def score(self, X: np.ndarray, y=None, counter: CallCounter | None = None) -> float:
         return silhouette_score(np.asarray(X, dtype=float), self.predict(X))
 
+    def spec_fields(self) -> dict[str, Any]:
+        """Model-file fields: no circuit; encoder and RBM parameters packed flat."""
+        packed: list[float] = []
+        for W, b in zip(self.encoder.enc_weights, self.encoder.enc_biases):
+            packed.extend(_floats(W))
+            packed.extend(_floats(b))
+        packed.extend(_floats(self.rbm.weights))
+        packed.extend(_floats(self.rbm.visible_bias))
+        packed.extend(_floats(self.rbm.hidden_bias))
+        extras = {
+            "input_size": self.input_size,
+            "encoder_layers": self.encoder_layers,
+            "encoder_widths": list(self.encoder.widths),
+            "latent_size": self.latent_size,
+            "n_hidden": self.n_hidden,
+            "firing_threshold": self.firing_threshold,
+            "n_epochs": self.n_epochs,
+            "feature_min": _floats(self.feature_min),
+            "feature_max": _floats(self.feature_max),
+        }
+        return {"n_wires": 0, "embedding": None, "layers": [], "weights": packed, "extras": extras}
+
+    @classmethod
+    def from_spec(cls, spec, registry: Registry) -> "RBMClusterer":
+        """Rebuild a ready-to-predict clusterer from a ModelSpec written by `spec_fields`."""
+        extras = spec.extras
+        model = cls(
+            input_size=extras["input_size"],
+            encoder_layers=extras["encoder_layers"],
+            latent_size=extras["latent_size"],
+            n_hidden=extras["n_hidden"],
+            firing_threshold=extras["firing_threshold"],
+            n_epochs=extras["n_epochs"],
+        )
+        flat = np.asarray(spec.weights, dtype=float)
+        offset = 0
+
+        def take(shape) -> np.ndarray:
+            nonlocal offset
+            size = int(np.prod(shape))
+            chunk = flat[offset : offset + size]
+            if chunk.size != size:
+                raise ValueError("weights length inconsistent with declared architecture")
+            offset += size
+            return chunk.reshape(shape)
+
+        widths = extras["encoder_widths"]
+        for layer, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
+            model.encoder.enc_weights[layer] = take((fan_out, fan_in))
+            model.encoder.enc_biases[layer] = take((fan_out,))
+        model.rbm.weights = take((extras["latent_size"], extras["n_hidden"]))
+        model.rbm.visible_bias = take((extras["latent_size"],))
+        model.rbm.hidden_bias = take((extras["n_hidden"],))
+        if offset != flat.size:
+            raise ValueError("weights length inconsistent with declared architecture")
+        model.feature_min = np.asarray(extras["feature_min"], dtype=float)
+        model.feature_max = np.asarray(extras["feature_max"], dtype=float)
+        return model
+
 
 def silhouette_score(X: np.ndarray, labels: np.ndarray) -> float:
     """Mean silhouette over Euclidean distances in the given feature space.
@@ -623,6 +750,7 @@ def default_registry() -> Registry:
             task=TaskType.CLASSIFICATION,
             n_layers=(1, 3),
             builder=_build_qnn_classifier,
+            restore=QNNClassifier.from_spec,
             tunables={"batch_size": IntRange(15, 25)},
         ),
     )
@@ -633,6 +761,7 @@ def default_registry() -> Registry:
             task=TaskType.CLASSIFICATION,
             n_layers=(3, 5),
             builder=_build_qek_classifier,
+            restore=QEKClassifier.from_spec,
             fixed_options={"ridge_lambda": 1e-3},
         ),
     )
@@ -643,6 +772,7 @@ def default_registry() -> Registry:
             task=TaskType.REGRESSION,
             n_layers=(1, 3),
             builder=_build_qnn_regressor,
+            restore=QNNRegressor.from_spec,
             tunables={"batch_size": IntRange(15, 25)},
         ),
     )
@@ -653,6 +783,7 @@ def default_registry() -> Registry:
             task=TaskType.CLUSTERING,
             n_layers=(1, 3),  # encoder depth bounds (lbae_n_layers)
             builder=_build_rbm_clusterer,
+            restore=RBMClusterer.from_spec,
             tunables={"firing_threshold": FloatRange(0.3, 0.7)},
         ),
     )

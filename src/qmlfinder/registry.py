@@ -197,7 +197,12 @@ TunableRange = IntRange | FloatRange
 
 @dataclass(frozen=True)
 class ModelFamilyConfig:
-    """One searchable model family: its task, layer-count bounds, and tunables."""
+    """One searchable model family: its task, layer-count bounds, and tunables.
+
+    `builder(kwargs, seed)` makes an untrained model; `restore(spec, registry)`
+    rebuilds a trained one from its model file. The finder refuses to search a
+    family without `restore`, because its winner could not be saved.
+    """
 
     name: str
     task: TaskType
@@ -205,6 +210,7 @@ class ModelFamilyConfig:
     builder: Callable[[Mapping[str, Any], int], Any]
     tunables: Mapping[str, TunableRange] = field(default_factory=dict)
     fixed_options: Mapping[str, Any] = field(default_factory=dict)
+    restore: Callable[[Any, "Registry"], Any] | None = None
 
     def __post_init__(self) -> None:
         low, high = self.n_layers

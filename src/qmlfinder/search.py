@@ -13,22 +13,16 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import ceil, floor, sqrt
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .models import (
-    GRADIENT_TRAINED_FAMILIES,
-    QNNClassifier,
-    QNNRegressor,
-    Score,
-    default_registry,
-)
+from .models import QNN, Score, default_registry
 from .records import StudyFailureError, TrialRecord, select_best
 from .registry import EmbeddingKind, FloatRange, IntRange, LayerKind, Registry, TaskType
 from .rng import PortableRng, derive_seed, repeat_seed
 from .simulator import MAX_WIRES
-from .store import ModelSpec, StudyStore, circuit_from_spec, model_to_spec
+from .store import ModelSpec, StudyStore, model_from_spec, model_to_spec
 from .training import BudgetLedger, OptimizerConfig
 
 TUNER_OPTIMIZER_KINDS = ("vanilla_gd", "momentum_gd", "adam")
@@ -37,7 +31,7 @@ TUNER_MOMENTUM_RANGE = (0.0, 0.99)
 
 
 class UnsupportedModelError(ValueError):
-    """Raised when the tuner is asked to tune a non-gradient-trained family."""
+    """Raised when the tuner is asked to tune a model that is not a QNN."""
 
 
 class RandomSampler:
@@ -261,29 +255,34 @@ def _fit_and_score(model, X: np.ndarray, y, ledger: BudgetLedger) -> float:
     return Score(value, model.score_kind).value  # bounds-checked at the trial boundary
 
 
-def run_trial(
+def evaluate_config(
     trial: Trial,
-    config: FinderConfig,
-    registry: Registry,
-    X: np.ndarray,
-    y,
+    fit_repeat: Callable[[int, BudgetLedger], float],
+    n_seeds: int,
+    base_seed: int,
+    threshold: float | None,
     store: StudyStore | None,
 ) -> TrialRecord:
-    """Sample, build, and evaluate one configuration over n_seeds training
-    repeats. Any failure (construction, training, undefined score) yields a
-    failed record instead of aborting the study."""
+    """Evaluate one sampled configuration over `n_seeds` training repeats.
+
+    `fit_repeat(seed, ledger)` trains a fresh model with the training seed of
+    repeat k, repeat_seed(base_seed, k), books its device calls on `ledger`
+    and returns its score. Any failure yields a failed record instead of
+    aborting the study. A complete trial is feasible when its mean score
+    reaches `threshold`; with no threshold every complete trial is. The record
+    is appended to `store` when one is given.
+    """
     ledger = BudgetLedger()
     scores: list[float] = []
     error = None
     try:
-        for k in range(config.n_seeds):
-            model = _suggest_and_build(trial, config, registry, X, repeat_seed(config.base_seed, k))
+        for k in range(n_seeds):
             repeat_ledger = BudgetLedger()
-            scores.append(_fit_and_score(model, X, y, repeat_ledger))
+            scores.append(fit_repeat(repeat_seed(base_seed, k), repeat_ledger))
             ledger.merge(repeat_ledger)
         mean_score = float(np.mean(scores))
         status = "complete"
-        feasible = mean_score >= config.threshold
+        feasible = threshold is None or mean_score >= threshold
     except Exception as exc:  # crash containment: the study must survive
         mean_score = None
         status = "failed"
@@ -306,6 +305,27 @@ def run_trial(
     return record
 
 
+def run_trial(
+    trial: Trial,
+    config: FinderConfig,
+    registry: Registry,
+    X: np.ndarray,
+    y,
+    store: StudyStore | None,
+) -> TrialRecord:
+    """Sample, build, and evaluate one configuration over n_seeds training
+    repeats. Any failure (construction, training, undefined score) yields a
+    failed record instead of aborting the study."""
+
+    def fit_repeat(seed: int, ledger: BudgetLedger) -> float:
+        model = _suggest_and_build(trial, config, registry, X, seed)
+        return _fit_and_score(model, X, y, ledger)
+
+    return evaluate_config(
+        trial, fit_repeat, config.n_seeds, config.base_seed, config.threshold, store
+    )
+
+
 def find_model(
     config: FinderConfig,
     registry: Registry,
@@ -318,13 +338,23 @@ def find_model(
     Winner: the feasible complete trial with the fewest device calls (ties:
     higher mean score, then lower trial id). If nothing was feasible, the
     highest-scoring complete trial is returned with metadata feasible=false.
-    The winning configuration is retrained on base_seed before serialization.
+    The winning configuration is retrained with the training seed of its
+    evaluation repeat 0, repeat_seed(base_seed, 0), so the serialized model is
+    the one that scored per_seed_scores[0].
+
+    Every candidate family for the task must register `restore`; otherwise a
+    ValueError naming it is raised before any trial runs.
     """
     X = np.asarray(X, dtype=float)
     if config.task != TaskType.CLUSTERING:
         if y is None:
             raise ValueError(f"task {config.task.value} requires targets")
         y = np.asarray(y)
+    for name in registry.models_for_task(config.task):
+        if registry.model(name).restore is None:
+            raise ValueError(
+                f"model family {name!r} registers no restore, so its winner could not be saved"
+            )
 
     def one(trial_id: int) -> TrialRecord:
         trial = Trial(trial_id, derive_seed(config.base_seed, trial_id))
@@ -338,7 +368,7 @@ def find_model(
     best, feasible = select_best(trial_records)
 
     replay = Trial(best.trial_id, best.seed, sampler=ReplaySampler(best.sampled))
-    model = _suggest_and_build(replay, config, registry, X, config.base_seed)
+    model = _suggest_and_build(replay, config, registry, X, repeat_seed(config.base_seed, 0))
     _fit_and_score(model, X, y, BudgetLedger())
     metadata = {
         "mean_score": best.mean_score,
@@ -364,31 +394,13 @@ def find_hyperparameters(
     """Compare optimizer configurations on a fixed architecture, retraining it
     from scratch per seed; the best mean final score wins, ties broken by
     fewer device calls then lower trial id."""
-    if model_spec.model_family not in GRADIENT_TRAINED_FAMILIES:
+    model = model_from_spec(model_spec, registry)
+    if not isinstance(model, QNN):
         raise UnsupportedModelError(
             f"{model_spec.model_family} is not gradient-trained; nothing to tune"
         )
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
-    circuit = circuit_from_spec(model_spec, registry)
-    extras = model_spec.extras
-
-    def rebuild(seed: int):
-        if model_spec.model_family == "QNN":
-            return QNNClassifier(
-                circuit,
-                batch_size=extras["batch_size"],
-                n_epochs=extras["n_epochs"],
-                accuracy_threshold=extras["accuracy_threshold"],
-                seed=seed,
-            )
-        return QNNRegressor(
-            circuit,
-            batch_size=extras["batch_size"],
-            n_epochs=extras["n_epochs"],
-            r2_threshold=extras["r2_threshold"],
-            seed=seed,
-        )
 
     records: list[tuple[TrialRecord, OptimizerConfig]] = []
     for trial_id in range(n_trials):
@@ -403,36 +415,11 @@ def find_hyperparameters(
             else 0.0
         )
         opt = OptimizerConfig(kind=kind, learning_rate=learning_rate, momentum=momentum)
-        ledger = BudgetLedger()
-        scores = []
-        error = None
-        try:
-            for k in range(n_seeds):
-                model = rebuild(repeat_seed(base_seed, k))
-                repeat_ledger = BudgetLedger()
-                model.fit(X, y, repeat_ledger, optimizer=opt)
-                scores.append(float(model.train_score))
-                ledger.merge(repeat_ledger)
-            mean_score = float(np.mean(scores))
-            status = "complete"
-        except Exception as exc:
-            mean_score = None
-            status = "failed"
-            error = f"{type(exc).__name__}: {exc}"
-        record = TrialRecord(
-            trial_id=trial_id,
-            seed=trial.seed,
-            sampled=dict(trial.sampled),
-            per_seed_scores=scores,
-            mean_score=mean_score,
-            total_calls=ledger.total,
-            subtotals=ledger.as_dict(),
-            feasible=status == "complete",
-            status=status,
-            error=error,
-        )
-        if store is not None:
-            store.append_trial(record)
+
+        def fit_repeat(seed: int, ledger: BudgetLedger) -> float:
+            return float(model.reseeded(seed).fit(X, y, ledger, optimizer=opt).train_score)
+
+        record = evaluate_config(trial, fit_repeat, n_seeds, base_seed, None, store)
         records.append((record, opt))
 
     complete = [(r, opt) for r, opt in records if r.status == "complete"]

@@ -14,11 +14,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
-from .models import QEKClassifier, QNNClassifier, QNNRegressor, RBMClusterer
 from .records import StudyFailureError, TrialRecord, select_best
-from .registry import CircuitSpec, Registry
+from .registry import Registry
 
 FORMAT_VERSION = 1
 
@@ -130,159 +127,29 @@ def read_model_spec(path: str | os.PathLike) -> ModelSpec:
         return ModelSpec.from_json(fh.read())
 
 
-def _floats(values) -> list[float]:
-    return [float(v) for v in np.asarray(values).reshape(-1)]
-
-
 def model_to_spec(model, n_features: int, metadata: dict[str, Any]) -> ModelSpec:
-    """Freeze a trained model into its serializable form."""
-    if isinstance(model, RBMClusterer):
-        packed: list[float] = []
-        for W, b in zip(model.encoder.enc_weights, model.encoder.enc_biases):
-            packed.extend(_floats(W))
-            packed.extend(_floats(b))
-        packed.extend(_floats(model.rbm.weights))
-        packed.extend(_floats(model.rbm.visible_bias))
-        packed.extend(_floats(model.rbm.hidden_bias))
-        extras = {
-            "input_size": model.input_size,
-            "encoder_layers": model.encoder_layers,
-            "encoder_widths": list(model.encoder.widths),
-            "latent_size": model.latent_size,
-            "n_hidden": model.n_hidden,
-            "firing_threshold": model.firing_threshold,
-            "n_epochs": model.n_epochs,
-            "feature_min": _floats(model.feature_min),
-            "feature_max": _floats(model.feature_max),
-        }
-        return ModelSpec(
-            task=model.task.value,
-            model_family=model.family,
-            n_features=n_features,
-            n_wires=0,
-            embedding=None,
-            layers=[],
-            weights=packed,
-            extras=extras,
-            metadata=metadata,
-        )
-
-    circuit = model.circuit
-    embedding = {
-        "name": circuit.embedding.name,
-        "fixed_options": dict(circuit.embedding.fixed_options),
-    }
-    common = dict(
+    """Freeze a trained model into its serializable form via its `spec_fields()`."""
+    if not hasattr(model, "spec_fields"):
+        raise ValueError(f"cannot serialize model of type {type(model).__name__}")
+    return ModelSpec(
         task=model.task.value,
         model_family=model.family,
         n_features=n_features,
-        n_wires=circuit.n_wires,
-        embedding=embedding,
-        layers=circuit.layer_names(),
-        weights=_floats(model.weights),
         metadata=metadata,
+        **model.spec_fields(),
     )
-    if isinstance(model, QNNClassifier):
-        extras = {
-            "batch_size": model.batch_size,
-            "n_epochs": model.n_epochs,
-            "accuracy_threshold": model.accuracy_threshold,
-        }
-    elif isinstance(model, QNNRegressor):
-        extras = {
-            "batch_size": model.batch_size,
-            "n_epochs": model.n_epochs,
-            "r2_threshold": model.r2_threshold,
-            "target_min": model.target_min,
-            "target_max": model.target_max,
-        }
-    elif isinstance(model, QEKClassifier):
-        extras = {
-            "ridge_lambda": model.ridge_lambda,
-            "dual_coeffs": _floats(model.dual_coeffs),
-            "support_data": [_floats(row) for row in model.support_data],
-        }
-    else:
-        raise ValueError(f"cannot serialize model of type {type(model).__name__}")
-    return ModelSpec(extras=extras, **common)
-
-
-def circuit_from_spec(spec: ModelSpec, registry: Registry) -> CircuitSpec:
-    if spec.embedding is None:
-        raise ValueError(f"{spec.model_family} model carries no circuit")
-    embedding = registry.embedding(spec.embedding["name"])
-    layer_kinds = tuple(registry.layer(name) for name in spec.layers)
-    return CircuitSpec(spec.n_wires, embedding, layer_kinds)
 
 
 def model_from_spec(spec: ModelSpec, registry: Registry):
-    """Reconstruct a ready-to-predict model from its serialized form."""
+    """Reconstruct a ready-to-predict model through its family's registered `restore`."""
     if spec.format_version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version {spec.format_version}")
-    if spec.model_family == "RBM":
-        extras = spec.extras
-        model = RBMClusterer(
-            input_size=extras["input_size"],
-            encoder_layers=extras["encoder_layers"],
-            latent_size=extras["latent_size"],
-            n_hidden=extras["n_hidden"],
-            firing_threshold=extras["firing_threshold"],
-            n_epochs=extras["n_epochs"],
-        )
-        flat = np.asarray(spec.weights, dtype=float)
-        offset = 0
-
-        def take(shape) -> np.ndarray:
-            nonlocal offset
-            size = int(np.prod(shape))
-            chunk = flat[offset : offset + size]
-            if chunk.size != size:
-                raise ValueError("weights length inconsistent with declared architecture")
-            offset += size
-            return chunk.reshape(shape)
-
-        widths = extras["encoder_widths"]
-        for layer, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
-            model.encoder.enc_weights[layer] = take((fan_out, fan_in))
-            model.encoder.enc_biases[layer] = take((fan_out,))
-        model.rbm.weights = take((extras["latent_size"], extras["n_hidden"]))
-        model.rbm.visible_bias = take((extras["latent_size"],))
-        model.rbm.hidden_bias = take((extras["n_hidden"],))
-        if offset != flat.size:
-            raise ValueError("weights length inconsistent with declared architecture")
-        model.feature_min = np.asarray(extras["feature_min"], dtype=float)
-        model.feature_max = np.asarray(extras["feature_max"], dtype=float)
-        return model
-
-    circuit = circuit_from_spec(spec, registry)
-    weights = np.asarray(spec.weights, dtype=float)
-    if weights.size != circuit.param_count:
-        raise ValueError("weights length inconsistent with declared architecture")
-    extras = spec.extras
-    if spec.model_family == "QNN":
-        return QNNClassifier(
-            circuit,
-            batch_size=extras["batch_size"],
-            n_epochs=extras["n_epochs"],
-            accuracy_threshold=extras["accuracy_threshold"],
-            weights=weights,
-        )
-    if spec.model_family == "QNN_REGRESSOR":
-        return QNNRegressor(
-            circuit,
-            batch_size=extras["batch_size"],
-            n_epochs=extras["n_epochs"],
-            r2_threshold=extras["r2_threshold"],
-            weights=weights,
-            target_min=extras["target_min"],
-            target_max=extras["target_max"],
-        )
-    if spec.model_family == "QEK":
-        model = QEKClassifier(circuit, ridge_lambda=extras["ridge_lambda"], weights=weights)
-        model.support_data = np.asarray(extras["support_data"], dtype=float)
-        model.dual_coeffs = np.asarray(extras["dual_coeffs"], dtype=float)
-        return model
-    raise ValueError(f"unknown model family {spec.model_family!r}")
+    if spec.model_family not in registry.model_names:
+        raise ValueError(f"unknown model family {spec.model_family!r}")
+    restore = registry.model(spec.model_family).restore
+    if restore is None:
+        raise ValueError(f"model family {spec.model_family!r} registers no restore")
+    return restore(spec, registry)
 
 
 def _format_cell(value) -> str:
