@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -19,6 +20,7 @@ from .registry import TaskType
 from .search import FinderConfig, UnsupportedModelError, find_hyperparameters, find_model
 from .simulator import CallCounter
 from .store import (
+    ModelSpec,
     StoreCorruptionError,
     StudyStore,
     export_report,
@@ -55,11 +57,16 @@ def _read_table(path: str) -> tuple[list[str], np.ndarray]:
             raise DataFormatError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
         for j, cell in enumerate(row):
             try:
-                data[i - 1, j] = float(cell)
+                value = float(cell)
             except ValueError as exc:
                 raise DataFormatError(
                     f"{path}: non-numeric value {cell!r} in column {header[j]!r} (row {i})"
                 ) from exc
+            if not math.isfinite(value):
+                raise DataFormatError(
+                    f"{path}: non-finite value {cell!r} in column {header[j]!r} (row {i})"
+                )
+            data[i - 1, j] = value
     if data.shape[0] == 0:
         raise DataFormatError(f"{path}: no data rows")
     return header, data
@@ -86,6 +93,16 @@ def _check_binary(y: np.ndarray, target: str) -> np.ndarray:
             f"classification target {target!r} must be binary 0/1, found values {sorted(values)}"
         )
     return y.astype(int)
+
+
+def _load_model(path: str) -> tuple[ModelSpec, object]:
+    """Read a model file and restore its model; a file that fails either step is a
+    data error."""
+    try:
+        spec = read_model_spec(path)
+        return spec, model_from_spec(spec, default_registry())
+    except (ValueError, TypeError, KeyError) as exc:
+        raise DataFormatError(f"{path}: malformed model file: {exc}") from exc
 
 
 def _cmd_find_model(args: argparse.Namespace) -> int:
@@ -121,7 +138,7 @@ def _cmd_find_model(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    spec = read_model_spec(args.model)
+    spec, _ = _load_model(args.model)
     header, data = _read_table(args.data)
     target = args.target
     if target is None:
@@ -154,26 +171,42 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    spec = read_model_spec(args.model)
+    spec, model = _load_model(args.model)
     header, data = _read_table(args.data)
     if data.shape[1] != spec.n_features:
         raise DataFormatError(
             f"model expects {spec.n_features} feature columns, {args.data} has "
             f"{data.shape[1]} ({header})"
         )
-    model = model_from_spec(spec, default_registry())
-    predictions = model.predict(data, CallCounter())
+    counter = CallCounter()
+    predictions = model.predict(data, counter)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("prediction\n")
         for value in predictions:
             cell = repr(float(value)) if spec.task == "regression" else str(int(value))
             fh.write(cell + "\n")
-    print(f"wrote {len(predictions)} predictions to {args.out}")
+    print(
+        f"wrote {len(predictions)} predictions to {args.out} "
+        f"({counter.total_calls} device calls)"
+    )
     return EXIT_OK
 
 
 class _Usage(Exception):
     pass
+
+
+def _count(minimum: int):
+    """argparse type for an integer count of at least `minimum`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -187,9 +220,9 @@ def _build_parser() -> argparse.ArgumentParser:
     find.add_argument("--task", required=True, choices=[t.value for t in TaskType])
     find.add_argument("--data", required=True, help="CSV file with header row")
     find.add_argument("--target", default=None, help="target column (ignored for clustering)")
-    find.add_argument("--trials", type=int, default=20)
-    find.add_argument("--seeds", type=int, default=3)
-    find.add_argument("--epochs", type=int, default=10)
+    find.add_argument("--trials", type=_count(1), default=20)
+    find.add_argument("--seeds", type=_count(1), default=3)
+    find.add_argument("--epochs", type=_count(0), default=10)
     find.add_argument("--threshold", type=float, default=0.8)
     find.add_argument("--seed", type=int, default=0)
     find.add_argument("--store", default="study.jsonl")
@@ -200,8 +233,8 @@ def _build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--model", required=True)
     tune.add_argument("--data", required=True)
     tune.add_argument("--target", default=None)
-    tune.add_argument("--trials", type=int, default=20)
-    tune.add_argument("--seeds", type=int, default=3)
+    tune.add_argument("--trials", type=_count(1), default=20)
+    tune.add_argument("--seeds", type=_count(1), default=3)
     tune.add_argument("--seed", type=int, default=0)
     tune.add_argument("--store", default="tuning.jsonl")
     tune.add_argument("--out", default=None)

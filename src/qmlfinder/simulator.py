@@ -20,9 +20,6 @@ import numpy as np
 
 MAX_WIRES = 16
 
-_ANGLE_COUNTS = {"RX": 1, "RY": 1, "RZ": 1, "ROT": 3, "H": 0, "CNOT": 0, "PAULI_Z": 0}
-GATE_KINDS = frozenset(_ANGLE_COUNTS)
-
 
 @dataclass(frozen=True)
 class Gate:
@@ -42,10 +39,9 @@ class Gate:
             raise ValueError(f"{self.kind} wires must be distinct, got {self.wires}")
         if any(w < 0 for w in self.wires):
             raise ValueError(f"negative wire index in {self.wires}")
-        if len(self.angles) != _ANGLE_COUNTS[self.kind]:
-            raise ValueError(
-                f"{self.kind} takes {_ANGLE_COUNTS[self.kind]} angle(s), got {len(self.angles)}"
-            )
+        angle_count = _GATES[self.kind][0]
+        if len(self.angles) != angle_count:
+            raise ValueError(f"{self.kind} takes {angle_count} angle(s), got {len(self.angles)}")
 
 
 def rx(wire: int, angle: float) -> Gate:
@@ -155,76 +151,67 @@ def _rz_matrix(t: float) -> np.ndarray:
 _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _Z_MATRIX = np.array([[1, 0], [0, -1]], dtype=complex)
 
+# kind -> (angle count, 2x2 matrix from the angles); CNOT has no single-wire matrix
+_GATES = {
+    "RX": (1, _rx_matrix),
+    "RY": (1, _ry_matrix),
+    "RZ": (1, _rz_matrix),
+    "ROT": (3, lambda phi, theta, omega: _rz_matrix(omega) @ _ry_matrix(theta) @ _rz_matrix(phi)),
+    "H": (0, lambda: _H_MATRIX),
+    "PAULI_Z": (0, lambda: _Z_MATRIX),
+    "CNOT": (0, None),
+}
+GATE_KINDS = frozenset(_GATES)
+
 
 def gate_matrix(gate: Gate) -> np.ndarray:
     """2x2 matrix of a single-wire gate (CNOT is handled by index permutation)."""
-    if gate.kind == "RX":
-        return _rx_matrix(gate.angles[0])
-    if gate.kind == "RY":
-        return _ry_matrix(gate.angles[0])
-    if gate.kind == "RZ":
-        return _rz_matrix(gate.angles[0])
-    if gate.kind == "ROT":
-        phi, theta, omega = gate.angles
-        return _rz_matrix(omega) @ _ry_matrix(theta) @ _rz_matrix(phi)
-    if gate.kind == "H":
-        return _H_MATRIX
-    if gate.kind == "PAULI_Z":
-        return _Z_MATRIX
-    raise ValueError(f"{gate.kind} has no single-wire matrix")
+    matrix = _GATES[gate.kind][1]
+    if matrix is None:
+        raise ValueError(f"{gate.kind} has no single-wire matrix")
+    return matrix(*gate.angles)
+
+
+def _wire_view(amps: np.ndarray, wire: int) -> np.ndarray:
+    """The amplitudes as a (2**wire, 2, rest) array whose middle axis is `wire`'s bit."""
+    return amps.reshape(1 << wire, 2, -1)
 
 
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:
-    """Apply one gate, returning a new state; the input is left untouched."""
+    """Apply one gate to a copy of the state: its matrix on the middle axis of the
+    wire's view, or for CNOT a flip of the target axis in the control=1 half."""
     n = state.n_wires
-    for w in gate.wires:
-        if w >= n:
-            raise ValueError(f"wire {w} out of range for a {n}-wire state")
-    amps = state.amplitudes.reshape([2] * n)
+    if max(gate.wires) >= n:
+        raise ValueError(f"wire {max(gate.wires)} out of range for a {n}-wire state")
     if gate.kind == "CNOT":
         control, target = gate.wires
-        amps = amps.copy()
-        sel10 = [slice(None)] * n
-        sel11 = [slice(None)] * n
-        sel10[control], sel10[target] = 1, 0
-        sel11[control], sel11[target] = 1, 1
-        i10, i11 = tuple(sel10), tuple(sel11)
-        amps[i10], amps[i11] = amps[i11].copy(), amps[i10].copy()
+        amps = state.amplitudes.copy()
+        on = _wire_view(amps, control)[:, 1]  # control=1 half: a state of the other n-1 wires
+        flipped = _wire_view(on.reshape(-1), target - (target > control))[:, ::-1]
+        on[:] = flipped.reshape(on.shape)
     else:
-        u = gate_matrix(gate)
-        wire = gate.wires[0]
-        amps = np.tensordot(amps, u, axes=([wire], [1]))
-        amps = np.moveaxis(amps, -1, wire)
-    return Statevector(np.ascontiguousarray(amps.reshape(-1)), n)
+        amps = (gate_matrix(gate) @ _wire_view(state.amplitudes, gate.wires[0])).reshape(-1)
+    return Statevector(amps, n)
 
 
-def _apply_operation(state: Statevector, op: Operation) -> Statevector:
-    if isinstance(op, StatePrep):
+def run_circuit(
+    spec: CircuitLike, weights: Sequence[float], x: Sequence[float], counter: CallCounter
+) -> Statevector:
+    """Execute embedding plus layers on |0...0>; counts as exactly one device call."""
+    state = Statevector.zero(spec.n_wires)
+    for op in spec.build_ops(np.asarray(weights, dtype=float), x):
+        if isinstance(op, Gate):
+            state = apply_gate(state, op)
+            continue
         amps = state.amplitudes
         if amps[0] != 1.0 or np.any(amps[1:]):
             raise ValueError("state preparation is only valid on the all-zeros state")
-        prepared = np.asarray(op.amplitudes, dtype=complex)
+        prepared = np.array(op.amplitudes, dtype=complex)
         if prepared.shape != amps.shape:
             raise ValueError(
                 f"prepared amplitudes have length {prepared.size}, state needs {amps.size}"
             )
-        return Statevector(prepared.copy(), state.n_wires)
-    return apply_gate(state, op)
-
-
-def run_circuit(
-    spec: CircuitLike,
-    weights: Sequence[float],
-    x: Sequence[float],
-    counter: CallCounter,
-) -> Statevector:
-    """Execute embedding plus layers on |0...0>; counts as exactly one device call."""
-    w = np.asarray(weights, dtype=float)
-    if w.size != spec.param_count:
-        raise ValueError(f"expected {spec.param_count} weights, got {w.size}")
-    state = Statevector.zero(spec.n_wires)
-    for op in spec.build_ops(w, x):
-        state = _apply_operation(state, op)
+        state = Statevector(prepared, spec.n_wires)
     counter.increment()
     return state
 
@@ -233,11 +220,8 @@ def expectation_z(state: Statevector, wire: int) -> float:
     """<Z_wire>: +1 weight on basis states with wire bit 0, -1 on bit 1."""
     if not 0 <= wire < state.n_wires:
         raise ValueError(f"wire {wire} out of range for a {state.n_wires}-wire state")
-    probs = np.abs(state.amplitudes) ** 2
-    probs = probs.reshape([2] * state.n_wires)
-    other_axes = tuple(a for a in range(state.n_wires) if a != wire)
-    marginal = probs.sum(axis=other_axes) if other_axes else probs
-    return float(marginal[0] - marginal[1])
+    p0, p1 = (np.abs(_wire_view(state.amplitudes, wire)) ** 2).sum(axis=(0, 2))
+    return float(p0 - p1)
 
 
 def fidelity(a: Statevector, b: Statevector) -> float:

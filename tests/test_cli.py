@@ -226,3 +226,126 @@ def test_console_script_entry(tmp_path, blobs_csv):
     )
     assert result.returncode == EXIT_OK, result.stderr
     assert (tmp_path / "m.json").exists()
+
+
+# -- malformed inputs, invalid counts, and predict's call report ---------------
+
+
+def test_non_finite_cells_are_data_errors(tmp_path, capsys):
+    path = tmp_path / "nonfinite.csv"
+    write_csv(path, ["f0", "f1", "y"],
+              [(0.1, 0.2, 0), (0.3, "nan", 1), (0.5, 0.6, 0), ("inf", 0.8, 1)])
+    code = cli_main(
+        ["find-model", "--task", "classification", "--data", str(path), "--target", "y",
+         *FAST_FLAGS, "--store", str(tmp_path / "s.jsonl"), "--out", str(tmp_path / "m.json")]
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "'f1'" in err and "row 2" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_predict_on_infinite_row_is_data_error(tmp_path, blobs_csv, capsys):
+    assert run_find(tmp_path, blobs_csv) == EXIT_OK
+    features = tmp_path / "features.csv"
+    write_csv(features, ["f0", "f1"], [(1.0, 1.0), ("-inf", -1.0)])
+    code = cli_main(
+        ["predict", "--model", str(tmp_path / "model.json"), "--data", str(features),
+         "--out", str(tmp_path / "pred.csv")]
+    )
+    assert code == EXIT_DATA
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "pred.csv").exists()
+
+
+def _qnn_model_doc():
+    from qmlfinder import ANGLE, BASIC_ENTANGLER, CircuitSpec, QNNClassifier
+    from qmlfinder.store import model_to_spec
+
+    model = QNNClassifier(CircuitSpec(2, ANGLE, (BASIC_ENTANGLER,)), batch_size=2, n_epochs=1,
+                          accuracy_threshold=0.8, seed=0)
+    return model_to_spec(model, 2, {}).as_dict()
+
+
+MALFORMED_MODEL_EDITS = {
+    "format_version": lambda doc: doc.update(format_version=2),
+    "truncated_weights": lambda doc: doc.update(weights=doc["weights"][:-1]),
+    "unknown_family": lambda doc: doc.update(model_family="PERCEPTRON"),
+    "n_wires_text": lambda doc: doc.update(n_wires="two"),
+    "layers_number": lambda doc: doc.update(layers=5),
+}
+
+
+@pytest.mark.parametrize("command", ["predict", "tune"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODEL_EDITS))
+def test_malformed_model_file_is_data_error(tmp_path, blobs_csv, capsys, command, case):
+    import json
+
+    doc = _qnn_model_doc()
+    MALFORMED_MODEL_EDITS[case](doc)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc))
+    if command == "predict":
+        features = tmp_path / "features.csv"
+        write_csv(features, ["f0", "f1"], [(1.0, 1.0), (-1.0, -1.0)])
+        argv = ["predict", "--model", str(model_path), "--data", str(features),
+                "--out", str(tmp_path / "pred.csv")]
+    else:
+        argv = ["tune", "--model", str(model_path), "--data", str(blobs_csv), "--target", "y",
+                "--trials", "1", "--seeds", "1", "--store", str(tmp_path / "t.jsonl")]
+    assert cli_main(argv) == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["find-model", "--task", "classification", "--trials", "0"],
+        ["find-model", "--task", "classification", "--seeds", "0"],
+        ["find-model", "--task", "classification", "--epochs", "-1"],
+        ["tune", "--model", "model.json", "--trials", "0"],
+        ["tune", "--model", "model.json", "--seeds", "0"],
+    ],
+    ids=["find-trials", "find-seeds", "find-epochs", "tune-trials", "tune-seeds"],
+)
+def test_invalid_counts_are_usage_errors(tmp_path, blobs_csv, argv, capsys):
+    code = cli_main(
+        [*argv, "--data", str(blobs_csv), "--target", "y",
+         "--store", str(tmp_path / "s.jsonl"), "--out", str(tmp_path / "out.json")]
+    )
+    assert code == EXIT_USAGE
+    assert "must be >=" in capsys.readouterr().err
+    assert not (tmp_path / "s.jsonl").exists()
+
+
+def test_predict_reports_device_calls(tmp_path, capsys):
+    from qmlfinder import (
+        ANGLE,
+        BASIC_ENTANGLER,
+        BudgetLedger,
+        CircuitSpec,
+        QEKClassifier,
+        RBMClusterer,
+    )
+    from qmlfinder.store import model_to_spec, write_model_spec
+
+    X = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6], [0.7, 0.8], [0.9, 0.1]])
+    qek = QEKClassifier(CircuitSpec(2, ANGLE, (BASIC_ENTANGLER,)), seed=0)
+    qek.fit(X, np.array([0, 1, 0, 1, 1]), BudgetLedger())
+    rbm = RBMClusterer(input_size=2, encoder_layers=1, latent_size=2, n_hidden=1,
+                       firing_threshold=0.5, n_epochs=2, seed=0)
+    rbm.fit(X)
+    features = tmp_path / "features.csv"
+    write_csv(features, ["f0", "f1"], [(0.2, 0.3), (0.8, 0.9), (0.4, 0.1)])
+    n, m = len(X), 3
+    for model, calls in ((qek, 2 * n * m), (rbm, 0)):
+        model_path = tmp_path / f"{model.family}.json"
+        write_model_spec(model_to_spec(model, 2, {}), model_path)
+        out = tmp_path / f"{model.family}.csv"
+        code = cli_main(["predict", "--model", str(model_path), "--data", str(features),
+                         "--out", str(out)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == (
+            f"wrote {m} predictions to {out} ({calls} device calls)\n"
+        )

@@ -25,9 +25,20 @@ from qmlfinder import (
     ry,
     rz,
 )
-from qmlfinder.simulator import MAX_WIRES, h as hadamard
+from qmlfinder.simulator import MAX_WIRES, h as hadamard, pauli_z
 
-from oracles import fd_gradient, ref_expectation_z, ref_run_circuit
+from oracles import (
+    REF_H,
+    cnot_unitary,
+    fd_gradient,
+    ref_expectation_z,
+    ref_run_circuit,
+    ref_rot,
+    ref_rx,
+    ref_ry,
+    ref_rz,
+    single_wire_unitary,
+)
 
 SQRT2_INV = 1 / np.sqrt(2)
 
@@ -96,6 +107,46 @@ def test_pauli_z_gate_flips_one_phase():
     state = apply_gate(Statevector.zero(1), hadamard(0))
     state = apply_gate(state, pauli_z(0))
     np.testing.assert_allclose(state.amplitudes, [SQRT2_INV, -SQRT2_INV], atol=1e-12)
+
+
+def random_state(rng, n_wires):
+    re = np.array(rng.uniforms(2**n_wires, -1, 1))
+    im = np.array(rng.uniforms(2**n_wires, -1, 1))
+    amps = re + 1j * im
+    return Statevector(amps / np.linalg.norm(amps), n_wires)
+
+
+def test_every_gate_on_every_wire_matches_dense_unitary():
+    rng = PortableRng(2024)
+    for n in range(1, 6):
+        state = random_state(rng, n)
+        before = state.amplitudes.copy()
+        cases = []
+        for wire in range(n):
+            t = rng.uniform(-4, 4)
+            angles = [rng.uniform(-4, 4) for _ in range(3)]
+            cases += [
+                (rx(wire, t), single_wire_unitary(n, wire, ref_rx(t))),
+                (ry(wire, t), single_wire_unitary(n, wire, ref_ry(t))),
+                (rz(wire, t), single_wire_unitary(n, wire, ref_rz(t))),
+                (rot(wire, *angles), single_wire_unitary(n, wire, ref_rot(*angles))),
+                (hadamard(wire), single_wire_unitary(n, wire, REF_H)),
+                (pauli_z(wire), single_wire_unitary(n, wire, np.diag([1, -1]).astype(complex))),
+            ]
+            cases += [
+                (cnot(wire, target), cnot_unitary(n, wire, target))
+                for target in range(n)
+                if target != wire
+            ]
+        for gate, unitary in cases:
+            out = apply_gate(state, gate)
+            np.testing.assert_allclose(
+                out.amplitudes, unitary @ before, atol=1e-12, err_msg=str(gate)
+            )
+            np.testing.assert_array_equal(state.amplitudes, before)
+        for wire in range(n):
+            ref = ref_expectation_z(before, wire, n)
+            assert abs(expectation_z(state, wire) - ref) < 1e-12
 
 
 def test_gate_validation():
