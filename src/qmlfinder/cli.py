@@ -72,9 +72,18 @@ def _read_table(path: str) -> tuple[list[str], np.ndarray]:
     return header, data
 
 
-def _split_target(
-    header: list[str], data: np.ndarray, target: str
-) -> tuple[np.ndarray, np.ndarray]:
+def _task_data(
+    task: TaskType, header: list[str], data: np.ndarray, target: str | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Features and targets of `task`, refusing data on which no trial could be
+    scored before the study starts: a single-column clustering table, a
+    one-class classification target, or a constant regression target."""
+    if task == TaskType.CLUSTERING:
+        if data.shape[1] < 2:
+            raise DataFormatError(
+                f"clustering needs at least 2 feature columns, found only {header[0]!r}"
+            )
+        return data, None
     if target not in header:
         raise DataFormatError(f"target column {target!r} not found; columns are {header}")
     idx = header.index(target)
@@ -83,16 +92,27 @@ def _split_target(
     X = data[:, mask]
     if X.shape[1] == 0:
         raise DataFormatError("no feature columns remain after removing the target")
-    return X, data[:, idx]
-
-
-def _check_binary(y: np.ndarray, target: str) -> np.ndarray:
-    values = set(np.unique(y))
-    if not values <= {0.0, 1.0}:
+    y = data[:, idx]
+    if task == TaskType.REGRESSION:
+        if y.min() == y.max():
+            # every trial would fail to score, so this is the study failure
+            # (exit 3), reported before any trial runs
+            raise StudyFailureError(
+                f"regression target {target!r} is constant ({float(y[0])!r}): "
+                "R^2 is undefined, so no trial could complete"
+            )
+        return X, y
+    values = [float(v) for v in np.unique(y)]
+    if not set(values) <= {0.0, 1.0}:
         raise DataFormatError(
-            f"classification target {target!r} must be binary 0/1, found values {sorted(values)}"
+            f"classification target {target!r} must be binary 0/1, found values {values}"
         )
-    return y.astype(int)
+    if len(values) < 2:
+        raise DataFormatError(
+            f"classification target {target!r} holds only class {values[0]:g}; "
+            "both 0 and 1 are needed"
+        )
+    return X, y.astype(int)
 
 
 def _load_model(path: str) -> tuple[ModelSpec, object]:
@@ -101,7 +121,7 @@ def _load_model(path: str) -> tuple[ModelSpec, object]:
     try:
         spec = read_model_spec(path)
         return spec, model_from_spec(spec, default_registry())
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise DataFormatError(f"{path}: malformed model file: {exc}") from exc
 
 
@@ -111,13 +131,9 @@ def _cmd_find_model(args: argparse.Namespace) -> int:
     if task == TaskType.CLUSTERING:
         if args.target is not None:
             print(f"warning: --target {args.target!r} is ignored for clustering", file=sys.stderr)
-        X, y = data, None
-    else:
-        if args.target is None:
-            raise _Usage("--target is required for classification and regression")
-        X, y = _split_target(header, data, args.target)
-        if task == TaskType.CLASSIFICATION:
-            y = _check_binary(y, args.target)
+    elif args.target is None:
+        raise _Usage("--target is required for classification and regression")
+    X, y = _task_data(task, header, data, args.target)
     config = FinderConfig(
         task=task,
         n_trials=args.trials,
@@ -138,14 +154,11 @@ def _cmd_find_model(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    spec, _ = _load_model(args.model)
+    spec, model = _load_model(args.model)
     header, data = _read_table(args.data)
-    target = args.target
-    if target is None:
+    if args.target is None:
         raise _Usage("--target is required for tune")
-    X, y = _split_target(header, data, target)
-    if spec.task == TaskType.CLASSIFICATION.value:
-        y = _check_binary(y, target)
+    X, y = _task_data(model.task, header, data, args.target)
     best = find_hyperparameters(
         spec,
         X,

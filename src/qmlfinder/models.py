@@ -27,7 +27,7 @@ from .registry import (
     base_registry,
 )
 from .rng import PortableRng, derive_seed
-from .simulator import CallCounter, expectation_z, fidelity, parameter_shift_gradient, run_circuit
+from .simulator import CallCounter, expectation_z, parameter_shift_gradient, run_circuit
 from .training import BudgetLedger, OptimizerConfig, train_epochs
 
 
@@ -68,8 +68,11 @@ def _floats(values) -> list[float]:
 
 
 def _check_binary_labels(y: np.ndarray) -> None:
-    if not set(np.unique(y)) <= {0, 1}:
+    classes = set(np.unique(y))
+    if not classes <= {0, 1}:
         raise ValueError("labels must be binary {0, 1}")
+    if len(classes) < 2:
+        raise ValueError("training data must contain both classes")
 
 
 class CircuitModel:
@@ -236,8 +239,6 @@ class QNNClassifier(QNN):
         if len(X) < 2:
             raise ValueError("need at least 2 training samples")
         _check_binary_labels(y)
-        if len(np.unique(y)) < 2:
-            raise ValueError("training data must contain both classes")
         targets = 1.0 - 2.0 * y.astype(float)
         return self._train(X, targets, _accuracy, self.accuracy_threshold, ledger, optimizer)
 
@@ -316,28 +317,28 @@ def kernel_matrix(
 ) -> np.ndarray:
     """Fidelity kernel K[i][j] = |<phi(x1_i)|phi(x2_j)>|^2.
 
-    When X1 and X2 hold the same rows (the training kernel), only the strict
-    upper triangle is executed: the diagonal is 1 analytically and the lower
-    triangle mirrors it, so N points cost exactly N*(N-1)/2 pair evaluations
-    at 2 circuit executions per pair.
+    Each row is simulated once and K is |S1* S2^T|^2 over the stacked row
+    states S, held at once: rows * 2**n_wires amplitudes of 16 B each. The
+    booking is 2 calls per pair: N*(N-1) for a training kernel (X1 and X2 hold
+    the same rows; strict upper triangle, mirrored, over a unit diagonal) and
+    2*len(X1)*len(X2) for a cross kernel. The simulations themselves are not booked.
     """
     X1 = np.asarray(X1, dtype=float)
     X2 = np.asarray(X2, dtype=float)
+    runs = CallCounter()
 
-    def embed_state(x):
-        return run_circuit(circuit, weights, x, counter)
+    def row_states(X: np.ndarray) -> np.ndarray:
+        states = [run_circuit(circuit, weights, x, runs).amplitudes for x in X]
+        return np.array(states, dtype=complex).reshape(len(X), 2**circuit.n_wires)
 
+    S1 = row_states(X1)
     if X1.shape == X2.shape and np.array_equal(X1, X2):
         n = len(X1)
-        K = np.eye(n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                K[i, j] = K[j, i] = fidelity(embed_state(X1[i]), embed_state(X1[j]))
-        return K
-    K = np.empty((len(X1), len(X2)))
-    for i in range(len(X1)):
-        for j in range(len(X2)):
-            K[i, j] = fidelity(embed_state(X1[i]), embed_state(X2[j]))
+        upper = np.triu(np.abs(S1.conj() @ S1.T) ** 2, 1)
+        counter.increment(n * (n - 1))
+        return upper + upper.T + np.eye(n)
+    K = np.abs(S1.conj() @ row_states(X2).T) ** 2
+    counter.increment(2 * len(X1) * len(X2))
     return K
 
 

@@ -245,6 +245,13 @@ def _suggest_and_build(
     return registry.model(model_type).builder(kwargs, seed)
 
 
+def _require_finite(X: np.ndarray, y) -> None:
+    """Refuse NaN or infinite features or targets before any trial runs on them."""
+    for name, values in (("X", X), ("y", y)):
+        if values is not None and not np.isfinite(np.asarray(values, dtype=float)).all():
+            raise ValueError(f"{name} holds non-finite values (NaN or infinity)")
+
+
 def _fit_and_score(model, X: np.ndarray, y, ledger: BudgetLedger) -> float:
     if model.task == TaskType.CLUSTERING:
         model.fit(X, ledger)
@@ -342,14 +349,16 @@ def find_model(
     evaluation repeat 0, repeat_seed(base_seed, 0), so the serialized model is
     the one that scored per_seed_scores[0].
 
-    Every candidate family for the task must register `restore`; otherwise a
-    ValueError naming it is raised before any trial runs.
+    Every candidate family for the task must register `restore`, and X and y
+    must be finite; otherwise a ValueError naming the family, or X or y, is
+    raised before any trial runs.
     """
     X = np.asarray(X, dtype=float)
     if config.task != TaskType.CLUSTERING:
         if y is None:
             raise ValueError(f"task {config.task.value} requires targets")
         y = np.asarray(y)
+    _require_finite(X, y)
     for name in registry.models_for_task(config.task):
         if registry.model(name).restore is None:
             raise ValueError(
@@ -393,7 +402,8 @@ def find_hyperparameters(
 ) -> OptimizerConfig:
     """Compare optimizer configurations on a fixed architecture, retraining it
     from scratch per seed; the best mean final score wins, ties broken by
-    fewer device calls then lower trial id."""
+    fewer device calls then lower trial id. Non-finite X or y raise a
+    ValueError naming which before the first trial."""
     model = model_from_spec(model_spec, registry)
     if not isinstance(model, QNN):
         raise UnsupportedModelError(
@@ -401,6 +411,7 @@ def find_hyperparameters(
         )
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
+    _require_finite(X, y)
 
     records: list[tuple[TrialRecord, OptimizerConfig]] = []
     for trial_id in range(n_trials):

@@ -6,7 +6,8 @@ Fixed conventions (they are part of the serialization and test contract):
   - Half-angle rotations: RY(t)|0> = cos(t/2)|0> + sin(t/2)|1>.
   - Global phase is kept exactly as produced by the gate sequence.
   - One run_circuit call counts as exactly one device call; expectations are
-    exact (infinite-shot).
+    exact (infinite-shot). models.kernel_matrix runs each row once and books
+    its pair cost, 2 calls per kernel pair, in closed form.
 """
 
 from __future__ import annotations

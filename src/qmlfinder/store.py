@@ -9,6 +9,7 @@ floats), which makes serialize -> parse -> serialize byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 from dataclasses import dataclass, field
@@ -95,7 +96,7 @@ class ModelSpec:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.as_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "ModelSpec":
@@ -114,7 +115,15 @@ class ModelSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelSpec":
-        return cls.from_dict(json.loads(text))
+        """Parse a model file; NaN, Infinity and overflowing numbers raise ValueError."""
+        return cls.from_dict(json.loads(text, parse_float=_finite, parse_constant=_finite))
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text} in model file")
+    return value
 
 
 def write_model_spec(spec: ModelSpec, path: str | os.PathLike) -> None:

@@ -349,3 +349,100 @@ def test_predict_reports_device_calls(tmp_path, capsys):
         assert capsys.readouterr().out == (
             f"wrote {m} predictions to {out} ({calls} device calls)\n"
         )
+
+
+def _qek_model_doc():
+    from qmlfinder import ANGLE, BASIC_ENTANGLER, BudgetLedger, CircuitSpec, QEKClassifier
+    from qmlfinder.store import model_to_spec
+
+    X = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6], [0.7, 0.8]])
+    model = QEKClassifier(CircuitSpec(2, ANGLE, (BASIC_ENTANGLER,) * 3), seed=0)
+    model.fit(X, np.array([0, 1, 0, 1]), BudgetLedger())
+    return model_to_spec(model, 2, {}).as_dict()
+
+
+NON_FINITE_MODEL_EDITS = {
+    "weights": lambda doc: doc["weights"].__setitem__(0, float("nan")),
+    "dual_coeffs": lambda doc: doc["extras"]["dual_coeffs"].__setitem__(0, float("nan")),
+}
+
+
+@pytest.mark.parametrize("command", ["predict", "tune"])
+@pytest.mark.parametrize("field", sorted(NON_FINITE_MODEL_EDITS))
+def test_non_finite_model_file_is_data_error(tmp_path, blobs_csv, capsys, command, field):
+    import json
+
+    doc = _qek_model_doc()
+    NON_FINITE_MODEL_EDITS[field](doc)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc))  # writes the non-standard NaN literal
+    assert "NaN" in model_path.read_text()
+    if command == "predict":
+        features = tmp_path / "features.csv"
+        write_csv(features, ["f0", "f1"], [(1.0, 1.0), (-1.0, -1.0)])
+        argv = ["predict", "--model", str(model_path), "--data", str(features),
+                "--out", str(tmp_path / "pred.csv")]
+    else:
+        argv = ["tune", "--model", str(model_path), "--data", str(blobs_csv), "--target", "y",
+                "--trials", "1", "--seeds", "1", "--store", str(tmp_path / "t.jsonl")]
+    assert cli_main(argv) == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "non-finite" in err[0]
+    assert not (tmp_path / "pred.csv").exists()
+
+
+def test_model_file_with_integer_beyond_float_range_is_data_error(tmp_path, capsys):
+    import json
+
+    doc = _qnn_model_doc()
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc).replace(repr(doc["weights"][0]), "1" + "0" * 400, 1))
+    features = tmp_path / "features.csv"
+    write_csv(features, ["f0", "f1"], [(1.0, 1.0)])
+    code = cli_main(["predict", "--model", str(model_path), "--data", str(features),
+                     "--out", str(tmp_path / "pred.csv")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+DEGENERATE_TARGETS = {
+    # case: (task, header, rows, exit code); exit 3 is the study failure that
+    # every trial of a constant regression target would end in
+    "one_class": ("classification", ["f0", "f1", "y"],
+                  [(0.1, 0.2, 1), (0.3, 0.4, 1), (0.5, 0.6, 1), (0.7, 0.8, 1)], EXIT_DATA),
+    "constant_regression": ("regression", ["f0", "y"],
+                            [(0.1, 2.5), (0.2, 2.5), (0.3, 2.5), (0.4, 2.5)], EXIT_STUDY),
+    "single_column_clustering": ("clustering", ["y"], [(0.1,), (0.2,), (0.3,), (0.4,)],
+                                 EXIT_DATA),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE_TARGETS))
+def test_degenerate_target_is_refused_before_the_study(tmp_path, capsys, case):
+    task, header, rows, code = DEGENERATE_TARGETS[case]
+    path = tmp_path / "data.csv"
+    write_csv(path, header, rows)
+    target = [] if task == "clustering" else ["--target", "y"]
+    argv = ["find-model", "--task", task, "--data", str(path), *target, *FAST_FLAGS,
+            "--store", str(tmp_path / "s.jsonl"), "--out", str(tmp_path / "m.json")]
+    assert cli_main(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "'y'" in err[0]
+    assert not (tmp_path / "s.jsonl").exists()
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_tune_on_one_class_target_is_data_error(tmp_path, capsys):
+    import json
+
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(_qnn_model_doc()))
+    path = tmp_path / "one_class.csv"
+    write_csv(path, ["f0", "f1", "y"], [(0.1, 0.2, 0), (0.3, 0.4, 0), (0.5, 0.6, 0)])
+    code = cli_main(["tune", "--model", str(model_path), "--data", str(path), "--target", "y",
+                     "--trials", "1", "--seeds", "1", "--store", str(tmp_path / "t.jsonl")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "'y'" in err[0] and "only class 0" in err[0]
+    assert not (tmp_path / "t.jsonl").exists()

@@ -18,7 +18,12 @@ from qmlfinder import (
     QNNRegressor,
     RBMClusterer,
     ScoreUndefinedError,
+    default_registry,
+    fidelity,
     kernel_matrix,
+    model_from_spec,
+    model_to_spec,
+    run_circuit,
     silhouette_score,
 )
 from qmlfinder.models import RBM, BinaryEncoder, _sigmoid
@@ -246,6 +251,66 @@ def test_kernel_psd_on_random_feature_maps():
         X = np.array([[rng.uniform(-2, 2), rng.uniform(-2, 2)] for _ in range(n)])
         K = kernel_matrix(spec, w, X, X, CallCounter())
         assert np.linalg.eigvalsh(K).min() >= -1e-8
+
+
+def test_kernel_matrix_matches_pairwise_fidelity():
+    rng = PortableRng(404)
+    for embedding in (ANGLE, AMPLITUDE):
+        for n_wires in (1, 2, 3):
+            spec = CircuitSpec(n_wires, embedding, (rng.choice([BASIC_ENTANGLER,
+                                                                 STRONGLY_ENTANGLING]),))
+            w = np.array(rng.uniforms(spec.param_count, 0, np.pi))
+            n_features = embedding.max_features(n_wires)
+            X = np.array([rng.uniforms(n_features, 0.1, 2.0) for _ in range(4)])
+            X = np.vstack([X, X[1]])  # a repeated row
+            X2 = np.vstack([X[3], rng.uniforms(n_features, 0.1, 2.0)])
+            for A, B, calls in ((X, X, len(X) * (len(X) - 1)), (X, X2, 2 * len(X) * len(X2))):
+                counter = CallCounter()
+                K = kernel_matrix(spec, w, A, B, counter)
+                expected = [
+                    [fidelity(run_circuit(spec, w, a, CallCounter()),
+                              run_circuit(spec, w, b, CallCounter())) for b in B]
+                    for a in A
+                ]
+                np.testing.assert_allclose(K, expected, rtol=0, atol=1e-12)
+                assert counter.total_calls == calls
+
+
+def test_cross_kernel_with_no_rows_is_empty_and_free():
+    X = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    counter = CallCounter()
+    K = kernel_matrix(_feature_map(), np.zeros(6), X, np.empty((0, 2)), counter)
+    assert K.shape == (3, 0)
+    assert counter.total_calls == 0
+
+
+def test_restored_qek_predict_simulates_each_row_once(blobs8, monkeypatch):
+    import qmlfinder.models
+
+    X, y = blobs8
+    model = QEKClassifier(_feature_map(), ridge_lambda=1e-3, seed=0)
+    model.fit(X, y, BudgetLedger())
+    restored = model_from_spec(model_to_spec(model, 2, {}), default_registry())
+    runs = []
+
+    def counting_run_circuit(*args):
+        runs.append(args[2])  # the simulated row
+        return run_circuit(*args)
+
+    monkeypatch.setattr(qmlfinder.models, "run_circuit", counting_run_circuit)
+    X_new = np.array([[0.2, 0.3], [-0.8, -1.1], [1.0, 0.9], [0.0, -0.4], [1.5, 1.2]])
+    counter = CallCounter()
+    restored.predict(X_new, counter)
+    n, m = len(X), len(X_new)
+    assert len(runs) == n + m
+    assert counter.total_calls == 2 * n * m
+
+
+def test_qek_fit_refuses_one_class_labels(blobs8):
+    X, _ = blobs8
+    model = QEKClassifier(_feature_map(), ridge_lambda=1e-3, seed=0)
+    with pytest.raises(ValueError, match="both classes"):
+        model.fit(X, np.zeros(len(X), dtype=int), BudgetLedger())
 
 
 def test_qek_identity_kernel_closed_form():

@@ -456,6 +456,34 @@ def test_find_model_study_failure(registry):
         find_model(config, registry, X, y, None)
 
 
+def test_non_finite_data_is_refused_before_any_trial(registry, blobs40, sine20, tmp_path):
+    from qmlfinder import ANGLE, BASIC_ENTANGLER, CircuitSpec, QNNClassifier
+    from qmlfinder.store import model_to_spec
+
+    X, y = blobs40
+    X_nan = X.copy()
+    X_nan[3, 1] = np.nan
+    store = StudyStore(tmp_path / "study.jsonl")
+    config = FinderConfig(task=TaskType.CLASSIFICATION, n_trials=2, n_seeds=1, n_epochs=1)
+    with pytest.raises(ValueError, match=r"^X holds non-finite"):
+        find_model(config, registry, X_nan, y, store)
+    X_sine, y_sine = sine20
+    y_inf = y_sine.copy()
+    y_inf[2] = np.inf
+    config = FinderConfig(task=TaskType.REGRESSION, n_trials=2, n_seeds=1, n_epochs=1)
+    with pytest.raises(ValueError, match=r"^y holds non-finite"):
+        find_model(config, registry, X_sine, y_inf, store)
+    qnn = QNNClassifier(CircuitSpec(2, ANGLE, (BASIC_ENTANGLER,)), batch_size=4, n_epochs=1,
+                        accuracy_threshold=0.8, seed=0)
+    spec = model_to_spec(qnn, 2, {})
+    with pytest.raises(ValueError, match=r"^X holds non-finite"):
+        find_hyperparameters(spec, X_nan, y, registry, n_trials=1, n_seeds=1, store=store)
+    with pytest.raises(ValueError, match=r"^y holds non-finite"):
+        find_hyperparameters(spec, X, np.where(y == 1, np.nan, 0.0), registry, n_trials=1,
+                             n_seeds=1, store=store)
+    assert store.load() == []
+
+
 def test_find_model_regression_end_to_end(registry, sine20, tmp_path):
     X, y = sine20
     config = FinderConfig(task=TaskType.REGRESSION, n_trials=4, n_seeds=1, n_epochs=3,

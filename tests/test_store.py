@@ -23,6 +23,7 @@ from qmlfinder import (
     select_best,
 )
 from qmlfinder.store import (
+    ModelSpec,
     StoreCorruptionError,
     StudyStore,
     export_report,
@@ -199,6 +200,23 @@ def test_model_spec_json_shape(registry):
     assert doc["layers"] == ["BasicEntangler"]
     assert len(doc["weights"]) == 2
     assert doc["metadata"] == METADATA
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_model_file_refuses_non_finite_numbers(literal):
+    model = QNNClassifier(
+        CircuitSpec(2, ANGLE, (BASIC_ENTANGLER,)), batch_size=4, n_epochs=1,
+        accuracy_threshold=0.8, seed=0,
+    )
+    spec = model_to_spec(model, 2, METADATA)
+    text = spec.to_json()
+    first = repr(spec.weights[0])
+    assert text.count(first) == 1
+    with pytest.raises(ValueError, match="non-finite"):
+        ModelSpec.from_json(text.replace(first, literal))
+    spec.weights[0] = float(literal)
+    with pytest.raises(ValueError):
+        spec.to_json()
 
 
 # -- report ------------------------------------------------------------------------
