@@ -12,7 +12,7 @@ classifier predicts 1 exactly when its expectation drops to 0 or below.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
+from math import isfinite, pi
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -41,6 +41,8 @@ class Score:
     kind: str  # mean_accuracy | r2 | silhouette
 
     def __post_init__(self) -> None:
+        if not isfinite(self.value):
+            raise ValueError(f"{self.kind} score {self.value} is not finite")
         if self.kind == "mean_accuracy" and not 0.0 <= self.value <= 1.0:
             raise ValueError(f"mean accuracy {self.value} outside [0, 1]")
         if self.kind == "silhouette" and not -1.0 <= self.value <= 1.0:
@@ -151,9 +153,7 @@ class QNN(CircuitModel):
         self.epochs_run = 0
 
     def expectations(self, X: np.ndarray, counter: CallCounter) -> np.ndarray:
-        return np.array(
-            [expectation_z(run_circuit(self.circuit, self.weights, x, counter), 0) for x in X]
-        )
+        return expectation_z(run_circuit(self.circuit, self.weights, X, counter), 0)
 
     def _train(
         self,
@@ -168,7 +168,7 @@ class QNN(CircuitModel):
             weights=self.weights,
             X=X,
             targets=targets,
-            forward_one=lambda w, x, c: expectation_z(run_circuit(self.circuit, w, x, c), 0),
+            forward=lambda w, X, c: expectation_z(run_circuit(self.circuit, w, X, c), 0),
             gradient_one=lambda w, x, c: parameter_shift_gradient(self.circuit, w, x, 0, c),
             score_fn=score_fn,
             ledger=ledger,
@@ -220,8 +220,7 @@ class QNNClassifier(QNN):
         self.accuracy_threshold = accuracy_threshold
 
     def predict_one(self, x: Sequence[float], counter: CallCounter) -> tuple[int, float]:
-        value = expectation_z(run_circuit(self.circuit, self.weights, x, counter), 0)
-        p_one = (1.0 - value) / 2.0
+        p_one = (1.0 - self.expectations(x, counter)) / 2.0
         return (1 if p_one >= 0.5 else 0), p_one
 
     def predict(self, X: np.ndarray, counter: CallCounter) -> np.ndarray:
@@ -325,19 +324,13 @@ def kernel_matrix(
     """
     X1 = np.asarray(X1, dtype=float)
     X2 = np.asarray(X2, dtype=float)
-    runs = CallCounter()
-
-    def row_states(X: np.ndarray) -> np.ndarray:
-        states = [run_circuit(circuit, weights, x, runs).amplitudes for x in X]
-        return np.array(states, dtype=complex).reshape(len(X), 2**circuit.n_wires)
-
-    S1 = row_states(X1)
+    S1 = run_circuit(circuit, weights, X1, CallCounter()).amplitudes
     if X1.shape == X2.shape and np.array_equal(X1, X2):
         n = len(X1)
         upper = np.triu(np.abs(S1.conj() @ S1.T) ** 2, 1)
         counter.increment(n * (n - 1))
         return upper + upper.T + np.eye(n)
-    K = np.abs(S1.conj() @ row_states(X2).T) ** 2
+    K = np.abs(S1.conj() @ run_circuit(circuit, weights, X2, CallCounter()).amplitudes.T) ** 2
     counter.increment(2 * len(X1) * len(X2))
     return K
 

@@ -30,7 +30,8 @@ class EmbeddingKind:
 
     `build(x, n_wires)` returns the preparation operations; `max_features`
     bounds the feature count for a wire count, and `wires_for_features` is the
-    wire count the model finder allocates for a feature count.
+    wire count the model finder allocates for a feature count. `x` is
+    feature-major, (F,) or (F, B) for B rows, so `len(x)` is the feature count.
     """
 
     name: str
@@ -42,7 +43,7 @@ class EmbeddingKind:
 
 @dataclass(frozen=True)
 class LayerKind:
-    """A named trainable layer template."""
+    """A named trainable layer template; `build` gets weights (count,) or (count, B)."""
 
     name: str
     params_per_layer: Callable[[int], int]
@@ -58,26 +59,26 @@ def _cnot_ring(n_wires: int) -> list[Gate]:
 
 def _build_angle(x: Sequence[float], n_wires: int) -> list[Operation]:
     features = np.asarray(x, dtype=float)
-    if features.size > n_wires:
-        raise ValueError(f"ANGLE embedding: {features.size} features exceed {n_wires} wires")
-    angles = np.zeros(n_wires)
-    angles[: features.size] = features
+    if len(features) > n_wires:
+        raise ValueError(f"ANGLE embedding: {len(features)} features exceed {n_wires} wires")
+    angles = np.zeros((n_wires,) + features.shape[1:])
+    angles[: len(features)] = features
     return [rx(w, angles[w]) for w in range(n_wires)]
 
 
 def _build_amplitude(x: Sequence[float], n_wires: int) -> list[Operation]:
     features = np.asarray(x, dtype=float)
     dim = 2**n_wires
-    if features.size > dim:
+    if len(features) > dim:
         raise ValueError(
-            f"AMPLITUDE embedding: {features.size} features exceed {dim} amplitudes"
+            f"AMPLITUDE embedding: {len(features)} features exceed {dim} amplitudes"
         )
-    padded = np.zeros(dim)
-    padded[: features.size] = features
-    norm = np.linalg.norm(padded)
-    if norm == 0.0:
+    rows = np.zeros(features.shape[1:] + (dim,))  # contiguous rows: each norm below is
+    rows[..., : len(features)] = features.T  # the same ddot as np.linalg.norm of one row
+    norm = np.sqrt((rows[..., None, :] @ rows[..., :, None])[..., 0, 0])
+    if np.any(norm == 0.0):
         raise ValueError("AMPLITUDE embedding of an all-zero vector is undefined")
-    return [StatePrep(tuple((padded / norm).astype(complex)))]
+    return [StatePrep((rows / norm[..., None]).astype(complex))]
 
 
 def _amplitude_wires(n_features: int) -> int:
@@ -168,8 +169,8 @@ class CircuitSpec:
 
     def build_ops(self, weights: Sequence[float], x: Sequence[float]) -> list[Operation]:
         w = np.asarray(weights, dtype=float)
-        if w.size != self.param_count:
-            raise ValueError(f"expected {self.param_count} weights, got {w.size}")
+        if len(w) != self.param_count:
+            raise ValueError(f"expected {self.param_count} weights, got {len(w)}")
         ops = embed(self.embedding, x, self.n_wires)
         offset = 0
         for kind in self.layer_kinds:

@@ -5,16 +5,16 @@ Fixed conventions (they are part of the serialization and test contract):
     bit, so |10> on two wires is amplitude index 2.
   - Half-angle rotations: RY(t)|0> = cos(t/2)|0> + sin(t/2)|1>.
   - Global phase is kept exactly as produced by the gate sequence.
-  - One run_circuit call counts as exactly one device call; expectations are
-    exact (infinite-shot). models.kernel_matrix runs each row once and books
-    its pair cost, 2 calls per kernel pair, in closed form.
+  - One circuit is one device call, also in a batch (states, gate angles and
+    expectations take a leading batch axis); expectations are exact.
+    models.kernel_matrix runs each row once and books 2 calls per kernel pair.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from math import cos, pi, sin
+from math import pi
 from typing import Protocol, Sequence, Union
 
 import numpy as np
@@ -46,19 +46,19 @@ class Gate:
 
 
 def rx(wire: int, angle: float) -> Gate:
-    return Gate("RX", (wire,), (float(angle),))
+    return Gate("RX", (wire,), (angle,))
 
 
 def ry(wire: int, angle: float) -> Gate:
-    return Gate("RY", (wire,), (float(angle),))
+    return Gate("RY", (wire,), (angle,))
 
 
 def rz(wire: int, angle: float) -> Gate:
-    return Gate("RZ", (wire,), (float(angle),))
+    return Gate("RZ", (wire,), (angle,))
 
 
 def rot(wire: int, phi: float, theta: float, omega: float) -> Gate:
-    return Gate("ROT", (wire,), (float(phi), float(theta), float(omega)))
+    return Gate("ROT", (wire,), (phi, theta, omega))
 
 
 def h(wire: int) -> Gate:
@@ -77,7 +77,7 @@ def pauli_z(wire: int) -> Gate:
 class StatePrep:
     """Direct amplitude initialization; only valid on the all-zeros state."""
 
-    amplitudes: tuple[complex, ...]
+    amplitudes: np.ndarray
 
 
 Operation = Union[Gate, StatePrep]
@@ -85,19 +85,19 @@ Operation = Union[Gate, StatePrep]
 
 @dataclass
 class Statevector:
-    """Complex amplitudes of an n-wire pure state, length 2**n_wires."""
+    """Complex amplitudes of an n-wire pure state, (2**n_wires,) or (B, 2**n_wires)."""
 
     amplitudes: np.ndarray
     n_wires: int
 
     @classmethod
-    def zero(cls, n_wires: int) -> "Statevector":
+    def zero(cls, n_wires: int, batch: tuple[int, ...] = ()) -> "Statevector":
         if n_wires < 1:
             raise ValueError("n_wires must be >= 1")
         if n_wires > MAX_WIRES:
             raise ValueError(f"n_wires {n_wires} exceeds the supported maximum {MAX_WIRES}")
-        amps = np.zeros(2**n_wires, dtype=complex)
-        amps[0] = 1.0
+        amps = np.zeros(batch + (2**n_wires,), dtype=complex)
+        amps[..., 0] = 1.0
         return cls(amps, n_wires)
 
     def norm(self) -> float:
@@ -132,21 +132,27 @@ class CircuitLike(Protocol):
     @property
     def param_count(self) -> int: ...
 
-    def build_ops(self, weights: np.ndarray, x: Sequence[float]) -> list[Operation]: ...
+    def build_ops(self, weights: np.ndarray, x: np.ndarray) -> list[Operation]: ...
 
 
-def _rx_matrix(t: float) -> np.ndarray:
-    c, s = cos(t / 2), sin(t / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]])
+def _matrix(a, b, c, d) -> np.ndarray:
+    """[[a, b], [c, d]] as a complex (..., 2, 2) array over the entries' batch shape."""
+    entries = np.broadcast_arrays(a, b, c, d)
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2)).astype(complex)
 
 
-def _ry_matrix(t: float) -> np.ndarray:
-    c, s = cos(t / 2), sin(t / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+def _rx_matrix(t) -> np.ndarray:
+    c, s = np.cos(t / 2), np.sin(t / 2)
+    return _matrix(c, -1j * s, -1j * s, c)
 
 
-def _rz_matrix(t: float) -> np.ndarray:
-    return np.array([[np.exp(-0.5j * t), 0], [0, np.exp(0.5j * t)]])
+def _ry_matrix(t) -> np.ndarray:
+    c, s = np.cos(t / 2), np.sin(t / 2)
+    return _matrix(c, -s, s, c)
+
+
+def _rz_matrix(t) -> np.ndarray:
+    return _matrix(np.exp(-0.5j * t), 0, 0, np.exp(0.5j * t))
 
 
 _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
@@ -166,7 +172,7 @@ GATE_KINDS = frozenset(_GATES)
 
 
 def gate_matrix(gate: Gate) -> np.ndarray:
-    """2x2 matrix of a single-wire gate (CNOT is handled by index permutation)."""
+    """(..., 2, 2) matrix of a single-wire gate (CNOT is handled by index permutation)."""
     matrix = _GATES[gate.kind][1]
     if matrix is None:
         raise ValueError(f"{gate.kind} has no single-wire matrix")
@@ -174,55 +180,58 @@ def gate_matrix(gate: Gate) -> np.ndarray:
 
 
 def _wire_view(amps: np.ndarray, wire: int) -> np.ndarray:
-    """The amplitudes as a (2**wire, 2, rest) array whose middle axis is `wire`'s bit."""
-    return amps.reshape(1 << wire, 2, -1)
+    """The amplitudes as a (..., 2**wire, 2, rest) array whose axis -2 is `wire`'s bit."""
+    return amps.reshape(amps.shape[:-1] + (1 << wire, 2, amps.shape[-1] >> (wire + 1)))
 
 
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:
-    """Apply one gate to a copy of the state: its matrix on the middle axis of the
-    wire's view, or for CNOT a flip of the target axis in the control=1 half."""
+    """Apply one gate to a copy of the state: its matrix on axis -2 of the wire's
+    view, or for CNOT a flip of the target axis in the control=1 half."""
     n = state.n_wires
     if max(gate.wires) >= n:
         raise ValueError(f"wire {max(gate.wires)} out of range for a {n}-wire state")
     if gate.kind == "CNOT":
         control, target = gate.wires
         amps = state.amplitudes.copy()
-        on = _wire_view(amps, control)[:, 1]  # control=1 half: a state of the other n-1 wires
-        flipped = _wire_view(on.reshape(-1), target - (target > control))[:, ::-1]
-        on[:] = flipped.reshape(on.shape)
+        on = _wire_view(amps, control)[..., 1, :]  # control=1 half: a state of the other n-1 wires
+        half = on.reshape(on.shape[:-2] + (1 << (n - 1),))
+        on[...] = _wire_view(half, target - (target > control))[..., ::-1, :].reshape(on.shape)
     else:
-        amps = (gate_matrix(gate) @ _wire_view(state.amplitudes, gate.wires[0])).reshape(-1)
+        out = gate_matrix(gate)[..., None, :, :] @ _wire_view(state.amplitudes, gate.wires[0])
+        amps = out.reshape(out.shape[:-3] + (1 << n,))
     return Statevector(amps, n)
 
 
 def run_circuit(
     spec: CircuitLike, weights: Sequence[float], x: Sequence[float], counter: CallCounter
 ) -> Statevector:
-    """Execute embedding plus layers on |0...0>; counts as exactly one device call."""
-    state = Statevector.zero(spec.n_wires)
-    for op in spec.build_ops(np.asarray(weights, dtype=float), x):
+    """Execute embedding plus layers on |0...0>: weights (B, P), rows (B, F) or both
+    run B circuits, return (B, 2**n) amplitudes and book B calls (1-D: one circuit)."""
+    batch = np.broadcast_shapes(np.shape(weights)[:-1], np.shape(x)[:-1])
+    state = Statevector.zero(spec.n_wires, batch)
+    for op in spec.build_ops(np.asarray(weights, dtype=float).T, np.asarray(x, dtype=float).T):
         if isinstance(op, Gate):
             state = apply_gate(state, op)
             continue
         amps = state.amplitudes
-        if amps[0] != 1.0 or np.any(amps[1:]):
+        if np.any(amps[..., 0] != 1.0) or np.any(amps[..., 1:]):
             raise ValueError("state preparation is only valid on the all-zeros state")
-        prepared = np.array(op.amplitudes, dtype=complex)
-        if prepared.shape != amps.shape:
+        prepared = np.asarray(op.amplitudes, dtype=complex)
+        if prepared.shape[-1:] != amps.shape[-1:]:
             raise ValueError(
-                f"prepared amplitudes have length {prepared.size}, state needs {amps.size}"
+                f"prepared amplitudes have length {prepared.shape[-1]}, state needs {amps.shape[-1]}"
             )
-        state = Statevector(prepared, spec.n_wires)
-    counter.increment()
+        state = Statevector(np.broadcast_to(prepared, amps.shape).copy(), spec.n_wires)
+    counter.increment(int(np.prod(batch)))
     return state
 
 
-def expectation_z(state: Statevector, wire: int) -> float:
-    """<Z_wire>: +1 weight on basis states with wire bit 0, -1 on bit 1."""
+def expectation_z(state: Statevector, wire: int) -> float | np.ndarray:
+    """<Z_wire>: +1 weight on basis states with wire bit 0, -1 on bit 1; (B,) for a batch."""
     if not 0 <= wire < state.n_wires:
         raise ValueError(f"wire {wire} out of range for a {state.n_wires}-wire state")
-    p0, p1 = (np.abs(_wire_view(state.amplitudes, wire)) ** 2).sum(axis=(0, 2))
-    return float(p0 - p1)
+    p = (np.abs(_wire_view(state.amplitudes, wire)) ** 2).sum(axis=(-3, -1))
+    return p[..., 0] - p[..., 1]
 
 
 def fidelity(a: Statevector, b: Statevector) -> float:
@@ -241,18 +250,15 @@ def parameter_shift_gradient(
 ) -> np.ndarray:
     """Exact gradient of <Z_wire> via +-pi/2 shifts; costs 2 * param_count calls.
 
+    The 2P shifted weight rows run in batches of at most 2**20 amplitudes.
     Valid because every trainable weight in the shipped layer templates enters
     the circuit as the angle of exactly one single-axis rotation (ROT counts as
     three such rotations).
     """
-    w = np.asarray(weights, dtype=float).copy()
-    grad = np.empty(w.size)
-    for j in range(w.size):
-        original = w[j]
-        w[j] = original + pi / 2
-        f_plus = expectation_z(run_circuit(spec, w, x, counter), wire)
-        w[j] = original - pi / 2
-        f_minus = expectation_z(run_circuit(spec, w, x, counter), wire)
-        w[j] = original
-        grad[j] = 0.5 * (f_plus - f_minus)
-    return grad
+    w = np.asarray(weights, dtype=float)
+    p, eye = w.size, np.eye(w.size, dtype=bool)
+    shifted = np.concatenate([np.where(eye, w + pi / 2, w), np.where(eye, w - pi / 2, w)])
+    rows = max(1, 2**20 >> spec.n_wires)
+    values = np.concatenate([expectation_z(run_circuit(spec, batch, x, counter), wire)
+                             for batch in np.split(shifted, range(rows, 2 * p, rows))])
+    return 0.5 * (values[:p] - values[p:])

@@ -39,7 +39,7 @@ class StudyStore:
         self._lock = threading.Lock()
 
     def append_trial(self, record: TrialRecord) -> None:
-        line = json.dumps(record.as_dict(), allow_nan=True) + "\n"
+        line = json.dumps(record.as_dict(), allow_nan=False) + "\n"
         with self._lock:
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(line)

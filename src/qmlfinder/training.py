@@ -134,7 +134,7 @@ def train_epochs(
     weights: Sequence[float],
     X: np.ndarray,
     targets: np.ndarray,
-    forward_one: Callable[[np.ndarray, np.ndarray, CallCounter], float],
+    forward: Callable[[np.ndarray, np.ndarray, CallCounter], np.ndarray],
     gradient_one: Callable[[np.ndarray, np.ndarray, CallCounter], np.ndarray],
     score_fn: Callable[[np.ndarray, np.ndarray], float],
     ledger: BudgetLedger,
@@ -150,6 +150,8 @@ def train_epochs(
 
     Batch order is shuffled once per epoch by the portable generator seeded
     with derive_seed(seed, epoch); the last partial batch is kept.
+    `forward(w, X, counter)` returns the output for every row of X at once;
+    `gradient_one(w, x, counter)` the gradient for one row, summed per sample.
     """
     n = len(X)
     if n == 0:
@@ -160,10 +162,7 @@ def train_epochs(
         raise ValueError("n_epochs must be >= 0")
     w = np.asarray(weights, dtype=float).copy()
 
-    def full_check(current: np.ndarray) -> np.ndarray:
-        return np.array([forward_one(current, X[i], ledger.scoring) for i in range(n)])
-
-    values = full_check(w)
+    values = forward(w, X, ledger.scoring)
     score = score_fn(values, targets)
     if score >= threshold or n_epochs == 0:
         return TrainResult(w, 0, score, values)
@@ -181,7 +180,7 @@ def train_epochs(
                 grad += residuals[i] * gradient_one(w, X[i], ledger.training_gradients)
             grad /= len(batch)
             w, state = step(state, w, grad, opt_config)
-        values = full_check(w)
+        values = forward(w, X, ledger.scoring)
         score = score_fn(values, targets)
         epochs_run = epoch
         if score >= threshold:

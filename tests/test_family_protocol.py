@@ -2,6 +2,8 @@
 package is searched, saved and restored, and the saved winner is the model
 its trial scored."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,9 @@ from qmlfinder import (
     ModelFamilyConfig,
     TaskType,
     find_model,
+    select_best,
 )
+from qmlfinder.models import Score
 from qmlfinder.store import (
     StudyStore,
     model_from_spec,
@@ -131,3 +135,53 @@ def test_clustering_winner_refit_at_nonzero_seed(registry, cluster_blobs):
     assert spec.model_family == "RBM"
     restored = model_from_spec(spec, registry)
     assert abs(restored.score(cluster_blobs) - spec.metadata["mean_score"]) <= 1e-12
+
+
+class NanRegressor:
+    """Toy regressor whose training score is NaN."""
+
+    task = TaskType.REGRESSION
+    family = "NAN_REGRESSOR"
+    score_kind = "r2"
+
+    def fit(self, X, y, ledger):
+        self.train_score = float("nan")
+        return self
+
+
+@pytest.mark.parametrize("kind", ["mean_accuracy", "r2", "silhouette", "unknown"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_score_refuses_non_finite_values(kind, value):
+    with pytest.raises(ValueError, match="not finite"):
+        Score(value, kind)
+
+
+def test_nan_scoring_trial_fails_and_the_store_stays_standard_json(registry, sine20, tmp_path):
+    X, y = sine20
+    registry.register(
+        "model",
+        ModelFamilyConfig(
+            name="NAN_REGRESSOR",
+            task=TaskType.REGRESSION,
+            n_layers=(1, 1),
+            builder=lambda kwargs, seed: NanRegressor(),
+            restore=lambda spec, registry: NanRegressor(),
+        ),
+    )
+    config = FinderConfig(task=TaskType.REGRESSION, n_trials=8, n_seeds=1, n_epochs=1,
+                          base_seed=0)
+    store = StudyStore(tmp_path / "study.jsonl")
+    spec = find_model(config, registry, X, y, store)
+    records = store.load()
+    nan_trials = [r for r in records if r.sampled["model_type"] == "NAN_REGRESSOR"]
+    assert nan_trials and all(
+        r.status == "failed" and "not finite" in r.error for r in nan_trials
+    )
+    assert spec.model_family == "QNN_REGRESSOR"
+    assert select_best(records)[0].sampled["model_type"] == "QNN_REGRESSOR"
+
+    def refuse(literal):
+        raise ValueError(f"non-standard JSON constant {literal}")
+
+    for line in (tmp_path / "study.jsonl").read_text().splitlines():
+        json.loads(line, parse_constant=refuse)

@@ -294,7 +294,7 @@ def test_restored_qek_predict_simulates_each_row_once(blobs8, monkeypatch):
     runs = []
 
     def counting_run_circuit(*args):
-        runs.append(args[2])  # the simulated row
+        runs.append(len(args[2]))  # the rows simulated by this call
         return run_circuit(*args)
 
     monkeypatch.setattr(qmlfinder.models, "run_circuit", counting_run_circuit)
@@ -302,7 +302,7 @@ def test_restored_qek_predict_simulates_each_row_once(blobs8, monkeypatch):
     counter = CallCounter()
     restored.predict(X_new, counter)
     n, m = len(X), len(X_new)
-    assert len(runs) == n + m
+    assert len(runs) == 2 and sum(runs) == n + m
     assert counter.total_calls == 2 * n * m
 
 

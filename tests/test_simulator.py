@@ -11,6 +11,7 @@ from qmlfinder import (
     STRONGLY_ENTANGLING,
     CallCounter,
     CircuitSpec,
+    EmbeddingKind,
     Gate,
     PortableRng,
     Statevector,
@@ -291,6 +292,52 @@ def test_run_circuit_matches_matrix_oracle():
         np.testing.assert_allclose(state.amplitudes, expected, atol=1e-10)
 
 
+@pytest.mark.parametrize("embedding", [ANGLE, AMPLITUDE])
+@pytest.mark.parametrize("n_wires", [1, 2, 3])
+def test_batched_run_circuit_matches_oracle_per_circuit(embedding, n_wires):
+    rng = PortableRng(505 + n_wires)
+    spec = CircuitSpec(n_wires, embedding, (BASIC_ENTANGLER, STRONGLY_ENTANGLING))
+    W = np.array([rng.uniforms(spec.param_count, -np.pi, np.pi) for _ in range(4)])
+    X = np.array([rng.uniforms(embedding.max_features(n_wires), 0.1, 2.0) for _ in range(4)])
+    cases = {
+        "weight batch": (W, X[0], [(w, X[0]) for w in W]),
+        "row batch": (W[0], X, [(W[0], x) for x in X]),
+        "both": (W, X, list(zip(W, X))),
+    }
+    for weights, rows, circuits in cases.values():
+        counter = CallCounter()
+        state = run_circuit(spec, weights, rows, counter)
+        expected = [
+            ref_run_circuit(n_wires, embedding.name, spec.layer_names(), w, x) for w, x in circuits
+        ]
+        assert state.amplitudes.shape == (4, 2**n_wires)
+        np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-12)
+        assert counter.total_calls == 4
+        one_by_one = [run_circuit(spec, w, x, CallCounter()).amplitudes for w, x in circuits]
+        np.testing.assert_array_equal(state.amplitudes, one_by_one)  # same arithmetic
+        for wire in range(n_wires):
+            np.testing.assert_allclose(
+                expectation_z(state, wire),
+                [ref_expectation_z(amps, wire, n_wires) for amps in expected],
+                rtol=0, atol=1e-12,
+            )
+    counter = CallCounter()
+    empty = run_circuit(spec, W[0], np.empty((0, X.shape[1])), counter)
+    assert empty.amplitudes.shape == (0, 2**n_wires)
+    assert counter.total_calls == 0
+
+
+def test_batch_through_an_embedding_that_ignores_the_rows():
+    constant = EmbeddingKind(
+        name="CONSTANT", build=lambda x, n: [], max_features=lambda n: n,
+        wires_for_features=lambda f: f,
+    )
+    counter = CallCounter()
+    state = run_circuit(CircuitSpec(2, constant, ()), [], np.ones((3, 2)), counter)
+    np.testing.assert_array_equal(state.amplitudes, np.tile([1, 0, 0, 0], (3, 1)))
+    assert counter.total_calls == 3
+
+
 # -- parameter-shift gradients -------------------------------------------------
 
 
@@ -324,6 +371,31 @@ def test_gradient_matches_finite_differences():
             return expectation_z(run_circuit(spec, w, x, CallCounter()), 0)
 
         np.testing.assert_allclose(grad, fd_gradient(f, weights), atol=1e-6)
+
+
+def test_sixteen_wire_gradient_runs_in_bounded_memory():
+    import tracemalloc
+
+    spec = CircuitSpec(16, ANGLE, (BASIC_ENTANGLER,))
+    rng = PortableRng(606)
+    w = np.array(rng.uniforms(spec.param_count, -np.pi, np.pi))
+    x = rng.uniforms(16, -np.pi, np.pi)
+    counter = CallCounter()
+    tracemalloc.start()
+    try:
+        grad = parameter_shift_gradient(spec, w, x, 0, counter)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counter.total_calls == 2 * spec.param_count
+    assert peak < 64 * 2**20
+
+    def f(weights):
+        return expectation_z(run_circuit(spec, weights, x, CallCounter()), 0)
+
+    shifts = np.eye(spec.param_count) * np.pi / 2
+    expected = [(f(w + shift) - f(w - shift)) / 2 for shift in shifts]
+    np.testing.assert_allclose(grad, expected, rtol=0, atol=1e-12)
 
 
 def test_call_accounting_gradients_plus_forwards():

@@ -183,9 +183,9 @@ def test_batch_order_deterministic_and_epoch_indexed():
 
 
 def test_train_epochs_threshold_unreachable_runs_all():
-    def forward(w, x, counter):
-        counter.increment()
-        return float(w[0])
+    def forward(w, X, counter):
+        counter.increment(len(X))
+        return np.full(len(X), float(w[0]))
 
     def gradient(w, x, counter):
         counter.increment(2)
@@ -196,7 +196,7 @@ def test_train_epochs_threshold_unreachable_runs_all():
         weights=[0.0],
         X=np.zeros((6, 1)),
         targets=np.zeros(6),
-        forward_one=forward,
+        forward=forward,
         gradient_one=gradient,
         score_fn=lambda v, t: 0.5,
         ledger=ledger,
@@ -222,7 +222,7 @@ def test_train_epochs_stops_when_threshold_met():
         weights=[0.0],
         X=np.zeros((4, 1)),
         targets=np.zeros(4),
-        forward_one=lambda w, x, c: (c.increment(), 0.0)[1],
+        forward=lambda w, X, c: (c.increment(len(X)), np.zeros(len(X)))[1],
         gradient_one=lambda w, x, c: (c.increment(2), np.array([0.1]))[1],
         score_fn=score,
         ledger=BudgetLedger(),
