@@ -69,6 +69,16 @@ def _floats(values) -> list[float]:
     return [float(v) for v in np.asarray(values).reshape(-1)]
 
 
+def _rows(X) -> np.ndarray:
+    """X as float rows (N, F): an empty X is no rows, any other non-2-D X an error."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 2:
+        return X
+    if X.size == 0:
+        return X.reshape(0, 0)
+    raise ValueError(f"X must be a 2-D array of rows, got shape {X.shape}")
+
+
 def _check_binary_labels(y: np.ndarray) -> None:
     classes = set(np.unique(y))
     if not classes <= {0, 1}:
@@ -153,7 +163,7 @@ class QNN(CircuitModel):
         self.epochs_run = 0
 
     def expectations(self, X: np.ndarray, counter: CallCounter) -> np.ndarray:
-        return expectation_z(run_circuit(self.circuit, self.weights, X, counter), 0)
+        return expectation_z(run_circuit(self.circuit, self.weights, _rows(X), counter), 0)
 
     def _train(
         self,
@@ -169,7 +179,7 @@ class QNN(CircuitModel):
             X=X,
             targets=targets,
             forward=lambda w, X, c: expectation_z(run_circuit(self.circuit, w, X, c), 0),
-            gradient_one=lambda w, x, c: parameter_shift_gradient(self.circuit, w, x, 0, c),
+            gradient=lambda w, X, c: parameter_shift_gradient(self.circuit, w, X, 0, c),
             score_fn=score_fn,
             ledger=ledger,
             opt_config=optimizer or OptimizerConfig(),
@@ -218,10 +228,6 @@ class QNNClassifier(QNN):
         super().__init__(circuit, batch_size=batch_size, n_epochs=n_epochs, seed=seed,
                          weights=weights)
         self.accuracy_threshold = accuracy_threshold
-
-    def predict_one(self, x: Sequence[float], counter: CallCounter) -> tuple[int, float]:
-        p_one = (1.0 - self.expectations(x, counter)) / 2.0
-        return (1 if p_one >= 0.5 else 0), p_one
 
     def predict(self, X: np.ndarray, counter: CallCounter) -> np.ndarray:
         return (self.expectations(X, counter) <= 0).astype(int)
@@ -382,7 +388,7 @@ class QEKClassifier(CircuitModel):
     def decision_values(self, X: np.ndarray, counter: CallCounter) -> np.ndarray:
         if self.dual_coeffs is None:
             raise ValueError("classifier must be fit before predicting")
-        X = np.asarray(X, dtype=float)
+        X = _rows(X)
         if self._train_kernel is not None and np.array_equal(X, self.support_data):
             return self.dual_coeffs @ self._train_kernel
         K = kernel_matrix(self.circuit, self.weights, self.support_data, X, counter)

@@ -268,7 +268,6 @@ def evaluate_config(
     n_seeds: int,
     base_seed: int,
     threshold: float | None,
-    store: StudyStore | None,
 ) -> TrialRecord:
     """Evaluate one sampled configuration over `n_seeds` training repeats.
 
@@ -276,8 +275,7 @@ def evaluate_config(
     repeat k, repeat_seed(base_seed, k), books its device calls on `ledger`
     and returns its score. Any failure yields a failed record instead of
     aborting the study. A complete trial is feasible when its mean score
-    reaches `threshold`; with no threshold every complete trial is. The record
-    is appended to `store` when one is given.
+    reaches `threshold`; with no threshold every complete trial is.
     """
     ledger = BudgetLedger()
     scores: list[float] = []
@@ -307,8 +305,6 @@ def evaluate_config(
         status=status,
         error=error,
     )
-    if store is not None:
-        store.append_trial(record)
     return record
 
 
@@ -318,7 +314,6 @@ def run_trial(
     registry: Registry,
     X: np.ndarray,
     y,
-    store: StudyStore | None,
 ) -> TrialRecord:
     """Sample, build, and evaluate one configuration over n_seeds training
     repeats. Any failure (construction, training, undefined score) yields a
@@ -328,9 +323,7 @@ def run_trial(
         model = _suggest_and_build(trial, config, registry, X, seed)
         return _fit_and_score(model, X, y, ledger)
 
-    return evaluate_config(
-        trial, fit_repeat, config.n_seeds, config.base_seed, config.threshold, store
-    )
+    return evaluate_config(trial, fit_repeat, config.n_seeds, config.base_seed, config.threshold)
 
 
 def find_model(
@@ -367,13 +360,21 @@ def find_model(
 
     def one(trial_id: int) -> TrialRecord:
         trial = Trial(trial_id, derive_seed(config.base_seed, trial_id))
-        return run_trial(trial, config, registry, X, y, store)
+        return run_trial(trial, config, registry, X, y)
+
+    def stored(records):
+        # each record reaches the store as soon as it is yielded, in trial-id
+        # order whatever n_cores is, so serial and threaded stores match byte for byte
+        for record in records:
+            if store is not None:
+                store.append_trial(record)
+            yield record
 
     if config.n_cores == 1:
-        trial_records = [one(i) for i in range(config.n_trials)]
+        trial_records = list(stored(map(one, range(config.n_trials))))
     else:
         with ThreadPoolExecutor(max_workers=config.n_cores) as pool:
-            trial_records = list(pool.map(one, range(config.n_trials)))
+            trial_records = list(stored(pool.map(one, range(config.n_trials))))
     best, feasible = select_best(trial_records)
 
     replay = Trial(best.trial_id, best.seed, sampler=ReplaySampler(best.sampled))
@@ -430,7 +431,9 @@ def find_hyperparameters(
         def fit_repeat(seed: int, ledger: BudgetLedger) -> float:
             return float(model.reseeded(seed).fit(X, y, ledger, optimizer=opt).train_score)
 
-        record = evaluate_config(trial, fit_repeat, n_seeds, base_seed, None, store)
+        record = evaluate_config(trial, fit_repeat, n_seeds, base_seed, None)
+        if store is not None:
+            store.append_trial(record)
         records.append((record, opt))
 
     complete = [(r, opt) for r, opt in records if r.status == "complete"]

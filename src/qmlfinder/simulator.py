@@ -248,17 +248,20 @@ def parameter_shift_gradient(
     wire: int,
     counter: CallCounter,
 ) -> np.ndarray:
-    """Exact gradient of <Z_wire> via +-pi/2 shifts; costs 2 * param_count calls.
+    """Exact gradient of <Z_wire> via +-pi/2 shifts: rows (B, F) give (B, P) and
+    cost B * 2 * param_count calls; one row (F,) gives (P,).
 
-    The 2P shifted weight rows run in batches of at most 2**20 amplitudes.
-    Valid because every trainable weight in the shipped layer templates enters
-    the circuit as the angle of exactly one single-axis rotation (ROT counts as
-    three such rotations).
+    The B * 2P circuits (each row under each of the 2P shifted weight rows) run
+    in batches of at most 2**20 amplitudes. Valid because every trainable
+    weight in the shipped layer templates enters the circuit as the angle of
+    exactly one single-axis rotation (ROT counts as three such rotations).
     """
-    w = np.asarray(weights, dtype=float)
-    p, eye = w.size, np.eye(w.size, dtype=bool)
+    w, x = np.asarray(weights, dtype=float), np.asarray(x, dtype=float)
+    p, eye, rows = w.size, np.eye(w.size, dtype=bool), np.atleast_2d(x)
     shifted = np.concatenate([np.where(eye, w + pi / 2, w), np.where(eye, w - pi / 2, w)])
-    rows = max(1, 2**20 >> spec.n_wires)
-    values = np.concatenate([expectation_z(run_circuit(spec, batch, x, counter), wire)
-                             for batch in np.split(shifted, range(rows, 2 * p, rows))])
-    return 0.5 * (values[:p] - values[p:])
+    n, size = len(rows) * 2 * p, max(1, 2**20 >> spec.n_wires)
+    values = np.concatenate([
+        expectation_z(run_circuit(spec, shifted[k % (2 * p)], rows[k // (2 * p)], counter), wire)
+        for k in np.split(np.arange(n), range(size, n, size))
+    ]).reshape(x.shape[:-1] + (2, p))
+    return 0.5 * (values[..., 0, :] - values[..., 1, :])

@@ -135,7 +135,7 @@ def train_epochs(
     X: np.ndarray,
     targets: np.ndarray,
     forward: Callable[[np.ndarray, np.ndarray, CallCounter], np.ndarray],
-    gradient_one: Callable[[np.ndarray, np.ndarray, CallCounter], np.ndarray],
+    gradient: Callable[[np.ndarray, np.ndarray, CallCounter], np.ndarray],
     score_fn: Callable[[np.ndarray, np.ndarray], float],
     ledger: BudgetLedger,
     opt_config: OptimizerConfig,
@@ -151,7 +151,8 @@ def train_epochs(
     Batch order is shuffled once per epoch by the portable generator seeded
     with derive_seed(seed, epoch); the last partial batch is kept.
     `forward(w, X, counter)` returns the output for every row of X at once;
-    `gradient_one(w, x, counter)` the gradient for one row, summed per sample.
+    `gradient(w, X_batch, counter)` the (B, P) gradients of a mini-batch's rows,
+    which are summed per sample in shuffled order.
     """
     n = len(X)
     if n == 0:
@@ -176,8 +177,8 @@ def train_epochs(
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
             grad = np.zeros_like(w)
-            for i in batch:
-                grad += residuals[i] * gradient_one(w, X[i], ledger.training_gradients)
+            for i, g in zip(batch, gradient(w, X[batch], ledger.training_gradients)):
+                grad += residuals[i] * g
             grad /= len(batch)
             w, state = step(state, w, grad, opt_config)
         values = forward(w, X, ledger.scoring)

@@ -38,8 +38,9 @@ def test_qnn_predict_zero_circuit_gives_class_zero():
     model = QNNClassifier(
         CircuitSpec(2, ANGLE, ()), batch_size=4, n_epochs=1, accuracy_threshold=0.9
     )
-    label, p_one = model.predict_one([0.0, 0.0], CallCounter())
-    assert label == 0 and p_one == 0.0
+    X = np.array([[0.0, 0.0]])
+    p_one = (1.0 - model.expectations(X, CallCounter())) / 2.0
+    assert model.predict(X, CallCounter()).tolist() == [0] and p_one.tolist() == [0.0]
 
 
 def test_qnn_predict_flipped_wire_gives_class_one():
@@ -47,8 +48,9 @@ def test_qnn_predict_flipped_wire_gives_class_one():
     model = QNNClassifier(
         CircuitSpec(1, ANGLE, ()), batch_size=4, n_epochs=1, accuracy_threshold=0.9
     )
-    label, p_one = model.predict_one([np.pi], CallCounter())
-    assert label == 1 and abs(p_one - 1.0) < 1e-12
+    X = np.array([[np.pi]])
+    p_one = (1.0 - model.expectations(X, CallCounter())) / 2.0
+    assert model.predict(X, CallCounter()).tolist() == [1] and abs(p_one[0] - 1.0) < 1e-12
 
 
 def test_qnn_predict_counts_one_call_per_sample():
@@ -71,8 +73,7 @@ def test_qnn_labels_match_sign_oracle():
         x = [rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi)]
         expected_state = ref_run_circuit(2, "ANGLE", spec.layer_names(), model.weights, x)
         f = ref_expectation_z(expected_state, 0, 2)
-        label, _ = model.predict_one(x, CallCounter())
-        assert label == (1 if f <= 0 else 0)
+        assert model.predict(np.array([x]), CallCounter()).tolist() == [1 if f <= 0 else 0]
 
 
 def test_qnn_fit_requires_both_classes_and_data():
@@ -304,6 +305,21 @@ def test_restored_qek_predict_simulates_each_row_once(blobs8, monkeypatch):
     n, m = len(X), len(X_new)
     assert len(runs) == 2 and sum(runs) == n + m
     assert counter.total_calls == 2 * n * m
+
+
+def test_model_entry_points_read_X_as_rows(blobs8):
+    X, y = blobs8
+    classifier = QNNClassifier(_feature_map(), batch_size=4, n_epochs=1, accuracy_threshold=0.9)
+    regressor = QNNRegressor(_feature_map(), batch_size=4, n_epochs=1, r2_threshold=0.9,
+                             target_min=-1.0, target_max=1.0)
+    qek = QEKClassifier(_feature_map(), ridge_lambda=1e-3).fit(X, y, BudgetLedger())
+    for model in (classifier, regressor, qek):
+        for empty in ([], np.empty(0), np.empty((0, 2))):
+            counter = CallCounter()
+            assert model.predict(empty, counter).shape == (0,)
+            assert counter.total_calls == 0
+        with pytest.raises(ValueError, match=r"\(2,\)"):
+            model.predict([0.1, 0.2], CallCounter())
 
 
 def test_qek_fit_refuses_one_class_labels(blobs8):

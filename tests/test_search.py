@@ -228,7 +228,7 @@ def test_registered_third_embedding_widens_suggest_domain(registry):
 def test_run_trial_aggregates_seeds(registry, blobs40):
     X, y = blobs40
     config = FinderConfig(task=TaskType.CLASSIFICATION, n_seeds=3, n_epochs=1, threshold=0.8)
-    record = run_trial(Trial(0, derive_seed(0, 0)), config, registry, X, y, None)
+    record = run_trial(Trial(0, derive_seed(0, 0)), config, registry, X, y)
     assert record.status == "complete"
     assert len(record.per_seed_scores) == 3
     assert record.feasible == (record.mean_score >= 0.8)
@@ -243,7 +243,7 @@ def test_run_trial_contains_failures(registry):
     config = FinderConfig(task=TaskType.CLASSIFICATION, n_seeds=1, n_epochs=1, threshold=0.8)
     statuses = set()
     for trial_id in range(10):
-        record = run_trial(Trial(trial_id, derive_seed(0, trial_id)), config, registry, X, y, None)
+        record = run_trial(Trial(trial_id, derive_seed(0, trial_id)), config, registry, X, y)
         statuses.add(record.status)
         if record.status == "failed":
             assert record.error and not record.feasible
@@ -279,7 +279,7 @@ def test_injected_failures_mark_exactly_k_failed(registry, blobs40):
     config = FinderConfig(task=TaskType.CLASSIFICATION, n_trials=12, n_seeds=1,
                           n_epochs=0, threshold=0.0, base_seed=0)
     records = [
-        run_trial(Trial(i, derive_seed(0, i)), config, reg, X, y, None) for i in range(12)
+        run_trial(Trial(i, derive_seed(0, i)), config, reg, X, y) for i in range(12)
     ]
     expected_failures = sum(1 for r in records if r.sampled.get("explode") == 1)
     assert expected_failures > 0
@@ -307,7 +307,7 @@ def test_clustering_degenerate_trial_fails_cleanly(registry):
     # identical points: every assignment collapses to one cluster
     X = np.ones((10, 4))
     config = FinderConfig(task=TaskType.CLUSTERING, n_seeds=1, n_epochs=2, threshold=0.5)
-    record = run_trial(Trial(0, derive_seed(0, 0)), config, registry, X, None, None)
+    record = run_trial(Trial(0, derive_seed(0, 0)), config, registry, X, None)
     assert record.status == "failed"
     assert "silhouette" in record.error
 
@@ -438,6 +438,18 @@ def test_find_model_parallel_equivalence(registry, blobs40, tmp_path):
     by_id_1 = {r.trial_id: r.as_dict() for r in store1.load()}
     by_id_4 = {r.trial_id: r.as_dict() for r in store4.load()}
     assert by_id_1 == by_id_4
+
+
+def test_find_model_store_bytes_match_under_n_cores(registry, blobs40, tmp_path):
+    X, y = blobs40
+    paths = {}
+    for n_cores in (1, 4):
+        config = FinderConfig(task=TaskType.CLASSIFICATION, n_trials=8, n_seeds=1, n_epochs=1,
+                              threshold=0.8, base_seed=2, n_cores=n_cores)
+        paths[n_cores] = tmp_path / f"cores{n_cores}.jsonl"
+        find_model(config, registry, X, y, StudyStore(paths[n_cores]))
+    assert paths[1].read_bytes() == paths[4].read_bytes()
+    assert [r.trial_id for r in StudyStore(paths[4]).load()] == list(range(8))
 
 
 def test_find_model_requires_targets_for_supervised(registry):

@@ -390,12 +390,48 @@ def test_sixteen_wire_gradient_runs_in_bounded_memory():
     assert counter.total_calls == 2 * spec.param_count
     assert peak < 64 * 2**20
 
+    # two rows: 4P circuits in slices of 16, each slice within one row's 2P
+    X = np.array([x, rng.uniforms(16, -np.pi, np.pi)])
+    counter = CallCounter()
+    tracemalloc.start()
+    try:
+        grads = parameter_shift_gradient(spec, w, X, 0, counter)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counter.total_calls == 2 * 2 * spec.param_count
+    assert peak < 64 * 2**20
+    assert np.array_equal(grads[0], grad)
+    assert np.array_equal(grads[1], parameter_shift_gradient(spec, w, X[1], 0, CallCounter()))
+
     def f(weights):
         return expectation_z(run_circuit(spec, weights, x, CallCounter()), 0)
 
     shifts = np.eye(spec.param_count) * np.pi / 2
     expected = [(f(w + shift) - f(w - shift)) / 2 for shift in shifts]
     np.testing.assert_allclose(grad, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "embedding, n_wires",
+    [(ANGLE, 1), (ANGLE, 2), (ANGLE, 3), (AMPLITUDE, 1), (AMPLITUDE, 2), (AMPLITUDE, 3),
+     (AMPLITUDE, 14)],
+    ids=lambda value: getattr(value, "name", str(value)),
+)
+def test_gradient_of_rows_equals_per_row_gradients(embedding, n_wires):
+    # at 14 wires a slice holds 64 circuits and a row 28, so slices straddle rows
+    rng = PortableRng(707 + n_wires)
+    layers = (BASIC_ENTANGLER,) if n_wires == 14 else (STRONGLY_ENTANGLING, BASIC_ENTANGLER)
+    spec = CircuitSpec(n_wires, embedding, layers)
+    p = spec.param_count
+    w = np.array(rng.uniforms(p, -np.pi, np.pi))
+    X = np.array([rng.uniforms(n_wires, 0.1, 2.0) for _ in range(3)])
+    counter = CallCounter()
+    grads = parameter_shift_gradient(spec, w, X, 0, counter)
+    assert grads.shape == (3, p)
+    assert counter.total_calls == 3 * 2 * p
+    for row, grad in zip(X, grads):
+        assert np.array_equal(grad, parameter_shift_gradient(spec, w, row, 0, CallCounter()))
 
 
 def test_call_accounting_gradients_plus_forwards():

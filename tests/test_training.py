@@ -187,9 +187,9 @@ def test_train_epochs_threshold_unreachable_runs_all():
         counter.increment(len(X))
         return np.full(len(X), float(w[0]))
 
-    def gradient(w, x, counter):
-        counter.increment(2)
-        return np.array([1.0])
+    def gradient(w, X, counter):
+        counter.increment(2 * len(X))
+        return np.ones((len(X), 1))
 
     ledger = BudgetLedger()
     result = train_epochs(
@@ -197,7 +197,7 @@ def test_train_epochs_threshold_unreachable_runs_all():
         X=np.zeros((6, 1)),
         targets=np.zeros(6),
         forward=forward,
-        gradient_one=gradient,
+        gradient=gradient,
         score_fn=lambda v, t: 0.5,
         ledger=ledger,
         opt_config=OptimizerConfig(learning_rate=0.1),
@@ -223,7 +223,7 @@ def test_train_epochs_stops_when_threshold_met():
         X=np.zeros((4, 1)),
         targets=np.zeros(4),
         forward=lambda w, X, c: (c.increment(len(X)), np.zeros(len(X)))[1],
-        gradient_one=lambda w, x, c: (c.increment(2), np.array([0.1]))[1],
+        gradient=lambda w, X, c: (c.increment(2 * len(X)), np.full((len(X), 1), 0.1))[1],
         score_fn=score,
         ledger=BudgetLedger(),
         opt_config=OptimizerConfig(),
