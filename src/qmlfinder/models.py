@@ -418,12 +418,8 @@ class QEKClassifier(CircuitModel):
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    exp_z = np.exp(z[~positive])
-    out[~positive] = exp_z / (1.0 + exp_z)
-    return out
+    e = np.exp(-np.abs(z))  # in (0, 1], so neither branch overflows
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class BinaryEncoder:
@@ -535,6 +531,9 @@ class RBMClusterer:
     encoding of which hidden units fire (unit j contributes 2**j).
 
     Entirely classical: fitting and assignment touch no device-call counter.
+    Encoder training is a pure function of the scaled data, the widths, the
+    seed and the encoder budget; given an `encoder_memo` dict, `fit` trains
+    each such key once and later fits install copies of the trained stack.
     """
 
     task = TaskType.CLUSTERING
@@ -557,6 +556,7 @@ class RBMClusterer:
         firing_threshold: float,
         n_epochs: int,
         seed: int = 0,
+        encoder_memo: dict | None = None,
     ) -> None:
         if input_size < 2:
             raise ValueError("input size must be >= 2")
@@ -573,6 +573,7 @@ class RBMClusterer:
         self.firing_threshold = firing_threshold
         self.n_epochs = n_epochs
         self.seed = seed
+        self.encoder_memo = encoder_memo
         self.encoder = BinaryEncoder(input_size, encoder_layers, latent_size, seed)
         self.rbm = RBM(latent_size, n_hidden, seed)
         # per-feature affine scaling fitted on the training data
@@ -593,19 +594,37 @@ class RBMClusterer:
             raise ValueError(f"expected 2D data with {self.input_size} features")
         self.feature_min = X.min(axis=0)
         self.feature_max = X.max(axis=0)
-        self.encoder.train(self._scale(X), self.encoder_epochs, self.encoder_learning_rate)
+        self._train_encoder(self._scale(X))
         latents = self._latent_bits(X)
         for _ in range(self.n_epochs):
             self.rbm.cd1_epoch(latents, self.rbm_learning_rate)
         return self
 
+    def _train_encoder(self, scaled: np.ndarray) -> None:
+        encoder, memo = self.encoder, self.encoder_memo
+        key = (scaled.shape, scaled.tobytes(), tuple(encoder.widths), self.seed,
+               self.encoder_epochs, self.encoder_learning_rate)
+        if memo is not None and key in memo:
+            (encoder.enc_weights, encoder.enc_biases,
+             encoder.dec_weights, encoder.dec_biases) = ([a.copy() for a in s] for s in memo[key])
+            return
+        encoder.train(scaled, self.encoder_epochs, self.encoder_learning_rate)
+        if memo is not None:
+            # threads that miss on one key store the same pure result; a dict store is GIL-atomic
+            memo[key] = [[a.copy() for a in s] for s in (
+                encoder.enc_weights, encoder.enc_biases, encoder.dec_weights, encoder.dec_biases)]
+
     def cluster_assign(self, x: Sequence[float]) -> int:
-        probs = self.rbm.hidden_probabilities(self._latent_bits(np.atleast_2d(x))[0])
-        bits = probs >= self.firing_threshold
-        return int(sum(1 << j for j, fired in enumerate(bits) if fired))
+        return int(self.predict(np.atleast_2d(x))[0])
 
     def predict(self, X: np.ndarray, counter: CallCounter | None = None) -> np.ndarray:
-        return np.array([self.cluster_assign(x) for x in np.asarray(X, dtype=float)])
+        X = _rows(X)
+        if len(X) == 0:
+            return np.zeros(0, dtype=np.int64)
+        probs = self.rbm.hidden_probabilities(self._latent_bits(X))
+        # ids of 64 or more hidden units outgrow int64, so they stay Python ints
+        units = np.arange(self.n_hidden, dtype=np.int64 if self.n_hidden < 64 else object)
+        return (probs >= self.firing_threshold) @ (1 << units)
 
     def score(self, X: np.ndarray, y=None, counter: CallCounter | None = None) -> float:
         return silhouette_score(np.asarray(X, dtype=float), self.predict(X))
@@ -737,6 +756,7 @@ def _build_rbm_clusterer(kwargs: Mapping, seed: int) -> RBMClusterer:
         firing_threshold=kwargs["firing_threshold"],
         n_epochs=kwargs["n_epochs"],
         seed=seed,
+        encoder_memo=kwargs.get("encoder_memo"),
     )
 
 

@@ -200,9 +200,11 @@ TunableRange = IntRange | FloatRange
 class ModelFamilyConfig:
     """One searchable model family: its task, layer-count bounds, and tunables.
 
-    `builder(kwargs, seed)` makes an untrained model; `restore(spec, registry)`
-    rebuilds a trained one from its model file. The finder refuses to search a
-    family without `restore`, because its winner could not be saved.
+    `builder(kwargs, seed)` makes an untrained model; kwargs also carries the
+    study's `encoder_memo` dict, which a builder may ignore.
+    `restore(spec, registry)` rebuilds a trained one from its model file. The
+    finder refuses to search a family without `restore`, because its winner
+    could not be saved.
     """
 
     name: str

@@ -233,6 +233,7 @@ def _suggest_and_build(
     registry: Registry,
     X: np.ndarray,
     seed: int,
+    encoder_memo: dict | None = None,
 ):
     families = registry.models_for_task(config.task)
     if not families:
@@ -242,6 +243,7 @@ def _suggest_and_build(
         kwargs = suggest_unsupervised_kwargs(trial, X, registry, config, model_type)
     else:
         kwargs = suggest_supervised_kwargs(trial, model_type, registry, X, config)
+    kwargs["encoder_memo"] = encoder_memo  # unsampled; only the RBM builder reads it
     return registry.model(model_type).builder(kwargs, seed)
 
 
@@ -314,13 +316,15 @@ def run_trial(
     registry: Registry,
     X: np.ndarray,
     y,
+    encoder_memo: dict | None = None,
 ) -> TrialRecord:
     """Sample, build, and evaluate one configuration over n_seeds training
     repeats. Any failure (construction, training, undefined score) yields a
-    failed record instead of aborting the study."""
+    failed record instead of aborting the study. `encoder_memo` is the
+    study's memo of trained encoders (see RBMClusterer)."""
 
     def fit_repeat(seed: int, ledger: BudgetLedger) -> float:
-        model = _suggest_and_build(trial, config, registry, X, seed)
+        model = _suggest_and_build(trial, config, registry, X, seed, encoder_memo)
         return _fit_and_score(model, X, y, ledger)
 
     return evaluate_config(trial, fit_repeat, config.n_seeds, config.base_seed, config.threshold)
@@ -345,6 +349,9 @@ def find_model(
     Every candidate family for the task must register `restore`, and X and y
     must be finite; otherwise a ValueError naming the family, or X or y, is
     raised before any trial runs.
+
+    Trials and the winner refit share one memo of trained encoders, so each
+    distinct encoder is trained once per call; it is dropped on return.
     """
     X = np.asarray(X, dtype=float)
     if config.task != TaskType.CLUSTERING:
@@ -358,9 +365,11 @@ def find_model(
                 f"model family {name!r} registers no restore, so its winner could not be saved"
             )
 
+    encoder_memo: dict = {}
+
     def one(trial_id: int) -> TrialRecord:
         trial = Trial(trial_id, derive_seed(config.base_seed, trial_id))
-        return run_trial(trial, config, registry, X, y)
+        return run_trial(trial, config, registry, X, y, encoder_memo)
 
     def stored(records):
         # each record reaches the store as soon as it is yielded, in trial-id
@@ -378,7 +387,9 @@ def find_model(
     best, feasible = select_best(trial_records)
 
     replay = Trial(best.trial_id, best.seed, sampler=ReplaySampler(best.sampled))
-    model = _suggest_and_build(replay, config, registry, X, repeat_seed(config.base_seed, 0))
+    model = _suggest_and_build(
+        replay, config, registry, X, repeat_seed(config.base_seed, 0), encoder_memo
+    )
     _fit_and_score(model, X, y, BudgetLedger())
     metadata = {
         "mean_score": best.mean_score,

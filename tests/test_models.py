@@ -397,6 +397,26 @@ def test_sigmoid_stable_at_extremes():
     np.testing.assert_allclose(values, [0.0, 0.5, 1.0], atol=1e-12)
 
 
+def _masked_sigmoid(z):
+    """The two-mask form `_sigmoid` replaced, kept as its bit-exact oracle."""
+    out = np.empty_like(z, dtype=float)
+    positive = z >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
+    exp_z = np.exp(z[~positive])
+    out[~positive] = exp_z / (1.0 + exp_z)
+    return out
+
+
+def test_sigmoid_is_bit_equal_to_masked_form():
+    tiny = np.finfo(float).tiny
+    edges = np.array([0.0, -0.0, 709.0, -709.0, 1000.0, -1000.0, tiny, -tiny])
+    rng = PortableRng(71)
+    narrow = np.array(rng.uniforms(20_000, -40.0, 40.0))
+    wide = np.array(rng.uniforms(20_000, -800.0, 800.0)).reshape(200, 100)
+    for z in (edges, narrow, wide):
+        assert np.array_equal(_sigmoid(z), _masked_sigmoid(z))
+
+
 def test_identity_encoder_layer_is_sigmoid_of_input():
     enc = BinaryEncoder(3, 1, 3, seed=0)
     enc.enc_weights[0] = np.eye(3)
@@ -463,6 +483,56 @@ def test_cluster_assignment_deterministic(cluster_blobs):
     first = model.predict(cluster_blobs)
     second = model.predict(cluster_blobs)
     np.testing.assert_array_equal(first, second)
+
+
+def _per_row_cluster_ids(model, X):
+    """The per-row assignment `predict` vectorizes: one row, one Python int."""
+    ids = []
+    for x in X:
+        probs = model.rbm.hidden_probabilities(model._latent_bits(np.atleast_2d(x))[0])
+        ids.append(sum(1 << j for j, fired in enumerate(probs >= model.firing_threshold)
+                       if fired))
+    return ids
+
+
+def test_rbm_predict_matches_per_row_assignment(cluster_blobs):
+    shapes = ((1, 2, 1, 0.5), (2, 3, 2, 0.45), (3, 3, 3, 0.6), (2, 2, 3, 0.35))
+    for seed, (encoder_layers, latent_size, n_hidden, threshold) in enumerate(shapes):
+        model = RBMClusterer(input_size=4, encoder_layers=encoder_layers,
+                             latent_size=latent_size, n_hidden=n_hidden,
+                             firing_threshold=threshold, n_epochs=10, seed=seed)
+        model.fit(cluster_blobs)
+        labels = model.predict(cluster_blobs)
+        assert labels.shape == (len(cluster_blobs),)
+        assert np.issubdtype(labels.dtype, np.integer)
+        assert labels.tolist() == _per_row_cluster_ids(model, cluster_blobs)
+        assert [model.cluster_assign(x) for x in cluster_blobs] == labels.tolist()
+
+
+def test_cluster_ids_of_64_or_more_hidden_units_do_not_wrap():
+    X = np.array([[0.1, 0.2], [0.3, 0.4]])
+    for n_hidden in (63, 64, 70):
+        model = RBMClusterer(input_size=2, encoder_layers=1, latent_size=2, n_hidden=n_hidden,
+                             firing_threshold=0.5, n_epochs=1, seed=0)
+        model.feature_min, model.feature_max = np.zeros(2), np.ones(2)
+        model.rbm.weights[:] = 0.0
+        model.rbm.hidden_bias = np.full(n_hidden, _logit(0.9))
+        model.rbm.hidden_bias[1] = _logit(0.1)  # every unit but unit 1 fires
+        expected = 2**n_hidden - 1 - 2
+        assert model.predict(X).tolist() == [expected, expected]
+        assert model.cluster_assign(X[0]) == expected
+
+
+def test_rbm_predict_reads_X_as_rows(cluster_blobs):
+    model = RBMClusterer(input_size=4, encoder_layers=1, latent_size=2, n_hidden=2,
+                         firing_threshold=0.5, n_epochs=2, seed=0).fit(cluster_blobs)
+    for empty in ([], np.empty(0), np.empty((0, 4))):
+        labels = model.predict(empty)
+        assert labels.shape == (0,)
+        assert np.issubdtype(labels.dtype, np.integer)
+    for bad in (cluster_blobs[0], cluster_blobs[None]):
+        with pytest.raises(ValueError, match="2-D"):
+            model.predict(bad)
 
 
 def test_rbm_pipeline_touches_no_device_calls(cluster_blobs):

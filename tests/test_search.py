@@ -1,6 +1,8 @@
 """Search contracts: sampler determinism and bounds, suggestion schemas,
 trial crash containment, the selection objective, and the tuner."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from qmlfinder import (
     suggest_supervised_kwargs,
     suggest_unsupervised_kwargs,
 )
+from qmlfinder.models import BinaryEncoder, RBMClusterer
 from qmlfinder.search import ReplaySampler
 from qmlfinder.store import StudyStore, model_from_spec
 
@@ -450,6 +453,117 @@ def test_find_model_store_bytes_match_under_n_cores(registry, blobs40, tmp_path)
         find_model(config, registry, X, y, StudyStore(paths[n_cores]))
     assert paths[1].read_bytes() == paths[4].read_bytes()
     assert [r.trial_id for r in StudyStore(paths[4]).load()] == list(range(8))
+
+
+# -- the study's encoder memo -------------------------------------------------------
+
+
+def _clustering_config(**overrides):
+    options = dict(task=TaskType.CLUSTERING, n_trials=20, n_seeds=3, n_epochs=10,
+                   threshold=0.8, base_seed=0)
+    options.update(overrides)
+    return FinderConfig(**options)
+
+
+def _record_encoder_fits(monkeypatch):
+    """Per RBMClusterer.fit: its encoder key (widths, seed) and whether it trained."""
+    fits = []
+    fit, train = RBMClusterer.fit, BinaryEncoder.train
+
+    def recording_fit(self, X, ledger=None):
+        fits.append([(tuple(self.encoder.widths), self.seed), False])
+        return fit(self, X, ledger)
+
+    def recording_train(self, *args, **kwargs):
+        fits[-1][1] = True
+        return train(self, *args, **kwargs)
+
+    monkeypatch.setattr(RBMClusterer, "fit", recording_fit)
+    monkeypatch.setattr(BinaryEncoder, "train", recording_train)
+    return fits
+
+
+def test_clustering_study_trains_each_distinct_encoder_once(
+    registry, cluster_blobs, monkeypatch
+):
+    fits = _record_encoder_fits(monkeypatch)
+    find_model(_clustering_config(), registry, cluster_blobs, None)
+    keys = [key for key, _ in fits]
+    trained = [key for key, did_train in fits if did_train]
+    assert len(keys) > len(set(keys))  # the study does ask for the same encoder again
+    assert sorted(trained) == sorted(set(keys))
+    assert fits[-1][1] is False  # the winner refit reuses a trial's encoder
+
+
+def test_encoder_memo_does_not_outlive_a_study(registry, cluster_blobs, monkeypatch):
+    fits = _record_encoder_fits(monkeypatch)
+    config = _clustering_config(n_trials=4, n_seeds=2)
+    trained = []
+    for _ in range(2):
+        fits.clear()
+        find_model(config, registry, cluster_blobs, None)
+        trained.append([key for key, did_train in fits if did_train])
+    assert trained[0] and trained[0] == trained[1]
+
+
+def test_clustering_store_bytes_match_under_n_cores(registry, cluster_blobs, tmp_path):
+    # threads share the memo; a short switch interval makes them race for its keys
+    paths, specs = {}, {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for n_cores in (1, 2, 4):
+            paths[n_cores] = tmp_path / f"cores{n_cores}.jsonl"
+            config = _clustering_config(n_trials=12, n_seeds=2, base_seed=1, n_cores=n_cores)
+            specs[n_cores] = find_model(config, registry, cluster_blobs, None,
+                                        StudyStore(paths[n_cores])).to_json()
+    finally:
+        sys.setswitchinterval(interval)
+    assert paths[1].read_bytes() == paths[2].read_bytes() == paths[4].read_bytes()
+    assert specs[1] == specs[2] == specs[4]
+
+
+def _clusterer(encoder_memo=None, seed=3):
+    return RBMClusterer(input_size=4, encoder_layers=2, latent_size=3, n_hidden=2,
+                        firing_threshold=0.5, n_epochs=10, seed=seed,
+                        encoder_memo=encoder_memo)
+
+
+def _encoder_stacks(model):
+    encoder = model.encoder
+    return [encoder.enc_weights, encoder.enc_biases, encoder.dec_weights, encoder.dec_biases]
+
+
+def _assert_same_encoder(model, other):
+    for stack, other_stack in zip(_encoder_stacks(model), _encoder_stacks(other)):
+        assert len(stack) == len(other_stack)
+        for a, b in zip(stack, other_stack):
+            assert np.array_equal(a, b)
+
+
+def test_memo_hit_fits_the_same_model_as_no_memo(cluster_blobs, monkeypatch):
+    memo = {}
+    miss = _clusterer(memo).fit(cluster_blobs)
+    fits = _record_encoder_fits(monkeypatch)
+    hit = _clusterer(memo).fit(cluster_blobs)
+    assert fits == [[((4, 4, 3), 3), False]]
+    monkeypatch.undo()
+    plain = _clusterer().fit(cluster_blobs)
+    assert hit.spec_fields() == plain.spec_fields() == miss.spec_fields()
+    _assert_same_encoder(hit, plain)
+
+
+def test_mutating_a_memo_model_leaves_later_hits_intact(cluster_blobs):
+    memo = {}
+    models = [_clusterer(memo).fit(cluster_blobs) for _ in range(2)]  # a miss, then a hit
+    for model in models:
+        for stack in _encoder_stacks(model):
+            for array in stack:
+                array += 1.0
+    later = _clusterer(memo).fit(cluster_blobs)
+    plain = _clusterer().fit(cluster_blobs)
+    assert later.spec_fields() == plain.spec_fields()
+    _assert_same_encoder(later, plain)
 
 
 def test_find_model_requires_targets_for_supervised(registry):
