@@ -100,8 +100,9 @@ class Statevector:
         amps[..., 0] = 1.0
         return cls(amps, n_wires)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+    def norm(self) -> float | np.ndarray:
+        """Euclidean norm of each state over the last axis; (B,) for a batch."""
+        return np.linalg.norm(self.amplitudes, axis=-1)
 
 
 class CallCounter:
@@ -136,14 +137,17 @@ class CircuitLike(Protocol):
 
 
 def _matrix(a, b, c, d) -> np.ndarray:
-    """[[a, b], [c, d]] as a complex (..., 2, 2) array over the entries' batch shape."""
-    entries = np.broadcast_arrays(a, b, c, d)
-    return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2)).astype(complex)
+    """[[a, b], [c, d]] as a complex (..., 2, 2) array over the entries' broadcast
+    shape: one allocation, each entry assigned in place (real entries get +0j)."""
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(c), np.shape(d))
+    out = np.empty(shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
+    return out
 
 
 def _rx_matrix(t) -> np.ndarray:
-    c, s = np.cos(t / 2), np.sin(t / 2)
-    return _matrix(c, -1j * s, -1j * s, c)
+    c, s = np.cos(t / 2), -1j * np.sin(t / 2)
+    return _matrix(c, s, s, c)
 
 
 def _ry_matrix(t) -> np.ndarray:
@@ -155,6 +159,17 @@ def _rz_matrix(t) -> np.ndarray:
     return _matrix(np.exp(-0.5j * t), 0, 0, np.exp(0.5j * t))
 
 
+def _rot_matrix(phi, theta, omega) -> np.ndarray:
+    """RZ(omega) @ RY(theta) @ RZ(phi), each entry multiplied in the product's order."""
+    shape = np.broadcast_shapes(np.shape(phi), np.shape(theta), np.shape(omega))
+    # on 1-d arrays: numpy's scalar arithmetic rounds differently from its array loops
+    phi, theta, omega = np.atleast_1d(phi, theta, omega)
+    a0, a1 = np.exp(-0.5j * omega), np.exp(0.5j * omega)
+    b0, b1 = np.exp(-0.5j * phi), np.exp(0.5j * phi)
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return _matrix(a0 * c * b0, a0 * -s * b1, a1 * s * b0, a1 * c * b1).reshape(shape + (2, 2))
+
+
 _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _Z_MATRIX = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -163,7 +178,7 @@ _GATES = {
     "RX": (1, _rx_matrix),
     "RY": (1, _ry_matrix),
     "RZ": (1, _rz_matrix),
-    "ROT": (3, lambda phi, theta, omega: _rz_matrix(omega) @ _ry_matrix(theta) @ _rz_matrix(phi)),
+    "ROT": (3, _rot_matrix),
     "H": (0, lambda: _H_MATRIX),
     "PAULI_Z": (0, lambda: _Z_MATRIX),
     "CNOT": (0, None),
@@ -234,11 +249,11 @@ def expectation_z(state: Statevector, wire: int) -> float | np.ndarray:
     return p[..., 0] - p[..., 1]
 
 
-def fidelity(a: Statevector, b: Statevector) -> float:
-    """|<a|b>|^2 in [0, 1]."""
+def fidelity(a: Statevector, b: Statevector) -> float | np.ndarray:
+    """|<a|b>|^2 in [0, 1] per state over the last axis; (B,) for a batch."""
     if a.n_wires != b.n_wires:
         raise ValueError(f"wire-count mismatch: {a.n_wires} vs {b.n_wires}")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+    return np.abs((a.amplitudes.conj() * b.amplitudes).sum(axis=-1)) ** 2
 
 
 def parameter_shift_gradient(

@@ -89,6 +89,37 @@ def ref_rot(phi, theta, omega):
     )
 
 
+# Stack-and-multiply gate matrices: each entry broadcast, stacked and cast to
+# complex, and ROT as the RZ(omega) @ RY(theta) @ RZ(phi) product. The
+# simulator builds its matrices entry by entry and must equal these bit for bit.
+
+
+def stacked_matrix(a, b, c, d):
+    entries = np.broadcast_arrays(a, b, c, d)
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2)).astype(complex)
+
+
+def stacked_rx(t):
+    c, s = np.cos(t / 2), np.sin(t / 2)
+    return stacked_matrix(c, -1j * s, -1j * s, c)
+
+
+def stacked_ry(t):
+    c, s = np.cos(t / 2), np.sin(t / 2)
+    return stacked_matrix(c, -s, s, c)
+
+
+def stacked_rz(t):
+    return stacked_matrix(np.exp(-0.5j * t), 0, 0, np.exp(0.5j * t))
+
+
+def product_rot(phi, theta, omega):
+    return stacked_rz(omega) @ stacked_ry(theta) @ stacked_rz(phi)
+
+
+STACKED_GATES = {"RX": stacked_rx, "RY": stacked_ry, "RZ": stacked_rz, "ROT": product_rot}
+
+
 REF_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 REF_X = np.array([[0, 1], [1, 0]], dtype=complex)
 REF_I = np.eye(2, dtype=complex)

@@ -1,6 +1,8 @@
 """Simulator contracts: known states, conventions, oracle equivalence,
 gradients, and call accounting."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -26,10 +28,11 @@ from qmlfinder import (
     ry,
     rz,
 )
-from qmlfinder.simulator import MAX_WIRES, h as hadamard, pauli_z
+from qmlfinder.simulator import MAX_WIRES, gate_matrix, h as hadamard, pauli_z
 
 from oracles import (
     REF_H,
+    STACKED_GATES,
     cnot_unitary,
     fd_gradient,
     ref_expectation_z,
@@ -108,6 +111,29 @@ def test_pauli_z_gate_flips_one_phase():
     state = apply_gate(Statevector.zero(1), hadamard(0))
     state = apply_gate(state, pauli_z(0))
     np.testing.assert_allclose(state.amplitudes, [SQRT2_INV, -SQRT2_INV], atol=1e-12)
+
+
+SPECIAL_ANGLES = [0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 1e-300, -1e-300, 1e300, -1e300]
+
+
+@pytest.mark.parametrize("kind", ["RX", "RY", "RZ", "ROT"])
+def test_gate_matrices_equal_the_stacked_product_forms_bit_for_bit(kind):
+    count = 3 if kind == "ROT" else 1
+    draws = np.random.default_rng(8).uniform(-4 * np.pi, 4 * np.pi, (count, 40))
+    batch = np.concatenate([np.tile(SPECIAL_ANGLES, (count, 1)), draws], axis=1)
+    cases = [
+        tuple(convert(t) for t in angles)
+        for convert in (float, np.float64, np.array)  # Python float, numpy scalar, 0-d array
+        for angles in itertools.product(SPECIAL_ANGLES + [0.3, -1.7], repeat=count)
+    ]
+    cases += [tuple(batch), tuple(batch[:, :1]), tuple(np.empty((count, 0)))]
+    for k in range(count):  # one (B,) angle broadcast against scalars of each kind
+        for scalar in (0.3, np.float64(-1.7), np.array(np.pi)):
+            cases.append(tuple(batch[i] if i == k else scalar for i in range(count)))
+    for angles in cases:
+        got, want = gate_matrix(Gate(kind, (0,), angles)), STACKED_GATES[kind](*angles)
+        assert got.dtype == np.complex128 and got.shape == want.shape, angles
+        assert np.array_equal(got, want), angles
 
 
 def random_state(rng, n_wires):
@@ -254,6 +280,38 @@ def test_fidelity_matches_direct_inner_product():
 def test_fidelity_dimension_mismatch():
     with pytest.raises(ValueError):
         fidelity(Statevector.zero(1), Statevector.zero(2))
+
+
+def test_fidelity_and_norm_of_a_batch_are_per_state():
+    rng = PortableRng(23)
+    spec = CircuitSpec(2, ANGLE, (STRONGLY_ENTANGLING,))
+    W = np.array([rng.uniforms(spec.param_count, -np.pi, np.pi) for _ in range(3)])
+    x = [0.4, -1.2]
+    S = run_circuit(spec, W, x, CallCounter())
+    T = run_circuit(spec, W[::-1] + 0.5, x, CallCounter())
+    same = run_circuit(spec, np.tile(W[0], (3, 1)), x, CallCounter())
+
+    def rows(state):
+        return [Statevector(amps, 2) for amps in state.amplitudes]
+
+    for a, b in [(S, T), (same, same)]:
+        batch = fidelity(a, b)
+        assert batch.shape == (3,)
+        per_row = [fidelity(u, v) for u, v in zip(rows(a), rows(b))]
+        np.testing.assert_allclose(batch, per_row, rtol=0, atol=1e-15)
+    assert np.all((fidelity(S, T) >= 0) & (fidelity(S, T) <= 1))
+    one = rows(T)[0]
+    np.testing.assert_allclose(
+        fidelity(S, one), [fidelity(u, one) for u in rows(S)], rtol=0, atol=1e-15
+    )
+    np.testing.assert_allclose(fidelity(same, same), 1.0, rtol=0, atol=1e-12)
+    for state in (S, T, same):
+        norms = state.norm()
+        assert norms.shape == (3,)
+        np.testing.assert_allclose(norms, [u.norm() for u in rows(state)], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)
+    single = rows(S)[0]
+    assert isinstance(fidelity(single, rows(T)[0]), float) and isinstance(single.norm(), float)
 
 
 # -- circuit execution vs dense-matrix oracle ---------------------------------
