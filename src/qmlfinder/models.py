@@ -417,9 +417,10 @@ class QEKClassifier(CircuitModel):
         return model
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function of z, written into `out` when given (`out` may be z)."""
     e = np.exp(-np.abs(z))  # in (0, 1], so neither branch overflows
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 class BinaryEncoder:
@@ -451,36 +452,130 @@ class BinaryEncoder:
 
     @staticmethod
     def _forward(X, weights, biases):
-        activations = [X]
         for W, b in zip(weights, biases):
-            activations.append(_sigmoid(activations[-1] @ W.T + b))
-        return activations
+            X = _sigmoid(X @ W.T + b)
+        return X
 
     def encode(self, X: np.ndarray) -> np.ndarray:
-        return self._forward(X, self.enc_weights, self.enc_biases)[-1]
+        return self._forward(X, self.enc_weights, self.enc_biases)
 
     def reconstruct(self, X: np.ndarray) -> np.ndarray:
-        return self._forward(self.encode(X), self.dec_weights, self.dec_biases)[-1]
+        return self._forward(self.encode(X), self.dec_weights, self.dec_biases)
 
     def reconstruction_error(self, X: np.ndarray) -> float:
         return float(np.mean((X - self.reconstruct(X)) ** 2))
 
-    def train(self, X: np.ndarray, n_epochs: int, learning_rate: float = 0.5) -> None:
-        weights = self.enc_weights + self.dec_weights
-        biases = self.enc_biases + self.dec_biases
-        n = len(X)
+    def train(
+        self,
+        X: np.ndarray,
+        n_epochs: int,
+        learning_rate: float = 0.5,
+        alongside: Sequence["BinaryEncoder"] = (),
+    ) -> None:
+        """Full-batch descent on the squared reconstruction error of X, for this
+        encoder and every encoder in `alongside` at once, each bit for bit as if
+        trained alone.
+
+        The encoders run in lockstep: depths are right-aligned, so every output
+        layer falls on the last step. A step holds its encoders' activations
+        side by side in one buffer and their parameters in one vector each, so
+        each elementwise operation is one numpy call for all of them; only the
+        matmuls run per encoder.
+        """
+        X = np.asarray(X, dtype=float)
+        stacks = [(e.enc_weights + e.dec_weights, e.enc_biases + e.dec_biases)
+                  for e in (self, *alongside)]
+        depth = max(len(weights) for weights, _ in stacks)
+        steps: list[_LockstepLayer] = []
+        for s in range(depth):
+            layers = {i: (weights[layer], biases[layer])
+                      for i, (weights, biases) in enumerate(stacks)
+                      if (layer := s - depth + len(weights)) >= 0}
+            steps.append(_LockstepLayer(layers, X, steps[-1] if steps else None))
+        last = steps[-1]
+        targets = np.tile(X, len(stacks))
         for _ in range(n_epochs):
-            activations = self._forward(X, weights, biases)
-            output = activations[-1]
-            delta = 2.0 * (output - X) / n * output * (1.0 - output)
-            for layer in range(len(weights) - 1, -1, -1):
-                grad_w = delta.T @ activations[layer]
-                grad_b = delta.sum(axis=0)
-                if layer > 0:
-                    prev = activations[layer]
-                    delta = (delta @ weights[layer]) * prev * (1.0 - prev)
-                weights[layer] -= learning_rate * grad_w
-                biases[layer] -= learning_rate * grad_b
+            for step in steps:
+                step.forward()
+            delta = last.delta
+            np.subtract(last.act, targets, out=delta)
+            delta *= 2.0
+            delta /= len(X)
+            delta *= last.act
+            delta *= 1.0 - last.act
+            for step in reversed(steps):
+                step.backward(learning_rate)
+        for step in steps:
+            step.write_back()
+
+
+class _LockstepLayer:
+    """One step of a lockstep: a layer of each encoder taking part, with
+    their activation and delta columns side by side in one (rows, sum of
+    widths) buffer each and their weights and biases as views into one
+    vector each. The per-encoder views are made once, before the epochs."""
+
+    def __init__(self, layers: Mapping[int, tuple], X: np.ndarray, prev: "_LockstepLayer | None"):
+        edges = np.cumsum([0, *(len(b) for _, b in layers.values())]).tolist()
+        sizes = np.cumsum([0, *(W.size for W, _ in layers.values())]).tolist()
+        self.prev = prev
+        self.act = np.empty((len(X), edges[-1]))
+        self.delta = np.empty_like(self.act)
+        self.biases = np.concatenate([b for _, b in layers.values()])
+        self.bias_grads = np.empty_like(self.biases)
+        self.weights = np.concatenate([W.ravel() for W, _ in layers.values()])
+        self.grads = np.empty_like(self.weights)
+        self.blocks: dict[int, tuple] = {}  # encoder -> its (activation, delta) columns
+        self.forward_ops, self.grad_ops, self.back_ops, self.lone, self.trained = [], [], [], [], []
+        for (i, (W, b)), c0, c1, w0, w1 in zip(layers.items(), edges, edges[1:], sizes, sizes[1:]):
+            weights = self.weights[w0:w1].reshape(W.shape)
+            act, delta = self.blocks[i] = self.act[:, c0:c1], self.delta[:, c0:c1]
+            inputs = X
+            if prev is not None and i in prev.blocks:
+                inputs, prev_delta = prev.blocks[i]
+                self.back_ops.append((delta, weights, prev_delta))
+            self.forward_ops.append((inputs, weights.T, act))
+            # a product with a vector takes another BLAS path on strided operands
+            # than on the contiguous arrays of an encoder trained alone
+            vector = 1 in (c1 - c0, inputs.shape[1])
+            self.grad_ops.append((delta, inputs, self.grads[w0:w1].reshape(W.shape), vector))
+            if c1 - c0 == 1:
+                # numpy sums a lone (n, 1) column pairwise but the columns of a
+                # wider array row by row, so width-1 blocks reduce on their own
+                self.lone.append((delta, self.bias_grads[c0:c1]))
+            self.trained += [(W, weights), (b, self.biases[c0:c1])]
+
+    def forward(self) -> None:
+        for inputs, weights_t, out in self.forward_ops:
+            np.matmul(inputs, weights_t, out=out)
+        self.act += self.biases
+        _sigmoid(self.act, out=self.act)
+
+    def backward(self, learning_rate: float) -> None:
+        """Gradients from this step's delta, the previous step's delta, then
+        the descent step; the delta is propagated through the old weights."""
+        for delta, inputs, grads, vector in self.grad_ops:
+            if vector:
+                delta, inputs = np.ascontiguousarray(delta), np.ascontiguousarray(inputs)
+            np.matmul(delta.T, inputs, out=grads)
+        np.add.reduce(self.delta, axis=0, out=self.bias_grads)
+        for delta, out in self.lone:
+            np.add.reduce(delta, axis=0, out=out)
+        prev = self.prev
+        if prev is not None:
+            for delta, weights, out in self.back_ops:
+                np.matmul(delta, weights, out=out)
+            prev.delta *= prev.act
+            prev.delta *= 1.0 - prev.act
+        self.grads *= learning_rate
+        self.weights -= self.grads
+        self.bias_grads *= learning_rate
+        self.biases -= self.bias_grads
+
+    def write_back(self) -> None:
+        """Copy the trained parameters into the encoders' own arrays."""
+        for own, trained in self.trained:
+            own[...] = trained
 
 
 class RBM:
@@ -532,8 +627,10 @@ class RBMClusterer:
 
     Entirely classical: fitting and assignment touch no device-call counter.
     Encoder training is a pure function of the scaled data, the widths, the
-    seed and the encoder budget; given an `encoder_memo` dict, `fit` trains
-    each such key once and later fits install copies of the trained stack.
+    seed and the encoder budget. `fit` installs a copy of the trained stack
+    from its `encoder_memo` dict, training (and memoizing) it only on a miss;
+    `train_encoders` fills a memo for many models in one lockstep, which a
+    study does before its first trial.
     """
 
     task = TaskType.CLUSTERING
@@ -592,24 +689,47 @@ class RBMClusterer:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.input_size:
             raise ValueError(f"expected 2D data with {self.input_size} features")
-        self.feature_min = X.min(axis=0)
-        self.feature_max = X.max(axis=0)
-        self._train_encoder(self._scale(X))
+        memo = {} if self.encoder_memo is None else self.encoder_memo
+        _, key = self._scaled_key(X)
+        if key not in memo:
+            self.train_encoders([self], X, memo)
+        encoder = self.encoder
+        (encoder.enc_weights, encoder.enc_biases,
+         encoder.dec_weights, encoder.dec_biases) = ([a.copy() for a in s] for s in memo[key])
         latents = self._latent_bits(X)
         for _ in range(self.n_epochs):
             self.rbm.cd1_epoch(latents, self.rbm_learning_rate)
         return self
 
-    def _train_encoder(self, scaled: np.ndarray) -> None:
-        encoder, memo = self.encoder, self.encoder_memo
-        key = (scaled.shape, scaled.tobytes(), tuple(encoder.widths), self.seed,
-               self.encoder_epochs, self.encoder_learning_rate)
-        if memo is not None and key in memo:
-            (encoder.enc_weights, encoder.enc_biases,
-             encoder.dec_weights, encoder.dec_biases) = ([a.copy() for a in s] for s in memo[key])
+    def _scaled_key(self, X: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """Fit the feature scaling to X; return the scaled data and the memo key
+        of the encoder trained on it."""
+        self.feature_min = X.min(axis=0)
+        self.feature_max = X.max(axis=0)
+        scaled = self._scale(X)
+        return scaled, (scaled.shape, scaled.tobytes(), tuple(self.encoder.widths), self.seed,
+                        self.encoder_epochs, self.encoder_learning_rate)
+
+    @staticmethod
+    def train_encoders(models: Sequence["RBMClusterer"], X: np.ndarray, memo: dict) -> None:
+        """Train each distinct encoder that fitting `models` on X needs and
+        `memo` lacks, all in one lockstep, and store copies in `memo`. The
+        models share one class, hence one encoder budget."""
+        pending: dict[tuple, RBMClusterer] = {}
+        for model in models:
+            try:
+                scaled, key = model._scaled_key(X)
+            except ValueError:  # data without rows: each fit fails on it and records that
+                continue
+            if key not in memo:
+                pending.setdefault(key, model)
+        if not pending:
             return
-        encoder.train(scaled, self.encoder_epochs, self.encoder_learning_rate)
-        if memo is not None:
+        first, *rest = pending.values()
+        first.encoder.train(scaled, first.encoder_epochs, first.encoder_learning_rate,
+                            alongside=[model.encoder for model in rest])
+        for key, model in pending.items():
+            encoder = model.encoder
             # threads that miss on one key store the same pure result; a dict store is GIL-atomic
             memo[key] = [[a.copy() for a in s] for s in (
                 encoder.enc_weights, encoder.enc_biases, encoder.dec_weights, encoder.dec_biases)]
@@ -804,6 +924,7 @@ def default_registry() -> Registry:
             n_layers=(1, 3),  # encoder depth bounds (lbae_n_layers)
             builder=_build_rbm_clusterer,
             restore=RBMClusterer.from_spec,
+            prepare=RBMClusterer.train_encoders,
             tunables={"firing_threshold": FloatRange(0.3, 0.7)},
         ),
     )

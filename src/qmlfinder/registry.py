@@ -204,7 +204,9 @@ class ModelFamilyConfig:
     study's `encoder_memo` dict, which a builder may ignore.
     `restore(spec, registry)` rebuilds a trained one from its model file. The
     finder refuses to search a family without `restore`, because its winner
-    could not be saved.
+    could not be saved. The optional `prepare(models, X, encoder_memo)` gets,
+    before a study's first trial, every model of the family its trials will
+    build and fit on X, and may do their shared work ahead into the memo.
     """
 
     name: str
@@ -214,6 +216,7 @@ class ModelFamilyConfig:
     tunables: Mapping[str, TunableRange] = field(default_factory=dict)
     fixed_options: Mapping[str, Any] = field(default_factory=dict)
     restore: Callable[[Any, "Registry"], Any] | None = None
+    prepare: Callable[[Sequence[Any], np.ndarray, dict], None] | None = None
 
     def __post_init__(self) -> None:
         low, high = self.n_layers

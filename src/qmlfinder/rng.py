@@ -107,4 +107,13 @@ class PortableRng:
             items[i], items[j] = items[j], items[i]
 
     def uniforms(self, n: int, low: float = 0.0, high: float = 1.0) -> list[float]:
-        return [self.uniform(low, high) for _ in range(n)]
+        """n successive `uniform(low, high)` draws, stepped in one local loop."""
+        x, span, out = self._state, high - low, []
+        append = out.append
+        for _ in range(n):
+            x ^= x >> 12
+            x = (x ^ (x << 25)) & MASK64
+            x ^= x >> 27
+            append(low + span * ((((x * _XORSHIFT_MUL) & MASK64) >> 11) * 2.0**-53))
+        self._state = x
+        return out

@@ -330,6 +330,30 @@ def run_trial(
     return evaluate_config(trial, fit_repeat, config.n_seeds, config.base_seed, config.threshold)
 
 
+def _prepare_families(
+    config: FinderConfig, registry: Registry, X: np.ndarray, encoder_memo: dict
+) -> None:
+    """Build every (trial, repeat) model the study will build, as its trials
+    will, and hand each candidate family that registers `prepare` its own.
+    Nothing is built when no family registers one."""
+    families = [registry.model(name) for name in registry.models_for_task(config.task)]
+    planned: dict[str, list] = {f.name: [] for f in families if f.prepare is not None}
+    if not planned:
+        return
+    for trial_id in range(config.n_trials):
+        trial = Trial(trial_id, derive_seed(config.base_seed, trial_id))
+        for k in range(config.n_seeds):
+            seed = repeat_seed(config.base_seed, k)
+            try:
+                model = _suggest_and_build(trial, config, registry, X, seed, encoder_memo)
+            except Exception:  # the trial stops here too, and records the failure itself
+                break
+            if trial.sampled["model_type"] in planned:
+                planned[trial.sampled["model_type"]].append(model)
+    for name, models in planned.items():
+        registry.model(name).prepare(models, X, encoder_memo)
+
+
 def find_model(
     config: FinderConfig,
     registry: Registry,
@@ -350,8 +374,9 @@ def find_model(
     must be finite; otherwise a ValueError naming the family, or X or y, is
     raised before any trial runs.
 
-    Trials and the winner refit share one memo of trained encoders, so each
-    distinct encoder is trained once per call; it is dropped on return.
+    Trials and the winner refit share one memo of trained encoders, filled
+    before the first trial by the families' `prepare` hooks, so each distinct
+    encoder is trained once per call; it is dropped on return.
     """
     X = np.asarray(X, dtype=float)
     if config.task != TaskType.CLUSTERING:
@@ -366,6 +391,7 @@ def find_model(
             )
 
     encoder_memo: dict = {}
+    _prepare_families(config, registry, X, encoder_memo)
 
     def one(trial_id: int) -> TrialRecord:
         trial = Trial(trial_id, derive_seed(config.base_seed, trial_id))

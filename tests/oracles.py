@@ -232,6 +232,32 @@ def brute_silhouette(X, labels):
     return sum(scores) / n
 
 
+def ref_train_autoencoder(weights, biases, X, n_epochs, learning_rate):
+    """One autoencoder's full-batch descent on squared reconstruction error,
+    layer by layer on its own arrays: the per-encoder loop the lockstep
+    trainer must match bit for bit. Updates `weights` and `biases` in place."""
+
+    def sigmoid(z):
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+    n = len(X)
+    for _ in range(n_epochs):
+        activations = [X]
+        for W, b in zip(weights, biases):
+            activations.append(sigmoid(activations[-1] @ W.T + b))
+        output = activations[-1]
+        delta = 2.0 * (output - X) / n * output * (1.0 - output)
+        for layer in range(len(weights) - 1, -1, -1):
+            grad_w = delta.T @ activations[layer]
+            grad_b = delta.sum(axis=0)
+            if layer > 0:
+                prev = activations[layer]
+                delta = (delta @ weights[layer]) * prev * (1.0 - prev)
+            weights[layer] -= learning_rate * grad_w
+            biases[layer] -= learning_rate * grad_b
+
+
 def qnn_fit_cost(p, n, epochs_run):
     """(training_gradients, scoring) for a full run of `epochs_run` epochs."""
     return 2 * p * n * epochs_run, n * (epochs_run + 1)

@@ -417,6 +417,17 @@ def test_sigmoid_is_bit_equal_to_masked_form():
         assert np.array_equal(_sigmoid(z), _masked_sigmoid(z))
 
 
+def test_sigmoid_in_place_is_bit_equal_at_the_edges():
+    z = np.array([0.0, -0.0, 709.0, -709.0, 1000.0, -1000.0, np.nan])
+    want = _masked_sigmoid(z)
+    out = z.copy()
+    assert _sigmoid(out, out=out) is out
+    assert np.array_equal(out, want, equal_nan=True)
+    assert np.isnan(out[-1]) and out[0] == out[1] == 0.5
+    spare = np.empty_like(z)
+    assert _sigmoid(z, out=spare) is spare and np.array_equal(spare, want, equal_nan=True)
+
+
 def test_identity_encoder_layer_is_sigmoid_of_input():
     enc = BinaryEncoder(3, 1, 3, seed=0)
     enc.enc_weights[0] = np.eye(3)

@@ -1,4 +1,5 @@
-"""Property tests (hypothesis): simulator invariants over generated inputs."""
+"""Property tests (hypothesis): simulator, encoder training and generator
+invariants over generated inputs."""
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from qmlfinder.models import BinaryEncoder
+from qmlfinder.rng import PortableRng
 from qmlfinder.simulator import Gate, gate_matrix
 
-from oracles import product_rot
+from oracles import product_rot, ref_train_autoencoder
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -34,3 +37,54 @@ def test_rot_matrix_equals_the_product_form_bit_for_bit(angles):
     got, want = gate_matrix(Gate("ROT", (0,), angles)), product_rot(*angles)
     assert got.dtype == np.complex128 and got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+@st.composite
+def encoder_lockstep(draw):
+    """Data, 1-4 encoder shapes (depth 1-3, latent width 1 up to the input
+    width, so width-1 layers occur) with shared or distinct seeds, epochs."""
+    input_size, rows = draw(st.integers(2, 8)), draw(st.integers(1, 20))
+    X = draw(hnp.arrays(np.float64, (rows, input_size), elements=st.floats(0.0, 1.0)))
+    shared = draw(st.booleans())
+    seed = draw(st.integers(0, 2**32))
+    shapes = draw(st.lists(
+        st.tuples(st.integers(1, 3), st.integers(1, input_size),
+                  st.just(seed) if shared else st.integers(0, 2**32)),
+        min_size=1, max_size=4,
+    ))
+    return X, [(input_size, *shape) for shape in shapes], draw(st.integers(0, 4))
+
+
+def _stacks(encoder):
+    return [encoder.enc_weights, encoder.enc_biases, encoder.dec_weights, encoder.dec_biases]
+
+
+@settings(deadline=None)
+@given(encoder_lockstep(), st.sampled_from([0.5, 5.0]))
+def test_lockstep_training_equals_separate_training_bit_for_bit(case, learning_rate):
+    X, shapes, n_epochs = case
+    together = [BinaryEncoder(*shape) for shape in shapes]
+    together[0].train(X, n_epochs, learning_rate, alongside=together[1:])
+    for shape, trained in zip(shapes, together):
+        alone, reference = BinaryEncoder(*shape), BinaryEncoder(*shape)
+        alone.train(X, n_epochs, learning_rate)
+        ref_train_autoencoder(reference.enc_weights + reference.dec_weights,
+                              reference.enc_biases + reference.dec_biases,
+                              X, n_epochs, learning_rate)
+        for got, solo, want in zip(_stacks(trained), _stacks(alone), _stacks(reference)):
+            for a, b, c in zip(got, solo, want):
+                assert np.array_equal(a, c) and np.array_equal(b, c)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(-(2**64), 2**64),
+    st.integers(0, 64),
+    st.tuples(FINITE, FINITE) | st.just((0.0, 1.0)),
+)
+def test_uniforms_equals_the_uniform_chain(seed, n, bounds):
+    fast, slow = PortableRng(seed), PortableRng(seed)
+    got = fast.uniforms(n, *bounds)
+    want = [slow.uniform(*bounds) for _ in range(n)]
+    assert list(map(repr, got)) == list(map(repr, want))
+    assert fast._state == slow._state

@@ -2,12 +2,14 @@
 trial crash containment, the selection objective, and the tuner."""
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qmlfinder import (
     FinderConfig,
+    ModelFamilyConfig,
     PortableRng,
     RandomSampler,
     Registry,
@@ -16,9 +18,12 @@ from qmlfinder import (
     Trial,
     TrialRecord,
     UnsupportedModelError,
+    base_registry,
+    default_registry,
     derive_seed,
     find_hyperparameters,
     find_model,
+    repeat_seed,
     run_trial,
     select_best,
     suggest_embedding,
@@ -466,44 +471,94 @@ def _clustering_config(**overrides):
 
 
 def _record_encoder_fits(monkeypatch):
-    """Per RBMClusterer.fit: its encoder key (widths, seed) and whether it trained."""
-    fits = []
-    fit, train = RBMClusterer.fit, BinaryEncoder.train
+    """Per RBMClusterer.fit: its encoder key (widths, seed) and whether it
+    trained; and the key of every encoder BinaryEncoder.train trained, those
+    trained alongside included, inside a fit or not."""
+    fits, trained, fitting = [], [], []
+    init, fit, train = RBMClusterer.__init__, RBMClusterer.fit, BinaryEncoder.train
+
+    def recording_init(self, **kwargs):
+        init(self, **kwargs)
+        self.encoder.key = (tuple(self.encoder.widths), self.seed)
 
     def recording_fit(self, X, ledger=None):
-        fits.append([(tuple(self.encoder.widths), self.seed), False])
-        return fit(self, X, ledger)
+        fits.append([self.encoder.key, False])
+        fitting.append(True)
+        try:
+            return fit(self, X, ledger)
+        finally:
+            fitting.pop()
 
-    def recording_train(self, *args, **kwargs):
-        fits[-1][1] = True
-        return train(self, *args, **kwargs)
+    def recording_train(self, X, n_epochs, learning_rate=0.5, alongside=()):
+        trained.extend(encoder.key for encoder in (self, *alongside))
+        if fitting:
+            fits[-1][1] = True
+        return train(self, X, n_epochs, learning_rate, alongside)
 
+    monkeypatch.setattr(RBMClusterer, "__init__", recording_init)
     monkeypatch.setattr(RBMClusterer, "fit", recording_fit)
     monkeypatch.setattr(BinaryEncoder, "train", recording_train)
-    return fits
+    return fits, trained
 
 
 def test_clustering_study_trains_each_distinct_encoder_once(
-    registry, cluster_blobs, monkeypatch
+    registry, cluster_blobs, tmp_path, monkeypatch
 ):
-    fits = _record_encoder_fits(monkeypatch)
-    find_model(_clustering_config(), registry, cluster_blobs, None)
+    fits, trained = _record_encoder_fits(monkeypatch)
+    config, store = _clustering_config(), StudyStore(tmp_path / "study.jsonl")
+    find_model(config, registry, cluster_blobs, None, store)
     keys = [key for key, _ in fits]
-    trained = [key for key, did_train in fits if did_train]
     assert len(keys) > len(set(keys))  # the study does ask for the same encoder again
-    assert sorted(trained) == sorted(set(keys))
+    # every (trial, repeat) is planned before the first trial, also the repeats
+    # a trial never reaches once an earlier repeat has failed
+    planned = {
+        (tuple(BinaryEncoder(4, r.sampled["lbae_n_layers"], r.sampled["lbae_out_channels"], 0)
+               .widths), repeat_seed(config.base_seed, k))
+        for r in store.load() for k in range(config.n_seeds)
+    }
+    assert sorted(trained) == sorted(planned)
+    assert set(keys) <= planned
+    assert not any(did_train for _, did_train in fits)
     assert fits[-1][1] is False  # the winner refit reuses a trial's encoder
 
 
 def test_encoder_memo_does_not_outlive_a_study(registry, cluster_blobs, monkeypatch):
-    fits = _record_encoder_fits(monkeypatch)
+    _, trained = _record_encoder_fits(monkeypatch)
     config = _clustering_config(n_trials=4, n_seeds=2)
-    trained = []
+    per_study = []
     for _ in range(2):
-        fits.clear()
+        trained.clear()
         find_model(config, registry, cluster_blobs, None)
-        trained.append([key for key, did_train in fits if did_train])
-    assert trained[0] and trained[0] == trained[1]
+        per_study.append(list(trained))
+    assert per_study[0] and per_study[0] == per_study[1]
+
+
+def test_failures_reach_their_trials_as_without_the_prepass(cluster_blobs, tmp_path):
+    """A family whose builder raises, and data no fit accepts, leave the same
+    records and winner as a study without the encoder pre-pass."""
+
+    def broken(kwargs, seed):
+        raise RuntimeError("builder broke")
+
+    outcomes = []
+    for prepare in (RBMClusterer.train_encoders, None):
+        registry = base_registry()
+        registry.register("model", replace(default_registry().model("RBM"), prepare=prepare))
+        registry.register("model", ModelFamilyConfig(
+            name="BROKEN", task=TaskType.CLUSTERING, n_layers=(1, 3), builder=broken,
+            restore=RBMClusterer.from_spec))
+        study = tmp_path / f"study-{prepare is None}.jsonl"
+        empty = tmp_path / f"empty-{prepare is None}.jsonl"
+        config = _clustering_config(n_trials=6, n_seeds=2, base_seed=2)
+        spec = find_model(config, registry, cluster_blobs, None, StudyStore(study))
+        with pytest.raises(StudyFailureError):
+            find_model(_clustering_config(n_trials=4, n_seeds=2), registry, cluster_blobs[:0],
+                       None, StudyStore(empty))
+        outcomes.append((study.read_bytes(), spec.to_json(), empty.read_bytes()))
+    assert outcomes[0] == outcomes[1]
+    errors = [r.error for r in StudyStore(study).load()]
+    assert "RuntimeError: builder broke" in errors
+    assert any(r.status == "complete" for r in StudyStore(study).load())
 
 
 def test_clustering_store_bytes_match_under_n_cores(registry, cluster_blobs, tmp_path):
@@ -544,9 +599,9 @@ def _assert_same_encoder(model, other):
 def test_memo_hit_fits_the_same_model_as_no_memo(cluster_blobs, monkeypatch):
     memo = {}
     miss = _clusterer(memo).fit(cluster_blobs)
-    fits = _record_encoder_fits(monkeypatch)
+    fits, trained = _record_encoder_fits(monkeypatch)
     hit = _clusterer(memo).fit(cluster_blobs)
-    assert fits == [[((4, 4, 3), 3), False]]
+    assert fits == [[((4, 4, 3), 3), False]] and trained == []
     monkeypatch.undo()
     plain = _clusterer().fit(cluster_blobs)
     assert hit.spec_fields() == plain.spec_fields() == miss.spec_fields()
