@@ -12,7 +12,7 @@ classifier predicts 1 exactly when its expectation drops to 0 or below.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, pi
+from math import isfinite, pi, prod
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -419,8 +419,9 @@ class QEKClassifier(CircuitModel):
 
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function of z, written into `out` when given (`out` may be z)."""
-    e = np.exp(-np.abs(z))  # in (0, 1], so neither branch overflows
-    return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)
+    # exp(min(z, 0)) is 1 where z >= 0 and exp(-|z|) elsewhere; neither overflows
+    e = np.exp(-np.abs(z))
+    return np.divide(np.exp(np.minimum(z, 0.0)), 1.0 + e, out=out)
 
 
 class BinaryEncoder:
@@ -476,106 +477,104 @@ class BinaryEncoder:
         encoder and every encoder in `alongside` at once, each bit for bit as if
         trained alone.
 
-        The encoders run in lockstep: depths are right-aligned, so every output
-        layer falls on the last step. A step holds its encoders' activations
-        side by side in one buffer and their parameters in one vector each, so
-        each elementwise operation is one numpy call for all of them; only the
-        matmuls run per encoder.
+        The encoders train as stacks (`_train_stack`): each layer step holds
+        its encoders in one (k, rows, width) array, zero-padded to the widest
+        encoder there, so each matmul and elementwise operation is one numpy
+        call for all k of them. Padding is exact only while every product is a
+        matrix product. numpy sends a product with a vector (a width-1 layer,
+        or X with one row) to BLAS gemv, and padding would turn it into gemm,
+        which rounds differently; numpy also sums a width-1 column pairwise,
+        wider ones row by row. Such an encoder stacks only with encoders of
+        identical widths, unpadded.
         """
         X = np.asarray(X, dtype=float)
-        stacks = [(e.enc_weights + e.dec_weights, e.enc_biases + e.dec_biases)
-                  for e in (self, *alongside)]
-        depth = max(len(weights) for weights, _ in stacks)
-        steps: list[_LockstepLayer] = []
-        for s in range(depth):
-            layers = {i: (weights[layer], biases[layer])
-                      for i, (weights, biases) in enumerate(stacks)
-                      if (layer := s - depth + len(weights)) >= 0}
-            steps.append(_LockstepLayer(layers, X, steps[-1] if steps else None))
-        last = steps[-1]
-        targets = np.tile(X, len(stacks))
-        for _ in range(n_epochs):
-            for step in steps:
-                step.forward()
-            delta = last.delta
-            np.subtract(last.act, targets, out=delta)
-            delta *= 2.0
-            delta /= len(X)
-            delta *= last.act
-            delta *= 1.0 - last.act
-            for step in reversed(steps):
-                step.backward(learning_rate)
-        for step in steps:
-            step.write_back()
+        stacks: dict[tuple | None, list[BinaryEncoder]] = {}
+        for encoder in (self, *alongside):
+            exact = len(X) < 2 or min(encoder.widths) < 2
+            stacks.setdefault(tuple(encoder.widths) if exact else None, []).append(encoder)
+        for encoders in stacks.values():
+            _train_stack(encoders, X, n_epochs, learning_rate)
 
 
-class _LockstepLayer:
-    """One step of a lockstep: a layer of each encoder taking part, with
-    their activation and delta columns side by side in one (rows, sum of
-    widths) buffer each and their weights and biases as views into one
-    vector each. The per-encoder views are made once, before the epochs."""
+def _carve(flat: np.ndarray, shapes: Sequence[tuple]) -> list[np.ndarray]:
+    """Consecutive views of `flat`, one per shape."""
+    ends = np.cumsum([0, *map(prod, shapes)]).tolist()
+    return [flat[a:b].reshape(shape) for a, b, shape in zip(ends, ends[1:], shapes)]
 
-    def __init__(self, layers: Mapping[int, tuple], X: np.ndarray, prev: "_LockstepLayer | None"):
-        edges = np.cumsum([0, *(len(b) for _, b in layers.values())]).tolist()
-        sizes = np.cumsum([0, *(W.size for W, _ in layers.values())]).tolist()
-        self.prev = prev
-        self.act = np.empty((len(X), edges[-1]))
-        self.delta = np.empty_like(self.act)
-        self.biases = np.concatenate([b for _, b in layers.values()])
-        self.bias_grads = np.empty_like(self.biases)
-        self.weights = np.concatenate([W.ravel() for W, _ in layers.values()])
-        self.grads = np.empty_like(self.weights)
-        self.blocks: dict[int, tuple] = {}  # encoder -> its (activation, delta) columns
-        self.forward_ops, self.grad_ops, self.back_ops, self.lone, self.trained = [], [], [], [], []
-        for (i, (W, b)), c0, c1, w0, w1 in zip(layers.items(), edges, edges[1:], sizes, sizes[1:]):
-            weights = self.weights[w0:w1].reshape(W.shape)
-            act, delta = self.blocks[i] = self.act[:, c0:c1], self.delta[:, c0:c1]
-            inputs = X
-            if prev is not None and i in prev.blocks:
-                inputs, prev_delta = prev.blocks[i]
-                self.back_ops.append((delta, weights, prev_delta))
-            self.forward_ops.append((inputs, weights.T, act))
-            # a product with a vector takes another BLAS path on strided operands
-            # than on the contiguous arrays of an encoder trained alone
-            vector = 1 in (c1 - c0, inputs.shape[1])
-            self.grad_ops.append((delta, inputs, self.grads[w0:w1].reshape(W.shape), vector))
-            if c1 - c0 == 1:
-                # numpy sums a lone (n, 1) column pairwise but the columns of a
-                # wider array row by row, so width-1 blocks reduce on their own
-                self.lone.append((delta, self.bias_grads[c0:c1]))
-            self.trained += [(W, weights), (b, self.biases[c0:c1])]
 
-    def forward(self) -> None:
-        for inputs, weights_t, out in self.forward_ops:
-            np.matmul(inputs, weights_t, out=out)
-        self.act += self.biases
-        _sigmoid(self.act, out=self.act)
-
-    def backward(self, learning_rate: float) -> None:
-        """Gradients from this step's delta, the previous step's delta, then
-        the descent step; the delta is propagated through the old weights."""
-        for delta, inputs, grads, vector in self.grad_ops:
-            if vector:
-                delta, inputs = np.ascontiguousarray(delta), np.ascontiguousarray(inputs)
-            np.matmul(delta.T, inputs, out=grads)
-        np.add.reduce(self.delta, axis=0, out=self.bias_grads)
-        for delta, out in self.lone:
-            np.add.reduce(delta, axis=0, out=out)
-        prev = self.prev
-        if prev is not None:
-            for delta, weights, out in self.back_ops:
-                np.matmul(delta, weights, out=out)
-            prev.delta *= prev.act
-            prev.delta *= 1.0 - prev.act
-        self.grads *= learning_rate
-        self.weights -= self.grads
-        self.bias_grads *= learning_rate
-        self.biases -= self.bias_grads
-
-    def write_back(self) -> None:
-        """Copy the trained parameters into the encoders' own arrays."""
-        for own, trained in self.trained:
-            own[...] = trained
+def _train_stack(encoders: Sequence[BinaryEncoder], X: np.ndarray, n_epochs: int,
+                 learning_rate: float) -> None:
+    """Train `encoders` on X as one stack. Deepest first and right-aligned, so
+    every output layer falls on the last step: step s holds the first k_s
+    encoders, and boundary j is b_j wide, the widest of its encoders there.
+    Step s reads the (k_s, rows, b_s) activations of boundary s, whose tail
+    holds X for the encoders starting there, and writes the head of boundary
+    s+1's. A padded unit has zero weights and a -inf bias, so its activation,
+    delta and gradients are exact zeros and every padded term of a real sum is
+    an exact zero. All activations are views into one vector, so 1 - a is one
+    call per epoch; all weights and biases are views into another, as are
+    their gradients, so the descent step is two calls per epoch."""
+    layers = sorted(([*zip(e.enc_weights + e.dec_weights, e.enc_biases + e.dec_biases)]
+                     for e in encoders), key=len, reverse=True)
+    depth, n, features = len(layers[0]), len(X), X.shape[1]
+    counts = [sum(len(own) >= depth - j for own in layers) for j in range(depth + 1)]
+    widths = [max(own[j - depth + len(own)][0].shape[1] for own in layers[:counts[j]])
+              for j in range(depth)] + [features]
+    shapes = [(k, n, width) for k, width in zip(counts, widths)]
+    all_acts = np.zeros(sum(map(prod, shapes)))
+    all_complements = np.empty_like(all_acts)
+    acts, complements = _carve(all_acts, shapes), _carve(all_complements, shapes)
+    for j, start in enumerate([0, *counts[:depth - 1]]):
+        if counts[j] > start:  # encoders start at step j
+            acts[j][start:, :, :features] = X
+    shapes = [shape for k, w_in, w_out in zip(counts, widths, widths[1:])
+              for shape in ((k, w_out, w_in), (k, w_out))]  # weights, biases per step
+    params = np.zeros(sum(map(prod, shapes)))
+    grads = np.empty_like(params)
+    param_views, grad_views = _carve(params, shapes), _carve(grads, shapes)
+    weights, biases = param_views[::2], param_views[1::2]
+    weight_grads, bias_grads = grad_views[::2], grad_views[1::2]
+    trained = []
+    for s, (step_weights, step_biases) in enumerate(zip(weights, biases)):
+        step_biases[...] = -np.inf
+        for i, own in enumerate(layers[:counts[s]]):
+            W, b = own[s - depth + len(own)]
+            rows, cols = W.shape
+            step_weights[i, :rows, :cols], step_biases[i, :rows] = W, b
+            trained += [(W, step_weights[i, :rows, :cols]), (b, step_biases[i, :rows])]
+    forward = [(acts[s], weights[s].transpose(0, 2, 1), biases[s][:, None], acts[s + 1][:k])
+               for s, k in enumerate(counts[:-1])]
+    deltas = [np.empty((k, n, width)) for k, width in zip(counts, widths[1:])]
+    backward = []  # per step, last first: the gradient operands, then back-propagation's
+    for s in reversed(range(depth)):
+        delta, k = deltas[s], counts[s - 1]
+        backward.append((delta.transpose(0, 2, 1), acts[s], weight_grads[s], delta, bias_grads[s],
+                         (delta[:k], weights[s][:k], deltas[s - 1], acts[s][:k],
+                          complements[s][:k]) if s else None))
+    out, last = acts[-1], deltas[-1]
+    for _ in range(n_epochs):
+        for inputs, weights_t, step_biases, step_out in forward:
+            np.matmul(inputs, weights_t, out=step_out)
+            step_out += step_biases
+            _sigmoid(step_out, out=step_out)
+        np.subtract(1.0, all_acts, out=all_complements)
+        np.subtract(out, X, out=last)
+        last *= 2.0
+        last /= n
+        last *= out
+        last *= complements[-1]
+        for delta_t, inputs, step_weight_grads, delta, step_bias_grads, back in backward:
+            np.matmul(delta_t, inputs, out=step_weight_grads)
+            np.add.reduce(delta, axis=1, out=step_bias_grads)
+            if back:  # through the old weights: the descent comes last
+                head, head_weights, prev, head_acts, head_complements = back
+                np.matmul(head, head_weights, out=prev)
+                prev *= head_acts
+                prev *= head_complements
+        grads *= learning_rate
+        params -= grads
+    for own, padded in trained:
+        own[...] = padded
 
 
 class RBM:

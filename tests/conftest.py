@@ -3,6 +3,15 @@ import pytest
 
 from qmlfinder import PortableRng, default_registry
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without hypothesis
+    pass
+else:
+    # `--hypothesis-profile=ci`: more examples for the bit-for-bit properties,
+    # which depend on the BLAS kernels of the machine running them
+    settings.register_profile("ci", max_examples=500)
+
 
 @pytest.fixture
 def registry():

@@ -1,5 +1,7 @@
 """Model-family behavior: decision rules, training, kernels, clustering."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,13 @@ from qmlfinder import (
 )
 from qmlfinder.models import RBM, BinaryEncoder, _sigmoid
 
-from oracles import brute_silhouette, ref_expectation_z, ref_run_circuit, training_kernel_cost
+from oracles import (
+    brute_silhouette,
+    ref_expectation_z,
+    ref_run_circuit,
+    ref_train_autoencoder,
+    training_kernel_cost,
+)
 
 
 # -- QNN classifier -------------------------------------------------------------
@@ -434,6 +442,48 @@ def test_identity_encoder_layer_is_sigmoid_of_input():
     enc.enc_biases[0] = np.zeros(3)
     X = np.array([[0.2, -1.0, 3.0]])
     np.testing.assert_allclose(enc.encode(X), _sigmoid(X), atol=1e-15)
+
+
+def _study_encoders(cluster_blobs):
+    """The six encoders a cluster-blobs study trains together (depth 1-3 by
+    latent 2-3, seed 0) and the min-max scaled 30 x 4 data they train on."""
+    low, high = cluster_blobs.min(axis=0), cluster_blobs.max(axis=0)
+    X = (cluster_blobs - low) / (high - low)
+    return X, [BinaryEncoder(4, depth, latent, seed=0) for depth in (1, 2, 3) for latent in (2, 3)]
+
+
+def _parameters(encoder):
+    return [*encoder.enc_weights, *encoder.enc_biases, *encoder.dec_weights, *encoder.dec_biases]
+
+
+def test_study_encoder_stack_equals_the_reference_loop_in_any_order(cluster_blobs):
+    epochs, rate = RBMClusterer.encoder_epochs, RBMClusterer.encoder_learning_rate
+    X, stacked = _study_encoders(cluster_blobs)
+    _, permuted = _study_encoders(cluster_blobs)
+    _, references = _study_encoders(cluster_blobs)
+    stacked[0].train(X, epochs, rate, alongside=stacked[1:])
+    first, *rest = (permuted[i] for i in (4, 1, 5, 0, 3, 2))
+    first.train(X, epochs, rate, alongside=rest)
+    for encoder, other, reference in zip(stacked, permuted, references):
+        ref_train_autoencoder(reference.enc_weights + reference.dec_weights,
+                              reference.enc_biases + reference.dec_biases, X, epochs, rate)
+        for got, again, want in zip(_parameters(encoder), _parameters(other),
+                                    _parameters(reference)):
+            assert got.tobytes() == want.tobytes() and again.tobytes() == want.tobytes()
+
+
+def test_study_encoder_stack_padding_never_surfaces(cluster_blobs):
+    """Padded units are exact zeros: no floating-point fault or warning, and
+    each encoder keeps its own finite arrays, which the encoder memo copies."""
+    X, encoders = _study_encoders(cluster_blobs)
+    before = [[(array, array.shape) for array in _parameters(e)] for e in encoders]
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        encoders[0].train(X, RBMClusterer.encoder_epochs, RBMClusterer.encoder_learning_rate,
+                          alongside=encoders[1:])
+    for encoder, arrays in zip(encoders, before):
+        for got, (array, shape) in zip(_parameters(encoder), arrays):
+            assert got is array and got.shape == shape and np.isfinite(got).all()
 
 
 def test_zero_weight_rbm_hidden_probs_are_sigmoid_of_bias():

@@ -6,7 +6,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qmlfinder.models import BinaryEncoder
@@ -41,7 +41,7 @@ def test_rot_matrix_equals_the_product_form_bit_for_bit(angles):
 
 @st.composite
 def encoder_lockstep(draw):
-    """Data, 1-4 encoder shapes (depth 1-3, latent width 1 up to the input
+    """Data, 1-6 encoder shapes (depth 1-3, latent width 1 up to the input
     width, so width-1 layers occur) with shared or distinct seeds, epochs."""
     input_size, rows = draw(st.integers(2, 8)), draw(st.integers(1, 20))
     X = draw(hnp.arrays(np.float64, (rows, input_size), elements=st.floats(0.0, 1.0)))
@@ -50,7 +50,7 @@ def encoder_lockstep(draw):
     shapes = draw(st.lists(
         st.tuples(st.integers(1, 3), st.integers(1, input_size),
                   st.just(seed) if shared else st.integers(0, 2**32)),
-        min_size=1, max_size=4,
+        min_size=1, max_size=6,
     ))
     return X, [(input_size, *shape) for shape in shapes], draw(st.integers(0, 4))
 
@@ -59,8 +59,19 @@ def _stacks(encoder):
     return [encoder.enc_weights, encoder.enc_biases, encoder.dec_weights, encoder.dec_biases]
 
 
+def _rows(n_rows, input_size):
+    return np.array([[(3 * r + f) % 7 / 6 for f in range(input_size)] for r in range(n_rows)])
+
+
+# one train call mixing a padded stack with width-1 encoders, which stack
+# only with their twins; then the same mix on one row, where nothing pads
+MIXED = [(5, 1, 1, 3), (5, 3, 4, 3), (5, 1, 2, 7), (5, 2, 1, 3), (5, 2, 3, 3), (5, 1, 1, 3)]
+
+
 @settings(deadline=None)
 @given(encoder_lockstep(), st.sampled_from([0.5, 5.0]))
+@example((_rows(12, 5), MIXED, 3), 5.0)
+@example((_rows(1, 5), MIXED, 3), 0.5)
 def test_lockstep_training_equals_separate_training_bit_for_bit(case, learning_rate):
     X, shapes, n_epochs = case
     together = [BinaryEncoder(*shape) for shape in shapes]
