@@ -729,7 +729,6 @@ class RBMClusterer:
                             alongside=[model.encoder for model in rest])
         for key, model in pending.items():
             encoder = model.encoder
-            # threads that miss on one key store the same pure result; a dict store is GIL-atomic
             memo[key] = [[a.copy() for a in s] for s in (
                 encoder.enc_weights, encoder.enc_biases, encoder.dec_weights, encoder.dec_biases)]
 

@@ -2,15 +2,14 @@
 finder with its threshold-constrained call-minimization objective, and the
 optimizer-comparison tuner.
 
-Every trial re-seeds its own sampler from (base_seed, trial_id), so running
-trials concurrently cannot change what any trial samples. Evaluation repeats
-within a trial use the shared training seeds base_seed * 10007 + k, making
-repeat k comparable across trials.
+Trials run one at a time in id order, each record stored before the next
+trial starts; every trial seeds its own sampler from (base_seed, trial_id).
+Evaluation repeats within a trial use the shared training seeds
+base_seed * 10007 + k, making repeat k comparable across trials.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import ceil, floor, sqrt
 from typing import Any, Callable, Mapping, Sequence
@@ -354,6 +353,19 @@ def _prepare_families(
         registry.model(name).prepare(models, X, encoder_memo)
 
 
+def _run_trials(
+    n_trials: int, base_seed: int, evaluate: Callable[[Trial], TrialRecord],
+    store: StudyStore | None,
+) -> list[TrialRecord]:
+    """Evaluate trials 0 ... n_trials-1 in id order; each is stored before the next starts."""
+    records = []
+    for trial_id in range(n_trials):
+        records.append(evaluate(Trial(trial_id, derive_seed(base_seed, trial_id))))
+        if store is not None:
+            store.append_trial(records[-1])
+    return records
+
+
 def find_model(
     config: FinderConfig,
     registry: Registry,
@@ -393,24 +405,10 @@ def find_model(
     encoder_memo: dict = {}
     _prepare_families(config, registry, X, encoder_memo)
 
-    def one(trial_id: int) -> TrialRecord:
-        trial = Trial(trial_id, derive_seed(config.base_seed, trial_id))
+    def evaluate(trial: Trial) -> TrialRecord:
         return run_trial(trial, config, registry, X, y, encoder_memo)
 
-    def stored(records):
-        # each record reaches the store as soon as it is yielded, in trial-id
-        # order whatever n_cores is, so serial and threaded stores match byte for byte
-        for record in records:
-            if store is not None:
-                store.append_trial(record)
-            yield record
-
-    if config.n_cores == 1:
-        trial_records = list(stored(map(one, range(config.n_trials))))
-    else:
-        with ThreadPoolExecutor(max_workers=config.n_cores) as pool:
-            trial_records = list(stored(pool.map(one, range(config.n_trials))))
-    best, feasible = select_best(trial_records)
+    best, feasible = select_best(_run_trials(config.n_trials, config.base_seed, evaluate, store))
 
     replay = Trial(best.trial_id, best.seed, sampler=ReplaySampler(best.sampled))
     model = _suggest_and_build(
@@ -440,8 +438,11 @@ def find_hyperparameters(
 ) -> OptimizerConfig:
     """Compare optimizer configurations on a fixed architecture, retraining it
     from scratch per seed; the best mean final score wins, ties broken by
-    fewer device calls then lower trial id. Non-finite X or y raise a
-    ValueError naming which before the first trial."""
+    fewer device calls then lower trial id. Non-finite X or y, or n_trials or
+    n_seeds below 1, raise a ValueError naming which before the first trial."""
+    for name, count in (("n_trials", n_trials), ("n_seeds", n_seeds)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1")
     model = model_from_spec(model_spec, registry)
     if not isinstance(model, QNN):
         raise UnsupportedModelError(
@@ -451,9 +452,9 @@ def find_hyperparameters(
     y = np.asarray(y)
     _require_finite(X, y)
 
-    records: list[tuple[TrialRecord, OptimizerConfig]] = []
-    for trial_id in range(n_trials):
-        trial = Trial(trial_id, derive_seed(base_seed, trial_id))
+    optimizers: dict[int, OptimizerConfig] = {}
+
+    def evaluate(trial: Trial) -> TrialRecord:
         kind = trial.suggest_categorical("optimizer", list(TUNER_OPTIMIZER_KINDS))
         learning_rate = trial.suggest_float(
             "learning_rate", *TUNER_LEARNING_RATE_RANGE, log=True
@@ -464,26 +465,24 @@ def find_hyperparameters(
             else 0.0
         )
         opt = OptimizerConfig(kind=kind, learning_rate=learning_rate, momentum=momentum)
+        optimizers[trial.trial_id] = opt
 
         def fit_repeat(seed: int, ledger: BudgetLedger) -> float:
             return float(model.reseeded(seed).fit(X, y, ledger, optimizer=opt).train_score)
 
-        record = evaluate_config(trial, fit_repeat, n_seeds, base_seed, None)
-        if store is not None:
-            store.append_trial(record)
-        records.append((record, opt))
+        return evaluate_config(trial, fit_repeat, n_seeds, base_seed, None)
 
-    complete = [(r, opt) for r, opt in records if r.status == "complete"]
+    records = _run_trials(n_trials, base_seed, evaluate, store)
+    complete = [r for r in records if r.status == "complete"]
     if not complete:
         raise StudyFailureError("no tuner trial completed")
-    best_record, best_opt = min(
-        complete, key=lambda pair: (-pair[0].mean_score, pair[0].total_calls, pair[0].trial_id)
-    )
-    return best_opt
+    best = min(complete, key=lambda r: (-r.mean_score, r.total_calls, r.trial_id))
+    return optimizers[best.trial_id]
 
 
 class ModelFinder:
-    """Convenience wrapper: hold data and config, then call find_model()."""
+    """Convenience wrapper: hold data and config, then call find_model().
+    n_cores must be >= 1 but parallelizes nothing: trials run serially in id order."""
 
     def __init__(
         self,

@@ -190,13 +190,9 @@ def test_tune_happy_path(tmp_path, blobs_csv, capsys):
          "--target", "y", "--trials", "2", "--seeds", "1",
          "--store", str(tmp_path / "t.jsonl"), "--out", str(tmp_path / "opt.json")]
     )
-    if code == EXIT_OK:
-        out = capsys.readouterr().out
-        assert '"kind"' in out
-        assert (tmp_path / "opt.json").exists()
-    else:
-        # the fast study may have chosen QEK; then tune is rejected as unsupported
-        assert code == EXIT_DATA
+    assert code == EXIT_OK  # the fixture study picks a QNN, so the tuner must run
+    assert '"kind"' in capsys.readouterr().out
+    assert (tmp_path / "opt.json").exists()
 
 
 def test_identical_invocations_are_byte_identical(tmp_path, blobs_csv):

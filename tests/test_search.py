@@ -1,7 +1,6 @@
 """Search contracts: sampler determinism and bounds, suggestion schemas,
 trial crash containment, the selection objective, and the tuner."""
 
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -460,6 +459,33 @@ def test_find_model_store_bytes_match_under_n_cores(registry, blobs40, tmp_path)
     assert [r.trial_id for r in StudyStore(paths[4]).load()] == list(range(8))
 
 
+def test_each_trial_is_stored_before_the_next_starts(registry, blobs40, tmp_path):
+    log = []
+
+    def logged(builder):
+        def build(kwargs, seed):
+            log.append(("build", seed))
+            return builder(kwargs, seed)
+        return build
+
+    class LoggedStore(StudyStore):
+        def append_trial(self, record):
+            log.append(("append", record.trial_id))
+            super().append_trial(record)
+
+    reg = base_registry()
+    for name in registry.models_for_task(TaskType.CLASSIFICATION):
+        family = registry.model(name)
+        reg.register("model", replace(family, builder=logged(family.builder)))
+    X, y = blobs40
+    config = FinderConfig(task=TaskType.CLASSIFICATION, n_trials=8, n_seeds=2, n_epochs=1,
+                          threshold=0.8, base_seed=2, n_cores=4)
+    find_model(config, reg, X, y, LoggedStore(tmp_path / "study.jsonl"))
+    seeds = [("build", repeat_seed(2, k)) for k in range(2)]
+    trials = [entry for t in range(8) for entry in seeds + [("append", t)]]
+    assert log == trials + seeds[:1]  # the winner refit builds once, after the last append
+
+
 # -- the study's encoder memo -------------------------------------------------------
 
 
@@ -562,18 +588,12 @@ def test_failures_reach_their_trials_as_without_the_prepass(cluster_blobs, tmp_p
 
 
 def test_clustering_store_bytes_match_under_n_cores(registry, cluster_blobs, tmp_path):
-    # threads share the memo; a short switch interval makes them race for its keys
     paths, specs = {}, {}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for n_cores in (1, 2, 4):
-            paths[n_cores] = tmp_path / f"cores{n_cores}.jsonl"
-            config = _clustering_config(n_trials=12, n_seeds=2, base_seed=1, n_cores=n_cores)
-            specs[n_cores] = find_model(config, registry, cluster_blobs, None,
-                                        StudyStore(paths[n_cores])).to_json()
-    finally:
-        sys.setswitchinterval(interval)
+    for n_cores in (1, 2, 4):
+        paths[n_cores] = tmp_path / f"cores{n_cores}.jsonl"
+        config = _clustering_config(n_trials=12, n_seeds=2, base_seed=1, n_cores=n_cores)
+        specs[n_cores] = find_model(config, registry, cluster_blobs, None,
+                                    StudyStore(paths[n_cores])).to_json()
     assert paths[1].read_bytes() == paths[2].read_bytes() == paths[4].read_bytes()
     assert specs[1] == specs[2] == specs[4]
 
@@ -740,6 +760,33 @@ def test_tuner_single_trial_returns_that_config(registry, blobs40, tmp_path):
     (record,) = store.load()
     assert record.sampled["optimizer"] == best.kind
     assert record.sampled["learning_rate"] == best.learning_rate
+
+
+@pytest.mark.parametrize("name", ["n_trials", "n_seeds"])
+def test_tuner_refuses_counts_below_one_before_any_trial(registry, blobs40, tmp_path, name):
+    from qmlfinder import ANGLE, BASIC_ENTANGLER, CircuitSpec, QNNClassifier
+    from qmlfinder.store import model_to_spec
+
+    X, y = blobs40
+    qnn = QNNClassifier(CircuitSpec(2, ANGLE, (BASIC_ENTANGLER,)), batch_size=4, n_epochs=1,
+                        accuracy_threshold=0.8, seed=0)
+    store = StudyStore(tmp_path / "tune.jsonl")
+    counts = {"n_trials": 2, "n_seeds": 2, name: 0}
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+        find_hyperparameters(model_to_spec(qnn, 2, {}), X, y, registry, store=store, **counts)
+    assert store.load() == []
+
+
+def test_tuner_reruns_are_byte_identical(registry, blobs40, tmp_path):
+    spec, reg = _trained_qnn_spec(registry, blobs40, tmp_path)
+    X, y = blobs40
+    runs = []
+    for name in ("a", "b"):
+        path = tmp_path / f"{name}.jsonl"
+        best = find_hyperparameters(spec, X, y, reg, n_trials=4, n_seeds=2,
+                                    store=StudyStore(path), base_seed=3)
+        runs.append((path.read_bytes(), best))
+    assert runs[0] == runs[1]
 
 
 def test_tuner_rejects_non_gradient_families(registry, blobs8):
