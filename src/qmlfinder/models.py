@@ -11,6 +11,7 @@ classifier predicts 1 exactly when its expectation drops to 0 or below.
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass
 from math import isfinite, pi, prod
 from typing import Any, Callable, Mapping, Sequence
@@ -625,11 +626,11 @@ class RBMClusterer:
     encoding of which hidden units fire (unit j contributes 2**j).
 
     Entirely classical: fitting and assignment touch no device-call counter.
-    Encoder training is a pure function of the scaled data, the widths, the
-    seed and the encoder budget. `fit` installs a copy of the trained stack
-    from its `encoder_memo` dict, training (and memoizing) it only on a miss;
-    `train_encoders` fills a memo for many models in one lockstep, which a
-    study does before its first trial.
+    Encoder training is a pure function of the data, the widths, the seed and
+    the encoder budget, so `fit` trains the encoder only when it is not
+    already the one trained on the same data. `train_encoders` trains them
+    ahead for many models in one lockstep, which a study does before its
+    first trial.
     """
 
     task = TaskType.CLUSTERING
@@ -652,7 +653,6 @@ class RBMClusterer:
         firing_threshold: float,
         n_epochs: int,
         seed: int = 0,
-        encoder_memo: dict | None = None,
     ) -> None:
         if input_size < 2:
             raise ValueError("input size must be >= 2")
@@ -669,8 +669,8 @@ class RBMClusterer:
         self.firing_threshold = firing_threshold
         self.n_epochs = n_epochs
         self.seed = seed
-        self.encoder_memo = encoder_memo
         self.encoder = BinaryEncoder(input_size, encoder_layers, latent_size, seed)
+        self._encoder_data: np.ndarray | None = None  # what the encoder was trained on
         self.rbm = RBM(latent_size, n_hidden, seed)
         # per-feature affine scaling fitted on the training data
         self.feature_min: np.ndarray | None = None
@@ -688,49 +688,47 @@ class RBMClusterer:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.input_size:
             raise ValueError(f"expected 2D data with {self.input_size} features")
-        memo = {} if self.encoder_memo is None else self.encoder_memo
-        _, key = self._scaled_key(X)
-        if key not in memo:
-            self.train_encoders([self], X, memo)
-        encoder = self.encoder
-        (encoder.enc_weights, encoder.enc_biases,
-         encoder.dec_weights, encoder.dec_biases) = ([a.copy() for a in s] for s in memo[key])
+        scaled = self._fit_scaling(X)
+        if self._encoder_data is None or not np.array_equal(X, self._encoder_data):
+            if self._encoder_data is not None:  # trained on other data: start afresh
+                self.encoder = BinaryEncoder(
+                    self.input_size, self.encoder_layers, self.latent_size, self.seed
+                )
+            self.encoder.train(scaled, self.encoder_epochs, self.encoder_learning_rate)
+            self._encoder_data = X.copy()
         latents = self._latent_bits(X)
         for _ in range(self.n_epochs):
             self.rbm.cd1_epoch(latents, self.rbm_learning_rate)
         return self
 
-    def _scaled_key(self, X: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """Fit the feature scaling to X; return the scaled data and the memo key
-        of the encoder trained on it."""
+    def _fit_scaling(self, X: np.ndarray) -> np.ndarray:
+        """Fit the feature scaling to X; return the scaled data."""
         self.feature_min = X.min(axis=0)
         self.feature_max = X.max(axis=0)
-        scaled = self._scale(X)
-        return scaled, (scaled.shape, scaled.tobytes(), tuple(self.encoder.widths), self.seed,
-                        self.encoder_epochs, self.encoder_learning_rate)
+        return self._scale(X)
 
     @staticmethod
-    def train_encoders(models: Sequence["RBMClusterer"], X: np.ndarray, memo: dict) -> None:
-        """Train each distinct encoder that fitting `models` on X needs and
-        `memo` lacks, all in one lockstep, and store copies in `memo`. The
-        models share one class, hence one encoder budget."""
-        pending: dict[tuple, RBMClusterer] = {}
-        for model in models:
-            try:
-                scaled, key = model._scaled_key(X)
-            except ValueError:  # data without rows: each fit fails on it and records that
-                continue
-            if key not in memo:
-                pending.setdefault(key, model)
-        if not pending:
+    def train_encoders(models: Sequence["RBMClusterer"], X: np.ndarray) -> None:
+        """Train the encoders that fitting `models` on X needs, in place: each
+        distinct (widths, seed) once, all in one lockstep, copied into the
+        models that share it. Their `fit` on the same X then trains no
+        encoder. The models share one class, hence one encoder budget."""
+        X = np.asarray(X, dtype=float)
+        if not models or X.size == 0:  # no data: each fit fails on it and records that
             return
-        first, *rest = pending.values()
-        first.encoder.train(scaled, first.encoder_epochs, first.encoder_learning_rate,
-                            alongside=[model.encoder for model in rest])
-        for key, model in pending.items():
-            encoder = model.encoder
-            memo[key] = [[a.copy() for a in s] for s in (
-                encoder.enc_weights, encoder.enc_biases, encoder.dec_weights, encoder.dec_biases)]
+        shared: dict[tuple, list[RBMClusterer]] = {}
+        for model in models:
+            shared.setdefault((tuple(model.encoder.widths), model.seed), []).append(model)
+        first, *others = [group[0] for group in shared.values()]
+        first.encoder.train(first._fit_scaling(X), first.encoder_epochs,
+                            first.encoder_learning_rate,
+                            alongside=[model.encoder for model in others])
+        for lead, *copies in shared.values():
+            for model in copies:
+                model.encoder = deepcopy(lead.encoder)
+        data = X.copy()
+        for model in models:
+            model._encoder_data = data
 
     def cluster_assign(self, x: Sequence[float]) -> int:
         return int(self.predict(np.atleast_2d(x))[0])
@@ -874,7 +872,6 @@ def _build_rbm_clusterer(kwargs: Mapping, seed: int) -> RBMClusterer:
         firing_threshold=kwargs["firing_threshold"],
         n_epochs=kwargs["n_epochs"],
         seed=seed,
-        encoder_memo=kwargs.get("encoder_memo"),
     )
 
 

@@ -55,20 +55,24 @@ class TrialRecord:
         )
 
 
-def select_best(records: list[TrialRecord]) -> tuple[TrialRecord, bool]:
-    """The winner under the budget-constrained objective.
+def rank_key(record: TrialRecord) -> tuple:
+    """Sort key of a complete trial under the budget-constrained objective:
+    feasible trials first, by fewest total_calls, then higher mean score, then
+    lower trial id; the others after them, by higher mean score, then fewer
+    calls, then lower trial id."""
+    if record.feasible:
+        return (0, record.total_calls, -record.mean_score, record.trial_id)
+    return (1, -record.mean_score, record.total_calls, record.trial_id)
 
-    Among feasible complete trials: fewest total_calls, ties broken by higher
-    mean score then lower trial id. With no feasible trial, the complete trial
-    with the highest mean score wins and the second return value is False.
-    Failed trials are never selected (they count as infinitely many calls).
+
+def select_best(records: list[TrialRecord]) -> tuple[TrialRecord, bool]:
+    """The winner under the budget-constrained objective: the complete trial
+    with the least `rank_key`. The second return value is False when no
+    complete trial was feasible. Failed trials are never selected (they count
+    as infinitely many calls).
     """
     complete = [r for r in records if r.status == "complete"]
     if not complete:
         raise StudyFailureError("no complete trials in the study")
-    feasible = [r for r in complete if r.feasible]
-    if feasible:
-        winner = min(feasible, key=lambda r: (r.total_calls, -r.mean_score, r.trial_id))
-        return winner, True
-    winner = min(complete, key=lambda r: (-r.mean_score, r.total_calls, r.trial_id))
-    return winner, False
+    winner = min(complete, key=rank_key)
+    return winner, winner.feasible

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, floor, sqrt
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .models import QNN, Score, default_registry
-from .records import StudyFailureError, TrialRecord, select_best
+from .records import StudyFailureError, TrialRecord, rank_key
 from .registry import EmbeddingKind, FloatRange, IntRange, LayerKind, Registry, TaskType
 from .rng import PortableRng, derive_seed, repeat_seed
 from .simulator import MAX_WIRES
@@ -51,45 +51,15 @@ class RandomSampler:
         return self._rng.choice(options)
 
 
-class ReplaySampler:
-    """Returns previously recorded values; used to rebuild a winning trial."""
-
-    def __init__(self, values: Mapping[str, Any]) -> None:
-        self._values = values
-
-    def _lookup(self, name: str):
-        if name not in self._values:
-            raise KeyError(f"no recorded value for suggestion {name!r}")
-        return self._values[name]
-
-    def suggest_int(self, name: str, low: int, high: int) -> int:
-        value = int(self._lookup(name))
-        if not low <= value <= high:
-            raise ValueError(f"recorded {name}={value} outside [{low}, {high}]")
-        return value
-
-    def suggest_float(self, name: str, low: float, high: float, log: bool = False) -> float:
-        value = float(self._lookup(name))
-        if not low <= value <= high:
-            raise ValueError(f"recorded {name}={value} outside [{low}, {high}]")
-        return value
-
-    def suggest_categorical(self, name: str, options: Sequence) -> Any:
-        value = self._lookup(name)
-        if value not in options:
-            raise ValueError(f"recorded {name}={value!r} not among {list(options)}")
-        return value
-
-
 class Trial:
     """One search trial; records every suggestion and answers repeats from the
     record instead of re-sampling."""
 
-    def __init__(self, trial_id: int, seed: int, sampler=None) -> None:
+    def __init__(self, trial_id: int, seed: int) -> None:
         self.trial_id = trial_id
         self.seed = seed
         self.sampled: dict[str, Any] = {}
-        self._sampler = sampler if sampler is not None else RandomSampler(seed)
+        self._sampler = RandomSampler(seed)
 
     def suggest_int(self, name: str, low: int, high: int) -> int:
         if name not in self.sampled:
@@ -232,7 +202,6 @@ def _suggest_and_build(
     registry: Registry,
     X: np.ndarray,
     seed: int,
-    encoder_memo: dict | None = None,
 ):
     families = registry.models_for_task(config.task)
     if not families:
@@ -242,7 +211,6 @@ def _suggest_and_build(
         kwargs = suggest_unsupervised_kwargs(trial, X, registry, config, model_type)
     else:
         kwargs = suggest_supervised_kwargs(trial, model_type, registry, X, config)
-    kwargs["encoder_memo"] = encoder_memo  # unsampled; only the RBM builder reads it
     return registry.model(model_type).builder(kwargs, seed)
 
 
@@ -309,58 +277,70 @@ def evaluate_config(
     return record
 
 
+def _plan_repeats(trial: Trial, config: FinderConfig, registry: Registry, X: np.ndarray) -> list:
+    """Build `trial`'s model for each training repeat, in repeat order. A build
+    that raises ends the list with its exception, which the trial raises when
+    it reaches that repeat."""
+    models: list = []
+    for k in range(config.n_seeds):
+        try:
+            models.append(
+                _suggest_and_build(trial, config, registry, X, repeat_seed(config.base_seed, k))
+            )
+        except Exception as exc:  # the trial records it when it gets there
+            models.append(exc)
+            break
+    return models
+
+
+def _prepare(plan: Iterable[tuple[Trial, list]], registry: Registry, X: np.ndarray) -> None:
+    """Hand each family that registers `prepare` the models built in `plan`."""
+    families: dict[str, list] = {}
+    for trial, models in plan:
+        for model in models:
+            if not isinstance(model, Exception):
+                families.setdefault(trial.sampled["model_type"], []).append(model)
+    for name, models in families.items():
+        prepare = registry.model(name).prepare
+        if prepare is not None:
+            prepare(models, X)
+
+
 def run_trial(
     trial: Trial,
     config: FinderConfig,
     registry: Registry,
     X: np.ndarray,
     y,
-    encoder_memo: dict | None = None,
+    models: list | None = None,
 ) -> TrialRecord:
-    """Sample, build, and evaluate one configuration over n_seeds training
-    repeats. Any failure (construction, training, undefined score) yields a
-    failed record instead of aborting the study. `encoder_memo` is the
-    study's memo of trained encoders (see RBMClusterer)."""
+    """Evaluate one configuration over n_seeds training repeats, fitting
+    `models[k]` in repeat k. `models` is the trial's plan: one prepared model
+    per repeat, or a build's exception in place of the rest. Without it, the
+    trial samples, builds and prepares its own. Any failure (construction,
+    training, undefined score) yields a failed record instead of aborting the
+    study."""
+    if models is None:
+        models = _plan_repeats(trial, config, registry, X)
+        _prepare([(trial, models)], registry, X)
+    repeats = iter(models)
 
     def fit_repeat(seed: int, ledger: BudgetLedger) -> float:
-        model = _suggest_and_build(trial, config, registry, X, seed, encoder_memo)
+        model = next(repeats)
+        if isinstance(model, Exception):
+            raise model
         return _fit_and_score(model, X, y, ledger)
 
     return evaluate_config(trial, fit_repeat, config.n_seeds, config.base_seed, config.threshold)
 
 
-def _prepare_families(
-    config: FinderConfig, registry: Registry, X: np.ndarray, encoder_memo: dict
-) -> None:
-    """Build every (trial, repeat) model the study will build, as its trials
-    will, and hand each candidate family that registers `prepare` its own.
-    Nothing is built when no family registers one."""
-    families = [registry.model(name) for name in registry.models_for_task(config.task)]
-    planned: dict[str, list] = {f.name: [] for f in families if f.prepare is not None}
-    if not planned:
-        return
-    for trial_id in range(config.n_trials):
-        trial = Trial(trial_id, derive_seed(config.base_seed, trial_id))
-        for k in range(config.n_seeds):
-            seed = repeat_seed(config.base_seed, k)
-            try:
-                model = _suggest_and_build(trial, config, registry, X, seed, encoder_memo)
-            except Exception:  # the trial stops here too, and records the failure itself
-                break
-            if trial.sampled["model_type"] in planned:
-                planned[trial.sampled["model_type"]].append(model)
-    for name, models in planned.items():
-        registry.model(name).prepare(models, X, encoder_memo)
-
-
 def _run_trials(
-    n_trials: int, base_seed: int, evaluate: Callable[[Trial], TrialRecord],
-    store: StudyStore | None,
+    trials: Iterable[Trial], evaluate: Callable[[Trial], TrialRecord], store: StudyStore | None
 ) -> list[TrialRecord]:
-    """Evaluate trials 0 ... n_trials-1 in id order; each is stored before the next starts."""
+    """Evaluate `trials` in order; each is stored before the next starts."""
     records = []
-    for trial_id in range(n_trials):
-        records.append(evaluate(Trial(trial_id, derive_seed(base_seed, trial_id))))
+    for trial in trials:
+        records.append(evaluate(trial))
         if store is not None:
             store.append_trial(records[-1])
     return records
@@ -375,20 +355,20 @@ def find_model(
 ) -> ModelSpec:
     """Run the study and return the trained winner as a serializable spec.
 
-    Winner: the feasible complete trial with the fewest device calls (ties:
-    higher mean score, then lower trial id). If nothing was feasible, the
-    highest-scoring complete trial is returned with metadata feasible=false.
-    The winning configuration is retrained with the training seed of its
-    evaluation repeat 0, repeat_seed(base_seed, 0), so the serialized model is
-    the one that scored per_seed_scores[0].
+    Winner: the complete trial with the least `rank_key`, i.e. the feasible
+    trial with the fewest device calls (ties: higher mean score, then lower
+    trial id). If nothing was feasible, the highest-scoring complete trial is
+    returned with metadata feasible=false. The serialized model is the
+    winner's own repeat-0 model, the one that scored per_seed_scores[0].
 
-    Every candidate family for the task must register `restore`, and X and y
-    must be finite; otherwise a ValueError naming the family, or X or y, is
-    raised before any trial runs.
+    Every (trial, repeat) model is built once, before the first trial, and
+    each family's `prepare` gets its models. Between trials only the leading
+    trial's repeat-0 model is kept.
 
-    Trials and the winner refit share one memo of trained encoders, filled
-    before the first trial by the families' `prepare` hooks, so each distinct
-    encoder is trained once per call; it is dropped on return.
+    Every candidate family for the task must register `restore` and build
+    models with `spec_fields`, and X and y must be finite; otherwise a
+    ValueError naming the family, or X or y, is raised before any fit or
+    store write.
     """
     X = np.asarray(X, dtype=float)
     if config.task != TaskType.CLUSTERING:
@@ -402,24 +382,33 @@ def find_model(
                 f"model family {name!r} registers no restore, so its winner could not be saved"
             )
 
-    encoder_memo: dict = {}
-    _prepare_families(config, registry, X, encoder_memo)
+    trials = [Trial(t, derive_seed(config.base_seed, t)) for t in range(config.n_trials)]
+    plan = {trial.trial_id: _plan_repeats(trial, config, registry, X) for trial in trials}
+    for trial in trials:
+        if not all(hasattr(m, "spec_fields") for m in plan[trial.trial_id]
+                   if not isinstance(m, Exception)):
+            raise ValueError(f"model family {trial.sampled['model_type']!r} builds models "
+                             "without spec_fields, so its winner could not be saved")
+    _prepare(((trial, plan[trial.trial_id]) for trial in trials), registry, X)
+    leader = None  # the leading trial's rank key, record and fitted repeat-0 model
 
     def evaluate(trial: Trial) -> TrialRecord:
-        return run_trial(trial, config, registry, X, y, encoder_memo)
+        nonlocal leader
+        models = plan.pop(trial.trial_id)  # released when the trial ends, unless it leads
+        record = run_trial(trial, config, registry, X, y, models)
+        if record.status == "complete" and (leader is None or rank_key(record) < leader[0]):
+            leader = rank_key(record), record, models[0]
+        return record
 
-    best, feasible = select_best(_run_trials(config.n_trials, config.base_seed, evaluate, store))
-
-    replay = Trial(best.trial_id, best.seed, sampler=ReplaySampler(best.sampled))
-    model = _suggest_and_build(
-        replay, config, registry, X, repeat_seed(config.base_seed, 0), encoder_memo
-    )
-    _fit_and_score(model, X, y, BudgetLedger())
+    _run_trials(trials, evaluate, store)
+    if leader is None:
+        raise StudyFailureError("no complete trials in the study")
+    _, best, model = leader
     metadata = {
         "mean_score": best.mean_score,
         "total_calls": best.total_calls,
         "base_seed": config.base_seed,
-        "feasible": feasible,
+        "feasible": best.feasible,
         "trial_id": best.trial_id,
     }
     return model_to_spec(model, X.shape[1], metadata)
@@ -472,7 +461,8 @@ def find_hyperparameters(
 
         return evaluate_config(trial, fit_repeat, n_seeds, base_seed, None)
 
-    records = _run_trials(n_trials, base_seed, evaluate, store)
+    trials = (Trial(t, derive_seed(base_seed, t)) for t in range(n_trials))
+    records = _run_trials(trials, evaluate, store)
     complete = [r for r in records if r.status == "complete"]
     if not complete:
         raise StudyFailureError("no tuner trial completed")

@@ -25,8 +25,9 @@ from qmlfinder.store import (
 )
 
 
-class NearestMean:
-    """Classical toy family: label each point by the nearer class mean."""
+class UnsavableNearestMean:
+    """Classical toy family: label each point by the nearer class mean. It has
+    no `spec_fields`, so its models cannot be saved."""
 
     task = TaskType.CLASSIFICATION
     family = "NEAREST_MEAN"
@@ -47,6 +48,10 @@ class NearestMean:
 
     def score(self, X, y, counter):
         return float(np.mean(self.predict(X, counter) == np.asarray(y)))
+
+
+class NearestMean(UnsavableNearestMean):
+    """The toy family with its model-file fields."""
 
     def spec_fields(self):
         return {
@@ -115,6 +120,26 @@ def test_family_without_restore_is_refused_before_any_trial(registry, blobs40, t
     assert not (tmp_path / "study.jsonl").exists()
 
 
+def test_family_without_spec_fields_is_refused_before_any_fit(registry, blobs40, tmp_path):
+    X, y = blobs40
+    fitted = []
+
+    class Unsavable(UnsavableNearestMean):
+        def fit(self, X, y, ledger):
+            fitted.append(self)
+            return super().fit(X, y, ledger)
+
+    registry = _with_nearest_mean(registry, builder=lambda kwargs, seed: Unsavable(),
+                                  restore=NearestMean.from_spec)
+    store = StudyStore(tmp_path / "study.jsonl")
+    config = FinderConfig(task=TaskType.CLASSIFICATION, n_trials=4, n_seeds=1, n_epochs=1,
+                          threshold=0.8, base_seed=0)
+    with pytest.raises(ValueError, match="NEAREST_MEAN"):
+        find_model(config, registry, X, y, store)
+    assert fitted == []
+    assert not (tmp_path / "study.jsonl").exists()
+
+
 def test_model_file_is_the_winners_evaluation_repeat_zero(registry, sine20, tmp_path):
     X, y = sine20
     config = FinderConfig(task=TaskType.REGRESSION, n_trials=4, n_seeds=2, n_epochs=2,
@@ -147,6 +172,9 @@ class NanRegressor:
     def fit(self, X, y, ledger):
         self.train_score = float("nan")
         return self
+
+    def spec_fields(self):  # never called: a NaN-scoring trial fails, so it never wins
+        raise AssertionError("a NaN-scoring trial cannot win")
 
 
 @pytest.mark.parametrize("kind", ["mean_accuracy", "r2", "silhouette", "unknown"])

@@ -31,8 +31,8 @@ from qmlfinder import (
     suggest_unsupervised_kwargs,
 )
 from qmlfinder.models import BinaryEncoder, RBMClusterer
-from qmlfinder.search import ReplaySampler
-from qmlfinder.store import StudyStore, model_from_spec
+from qmlfinder.search import _fit_and_score, _suggest_and_build
+from qmlfinder.store import StudyStore, model_from_spec, model_to_spec
 
 from oracles import RefXorshift
 
@@ -61,17 +61,6 @@ def test_trial_caches_repeated_names():
     again = trial.suggest_int("n_layers", 1, 1000)
     assert first == again
     assert list(trial.sampled) == ["n_layers"]
-
-
-def test_replay_sampler_validates():
-    replay = ReplaySampler({"n_layers": 2, "embedding": "ANGLE"})
-    assert replay.suggest_int("n_layers", 1, 3) == 2
-    with pytest.raises(ValueError):
-        replay.suggest_int("n_layers", 3, 5)
-    with pytest.raises(KeyError):
-        replay.suggest_int("missing", 0, 1)
-    with pytest.raises(ValueError):
-        replay.suggest_categorical("embedding", ["AMPLITUDE"])
 
 
 # -- suggestion procedures --------------------------------------------------------
@@ -464,8 +453,15 @@ def test_each_trial_is_stored_before_the_next_starts(registry, blobs40, tmp_path
 
     def logged(builder):
         def build(kwargs, seed):
-            log.append(("build", seed))
-            return builder(kwargs, seed)
+            model = builder(kwargs, seed)
+            fit = model.fit
+
+            def logged_fit(*args):
+                log.append(("fit", seed))
+                return fit(*args)
+
+            model.fit = logged_fit
+            return model
         return build
 
     class LoggedStore(StudyStore):
@@ -481,12 +477,50 @@ def test_each_trial_is_stored_before_the_next_starts(registry, blobs40, tmp_path
     config = FinderConfig(task=TaskType.CLASSIFICATION, n_trials=8, n_seeds=2, n_epochs=1,
                           threshold=0.8, base_seed=2, n_cores=4)
     find_model(config, reg, X, y, LoggedStore(tmp_path / "study.jsonl"))
-    seeds = [("build", repeat_seed(2, k)) for k in range(2)]
+    seeds = [("fit", repeat_seed(2, k)) for k in range(2)]
     trials = [entry for t in range(8) for entry in seeds + [("append", t)]]
-    assert log == trials + seeds[:1]  # the winner refit builds once, after the last append
+    assert log == trials  # and no fit follows the last append
 
 
-# -- the study's encoder memo -------------------------------------------------------
+@pytest.mark.parametrize("task", [TaskType.CLASSIFICATION, TaskType.CLUSTERING])
+def test_a_study_builds_each_planned_model_once(registry, blobs40, cluster_blobs, task):
+    builds = []
+
+    def counted(builder):
+        def build(kwargs, seed):
+            builds.append(seed)
+            return builder(kwargs, seed)
+        return build
+
+    reg = base_registry()
+    for name in registry.models_for_task(task):
+        family = registry.model(name)
+        reg.register("model", replace(family, builder=counted(family.builder)))
+    X, y = blobs40 if task == TaskType.CLASSIFICATION else (cluster_blobs, None)
+    config = FinderConfig(task=task, n_trials=6, n_seeds=3, n_epochs=1, base_seed=1)
+    find_model(config, reg, X, y)
+    assert sorted(builds) == sorted(repeat_seed(1, k) for k in range(3) for _ in range(6))
+
+
+@pytest.mark.parametrize("base_seed", [0, 1, 2])
+def test_saved_model_is_a_fresh_rebuild_of_the_winner(
+    registry, blobs40, sine20, cluster_blobs, base_seed
+):
+    from qmlfinder import BudgetLedger
+
+    studies = {TaskType.CLASSIFICATION: blobs40, TaskType.REGRESSION: sine20,
+               TaskType.CLUSTERING: (cluster_blobs, None)}
+    for task, (X, y) in studies.items():
+        config = FinderConfig(task=task, n_trials=4, n_seeds=2, n_epochs=2, base_seed=base_seed)
+        spec = find_model(config, registry, X, y)
+        trial_id = spec.metadata["trial_id"]
+        trial = Trial(trial_id, derive_seed(base_seed, trial_id))
+        model = _suggest_and_build(trial, config, registry, X, repeat_seed(base_seed, 0))
+        _fit_and_score(model, X, y, BudgetLedger())
+        assert model_to_spec(model, X.shape[1], spec.metadata).to_json() == spec.to_json()
+
+
+# -- encoder training in a study ----------------------------------------------------
 
 
 def _clustering_config(**overrides):
@@ -598,10 +632,9 @@ def test_clustering_store_bytes_match_under_n_cores(registry, cluster_blobs, tmp
     assert specs[1] == specs[2] == specs[4]
 
 
-def _clusterer(encoder_memo=None, seed=3):
+def _clusterer(seed=3):
     return RBMClusterer(input_size=4, encoder_layers=2, latent_size=3, n_hidden=2,
-                        firing_threshold=0.5, n_epochs=10, seed=seed,
-                        encoder_memo=encoder_memo)
+                        firing_threshold=0.5, n_epochs=10, seed=seed)
 
 
 def _encoder_stacks(model):
@@ -617,11 +650,12 @@ def _assert_same_encoder(model, other):
 
 
 def test_memo_hit_fits_the_same_model_as_no_memo(cluster_blobs, monkeypatch):
-    memo = {}
-    miss = _clusterer(memo).fit(cluster_blobs)
     fits, trained = _record_encoder_fits(monkeypatch)
-    hit = _clusterer(memo).fit(cluster_blobs)
-    assert fits == [[((4, 4, 3), 3), False]] and trained == []
+    miss, hit = _clusterer(), _clusterer()
+    RBMClusterer.train_encoders([miss, hit], cluster_blobs)
+    miss.fit(cluster_blobs)
+    hit.fit(cluster_blobs)
+    assert fits == [[((4, 4, 3), 3), False]] * 2 and trained == [((4, 4, 3), 3)]
     monkeypatch.undo()
     plain = _clusterer().fit(cluster_blobs)
     assert hit.spec_fields() == plain.spec_fields() == miss.spec_fields()
@@ -629,16 +663,25 @@ def test_memo_hit_fits_the_same_model_as_no_memo(cluster_blobs, monkeypatch):
 
 
 def test_mutating_a_memo_model_leaves_later_hits_intact(cluster_blobs):
-    memo = {}
-    models = [_clusterer(memo).fit(cluster_blobs) for _ in range(2)]  # a miss, then a hit
-    for model in models:
-        for stack in _encoder_stacks(model):
-            for array in stack:
-                array += 1.0
-    later = _clusterer(memo).fit(cluster_blobs)
+    models = [_clusterer(), _clusterer()]
+    RBMClusterer.train_encoders(models, cluster_blobs)
+    first, later = models
+    for stack in _encoder_stacks(first.fit(cluster_blobs)):
+        for array in stack:
+            array += 1.0
+    later.fit(cluster_blobs)
     plain = _clusterer().fit(cluster_blobs)
     assert later.spec_fields() == plain.spec_fields()
     _assert_same_encoder(later, plain)
+
+
+def test_a_clusterer_prepared_on_other_data_trains_afresh(cluster_blobs):
+    prepared = _clusterer()
+    RBMClusterer.train_encoders([prepared], cluster_blobs[::2])
+    prepared.fit(cluster_blobs)
+    plain = _clusterer().fit(cluster_blobs)
+    assert prepared.spec_fields() == plain.spec_fields()
+    _assert_same_encoder(prepared, plain)
 
 
 def test_find_model_requires_targets_for_supervised(registry):
