@@ -38,7 +38,6 @@ from .search import (
     FinderConfig,
     HyperparameterTuner,
     ModelFinder,
-    RandomSampler,
     Trial,
     UnsupportedModelError,
     find_hyperparameters,

@@ -192,7 +192,10 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             f"{data.shape[1]} ({header})"
         )
     counter = CallCounter()
-    predictions = model.predict(data, counter)
+    try:
+        predictions = model.predict(data, counter)
+    except ValueError as exc:  # the rows do not fit the model, e.g. an all-zero AMPLITUDE row
+        raise DataFormatError(f"{args.data}: cannot apply the model: {exc}") from exc
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("prediction\n")
         for value in predictions:

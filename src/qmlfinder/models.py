@@ -1,10 +1,11 @@
 """The trainable model families the finder chooses among.
 
 Every family presents one protocol: class attributes `task`, `family` and
-`score_kind`; construct with a seed, `fit` (which sets `train_score`),
-`predict`, and `score`, with every simulated device call booked on the
-caller's ledger; `spec_fields()` freezes a trained model into model-file
-fields and the class-level `from_spec(spec, registry)` restores it.
+`score_kind`; construct with a seed, `fit(X, y, ledger)` (a supervised fit
+sets `train_score`), `predict`, and `score`, with every simulated device call
+booked on the caller's ledger; `spec_fields()` freezes a trained model into
+model-file fields and the class-level `from_spec(spec, registry)` restores
+it. The clusterer also has the optional class-level `prepare` hook.
 Label convention is fixed: class 0 maps to target +1 (the <Z> of |0>), so a
 classifier predicts 1 exactly when its expectation drops to 0 or below.
 """
@@ -628,9 +629,9 @@ class RBMClusterer:
     Entirely classical: fitting and assignment touch no device-call counter.
     Encoder training is a pure function of the data, the widths, the seed and
     the encoder budget, so `fit` trains the encoder only when it is not
-    already the one trained on the same data. `train_encoders` trains them
-    ahead for many models in one lockstep, which a study does before its
-    first trial.
+    already the one trained on the same data. `prepare` trains them ahead
+    for many models in one lockstep, which a study does before its first
+    trial.
     """
 
     task = TaskType.CLUSTERING
@@ -684,7 +685,7 @@ class RBMClusterer:
     def _latent_bits(self, X: np.ndarray) -> np.ndarray:
         return (self.encoder.encode(self._scale(X)) >= 0.5).astype(float)
 
-    def fit(self, X: np.ndarray, ledger: BudgetLedger | None = None) -> "RBMClusterer":
+    def fit(self, X: np.ndarray, y=None, ledger: BudgetLedger | None = None) -> "RBMClusterer":
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.input_size:
             raise ValueError(f"expected 2D data with {self.input_size} features")
@@ -708,7 +709,7 @@ class RBMClusterer:
         return self._scale(X)
 
     @staticmethod
-    def train_encoders(models: Sequence["RBMClusterer"], X: np.ndarray) -> None:
+    def prepare(models: Sequence["RBMClusterer"], X: np.ndarray) -> None:
         """Train the encoders that fitting `models` on X needs, in place: each
         distinct (widths, seed) once, all in one lockstep, copied into the
         models that share it. Their `fit` on the same X then trains no
@@ -779,27 +780,19 @@ class RBMClusterer:
             firing_threshold=extras["firing_threshold"],
             n_epochs=extras["n_epochs"],
         )
+        widths = model.encoder.widths
+        if extras["encoder_widths"] != widths:
+            raise ValueError(f"encoder_widths {extras['encoder_widths']} differ from the "
+                             f"{widths} of a {model.encoder_layers}-layer encoder")
+        shapes = [shape for fan_in, fan_out in zip(widths[:-1], widths[1:])
+                  for shape in ((fan_out, fan_in), (fan_out,))]
+        shapes += [(model.latent_size, model.n_hidden), (model.latent_size,), (model.n_hidden,)]
         flat = np.asarray(spec.weights, dtype=float)
-        offset = 0
-
-        def take(shape) -> np.ndarray:
-            nonlocal offset
-            size = int(np.prod(shape))
-            chunk = flat[offset : offset + size]
-            if chunk.size != size:
-                raise ValueError("weights length inconsistent with declared architecture")
-            offset += size
-            return chunk.reshape(shape)
-
-        widths = extras["encoder_widths"]
-        for layer, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
-            model.encoder.enc_weights[layer] = take((fan_out, fan_in))
-            model.encoder.enc_biases[layer] = take((fan_out,))
-        model.rbm.weights = take((extras["latent_size"], extras["n_hidden"]))
-        model.rbm.visible_bias = take((extras["latent_size"],))
-        model.rbm.hidden_bias = take((extras["n_hidden"],))
-        if offset != flat.size:
+        if flat.size != sum(map(prod, shapes)):
             raise ValueError("weights length inconsistent with declared architecture")
+        rbm = model.rbm
+        *encoder, rbm.weights, rbm.visible_bias, rbm.hidden_bias = _carve(flat, shapes)
+        model.encoder.enc_weights, model.encoder.enc_biases = encoder[::2], encoder[1::2]
         model.feature_min = np.asarray(extras["feature_min"], dtype=float)
         model.feature_max = np.asarray(extras["feature_max"], dtype=float)
         return model
@@ -881,45 +874,36 @@ def default_registry() -> Registry:
     reg.register(
         "model",
         ModelFamilyConfig(
-            name="QNN",
-            task=TaskType.CLASSIFICATION,
+            model=QNNClassifier,
             n_layers=(1, 3),
             builder=_build_qnn_classifier,
-            restore=QNNClassifier.from_spec,
             tunables={"batch_size": IntRange(15, 25)},
         ),
     )
     reg.register(
         "model",
         ModelFamilyConfig(
-            name="QEK",
-            task=TaskType.CLASSIFICATION,
+            model=QEKClassifier,
             n_layers=(3, 5),
             builder=_build_qek_classifier,
-            restore=QEKClassifier.from_spec,
             fixed_options={"ridge_lambda": 1e-3},
         ),
     )
     reg.register(
         "model",
         ModelFamilyConfig(
-            name="QNN_REGRESSOR",
-            task=TaskType.REGRESSION,
+            model=QNNRegressor,
             n_layers=(1, 3),
             builder=_build_qnn_regressor,
-            restore=QNNRegressor.from_spec,
             tunables={"batch_size": IntRange(15, 25)},
         ),
     )
     reg.register(
         "model",
         ModelFamilyConfig(
-            name="RBM",
-            task=TaskType.CLUSTERING,
+            model=RBMClusterer,
             n_layers=(1, 3),  # encoder depth bounds (lbae_n_layers)
             builder=_build_rbm_clusterer,
-            restore=RBMClusterer.from_spec,
-            prepare=RBMClusterer.train_encoders,
             tunables={"firing_threshold": FloatRange(0.3, 0.7)},
         ),
     )

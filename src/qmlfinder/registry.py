@@ -198,30 +198,36 @@ TunableRange = IntRange | FloatRange
 
 @dataclass(frozen=True)
 class ModelFamilyConfig:
-    """One searchable model family: its task, layer-count bounds, and tunables.
+    """One searchable model family: its model class, layer-count bounds, and tunables.
 
-    `builder(kwargs, seed)` makes an untrained model from the sampled
-    construction options. `restore(spec, registry)` rebuilds a trained one
-    from its model file. The finder refuses to search a family without
-    `restore`, or whose models lack `spec_fields`, because its winner could
-    not be saved. The optional `prepare(models, X)` gets, before a study's
-    first trial, every model of the family its trials will fit on X, and may
-    do their shared work ahead, in place.
+    The class is the one place the family's identity lives: its `family` is
+    the registry name, `task` the task it is searched for, `from_spec(spec,
+    registry)` rebuilds a trained model from its model file, and an optional
+    class attribute `prepare(models, X)` gets, before a study's first trial,
+    every model of the family its trials will fit on X, and may do their
+    shared work ahead, in place. A class without `family`, `task` or
+    `from_spec` is refused. `builder(kwargs, seed)` makes an untrained model
+    from the sampled construction options.
     """
 
-    name: str
-    task: TaskType
+    model: type
     n_layers: tuple[int, int]
     builder: Callable[[Mapping[str, Any], int], Any]
     tunables: Mapping[str, TunableRange] = field(default_factory=dict)
     fixed_options: Mapping[str, Any] = field(default_factory=dict)
-    restore: Callable[[Any, "Registry"], Any] | None = None
-    prepare: Callable[[Sequence[Any], np.ndarray], None] | None = None
 
     def __post_init__(self) -> None:
+        missing = [attr for attr in ("family", "task", "from_spec")
+                   if not hasattr(self.model, attr)]
+        if missing:
+            raise ValueError(f"model class {self.model.__name__} has no {', '.join(missing)}")
         low, high = self.n_layers
         if low < 1 or high < low:
             raise ValueError(f"invalid n_layers bounds {self.n_layers} for {self.name}")
+
+    @property
+    def name(self) -> str:
+        return self.model.family
 
 
 class Registry:
@@ -263,7 +269,7 @@ class Registry:
         return self._models[name]
 
     def models_for_task(self, task: TaskType) -> list[str]:
-        return [name for name, cfg in self._models.items() if cfg.task == task]
+        return [name for name, cfg in self._models.items() if cfg.model.task == task]
 
     def copy(self) -> "Registry":
         dup = Registry()

@@ -33,48 +33,31 @@ class UnsupportedModelError(ValueError):
     """Raised when the tuner is asked to tune a model that is not a QNN."""
 
 
-class RandomSampler:
-    """Uniform sampling over the declared domains, seeded and portable."""
-
-    def __init__(self, seed: int) -> None:
-        self._rng = PortableRng(seed)
-
-    def suggest_int(self, name: str, low: int, high: int) -> int:
-        return self._rng.randint(low, high)
-
-    def suggest_float(self, name: str, low: float, high: float, log: bool = False) -> float:
-        if log:
-            return self._rng.log_uniform(low, high)
-        return self._rng.uniform(low, high)
-
-    def suggest_categorical(self, name: str, options: Sequence) -> Any:
-        return self._rng.choice(options)
-
-
 class Trial:
     """One search trial; records every suggestion and answers repeats from the
-    record instead of re-sampling."""
+    record instead of re-sampling. Each new name draws from one portable
+    generator seeded with the trial's seed, in suggestion order."""
 
     def __init__(self, trial_id: int, seed: int) -> None:
         self.trial_id = trial_id
         self.seed = seed
         self.sampled: dict[str, Any] = {}
-        self._sampler = RandomSampler(seed)
+        self._rng = PortableRng(seed)
+
+    def _suggest(self, name: str, draw: Callable[[], Any]) -> Any:
+        if name not in self.sampled:
+            self.sampled[name] = draw()
+        return self.sampled[name]
 
     def suggest_int(self, name: str, low: int, high: int) -> int:
-        if name not in self.sampled:
-            self.sampled[name] = self._sampler.suggest_int(name, low, high)
-        return self.sampled[name]
+        return self._suggest(name, lambda: self._rng.randint(low, high))
 
     def suggest_float(self, name: str, low: float, high: float, log: bool = False) -> float:
-        if name not in self.sampled:
-            self.sampled[name] = self._sampler.suggest_float(name, low, high, log)
-        return self.sampled[name]
+        draw = self._rng.log_uniform if log else self._rng.uniform
+        return self._suggest(name, lambda: draw(low, high))
 
     def suggest_categorical(self, name: str, options: Sequence) -> Any:
-        if name not in self.sampled:
-            self.sampled[name] = self._sampler.suggest_categorical(name, options)
-        return self.sampled[name]
+        return self._suggest(name, lambda: self._rng.choice(options))
 
 
 @dataclass(frozen=True)
@@ -222,11 +205,12 @@ def _require_finite(X: np.ndarray, y) -> None:
 
 
 def _fit_and_score(model, X: np.ndarray, y, ledger: BudgetLedger) -> float:
+    """Fit `model` and return its trial score: the `train_score` a supervised
+    fit recorded, or a clustering model's `score` on X, booked as scoring."""
+    model.fit(X, y, ledger)
     if model.task == TaskType.CLUSTERING:
-        model.fit(X, ledger)
-        value = float(model.score(X))
+        value = float(model.score(X, y, ledger.scoring))
     else:
-        model.fit(X, y, ledger)
         value = float(model.train_score)
     return Score(value, model.score_kind).value  # bounds-checked at the trial boundary
 
@@ -294,14 +278,14 @@ def _plan_repeats(trial: Trial, config: FinderConfig, registry: Registry, X: np.
 
 
 def _prepare(plan: Iterable[tuple[Trial, list]], registry: Registry, X: np.ndarray) -> None:
-    """Hand each family that registers `prepare` the models built in `plan`."""
+    """Hand each family whose class has a `prepare` hook the models built in `plan`."""
     families: dict[str, list] = {}
     for trial, models in plan:
         for model in models:
             if not isinstance(model, Exception):
                 families.setdefault(trial.sampled["model_type"], []).append(model)
     for name, models in families.items():
-        prepare = registry.model(name).prepare
+        prepare = getattr(registry.model(name).model, "prepare", None)
         if prepare is not None:
             prepare(models, X)
 
@@ -365,10 +349,10 @@ def find_model(
     each family's `prepare` gets its models. Between trials only the leading
     trial's repeat-0 model is kept.
 
-    Every candidate family for the task must register `restore` and build
-    models with `spec_fields`, and X and y must be finite; otherwise a
-    ValueError naming the family, or X or y, is raised before any fit or
-    store write.
+    Every candidate family's builder must return models with `spec_fields`,
+    and X and y must be finite; otherwise a ValueError naming the family, or
+    X or y, is raised before any fit or store write. Every registered family's
+    class has `from_spec`, so the winner can be restored from its model file.
     """
     X = np.asarray(X, dtype=float)
     if config.task != TaskType.CLUSTERING:
@@ -376,11 +360,6 @@ def find_model(
             raise ValueError(f"task {config.task.value} requires targets")
         y = np.asarray(y)
     _require_finite(X, y)
-    for name in registry.models_for_task(config.task):
-        if registry.model(name).restore is None:
-            raise ValueError(
-                f"model family {name!r} registers no restore, so its winner could not be saved"
-            )
 
     trials = [Trial(t, derive_seed(config.base_seed, t)) for t in range(config.n_trials)]
     plan = {trial.trial_id: _plan_repeats(trial, config, registry, X) for trial in trials}

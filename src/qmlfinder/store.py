@@ -150,15 +150,12 @@ def model_to_spec(model, n_features: int, metadata: dict[str, Any]) -> ModelSpec
 
 
 def model_from_spec(spec: ModelSpec, registry: Registry):
-    """Reconstruct a ready-to-predict model through its family's registered `restore`."""
+    """Reconstruct a ready-to-predict model through its family class's `from_spec`."""
     if spec.format_version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version {spec.format_version}")
     if spec.model_family not in registry.model_names:
         raise ValueError(f"unknown model family {spec.model_family!r}")
-    restore = registry.model(spec.model_family).restore
-    if restore is None:
-        raise ValueError(f"model family {spec.model_family!r} registers no restore")
-    return restore(spec, registry)
+    return registry.model(spec.model_family).model.from_spec(spec, registry)
 
 
 def _format_cell(value) -> str:

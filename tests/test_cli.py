@@ -294,6 +294,55 @@ def test_malformed_model_file_is_data_error(tmp_path, blobs_csv, capsys, command
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def _rbm_model_doc():
+    from qmlfinder import RBMClusterer
+    from qmlfinder.store import model_to_spec
+
+    X = np.array([[0.1, 0.2, 0.3], [0.9, 0.8, 0.7], [0.2, 0.1, 0.3], [0.8, 0.9, 0.7]])
+    model = RBMClusterer(input_size=3, encoder_layers=1, latent_size=2, n_hidden=1,
+                         firing_threshold=0.5, n_epochs=2, seed=0).fit(X)
+    return model_to_spec(model, 3, {}).as_dict()
+
+
+@pytest.mark.parametrize("widths", [[3, 2, 2], [3, 3]], ids=["extra_layer", "other_width"])
+def test_rbm_model_file_with_foreign_encoder_widths_is_data_error(tmp_path, capsys, widths):
+    import json
+
+    doc = _rbm_model_doc()
+    assert doc["extras"]["encoder_widths"] == [3, 2]
+    doc["extras"]["encoder_widths"] = widths
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc))
+    features = tmp_path / "features.csv"
+    write_csv(features, ["f0", "f1", "f2"], [(0.1, 0.2, 0.3), (0.9, 0.8, 0.7)])
+    code = cli_main(["predict", "--model", str(model_path), "--data", str(features),
+                     "--out", str(tmp_path / "pred.csv")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "encoder_widths" in err[0]
+    assert not (tmp_path / "pred.csv").exists()
+
+
+def test_predict_on_row_the_model_cannot_embed_is_data_error(tmp_path, capsys):
+    import json
+
+    from qmlfinder import AMPLITUDE, BASIC_ENTANGLER, CircuitSpec, QNNClassifier
+    from qmlfinder.store import model_to_spec
+
+    model = QNNClassifier(CircuitSpec(1, AMPLITUDE, (BASIC_ENTANGLER,)), batch_size=2,
+                          n_epochs=1, accuracy_threshold=0.8, seed=0)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model_to_spec(model, 2, {}).as_dict()))
+    features = tmp_path / "features.csv"
+    write_csv(features, ["f0", "f1"], [(1.0, 0.5), (0.0, 0.0)])
+    code = cli_main(["predict", "--model", str(model_path), "--data", str(features),
+                     "--out", str(tmp_path / "pred.csv")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {features}: ") and "all-zero" in err[0]
+    assert not (tmp_path / "pred.csv").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

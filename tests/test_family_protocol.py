@@ -3,6 +3,8 @@ package is searched, saved and restored, and the saved winner is the model
 its trial scored."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +15,14 @@ from qmlfinder import (
     FinderConfig,
     ModelFamilyConfig,
     TaskType,
+    default_registry,
     find_model,
     select_best,
+    silhouette_score,
 )
 from qmlfinder.models import Score
 from qmlfinder.store import (
+    ModelSpec,
     StudyStore,
     model_from_spec,
     read_model_spec,
@@ -67,23 +72,16 @@ class NearestMean(UnsavableNearestMean):
         return cls(np.asarray(spec.weights, dtype=float).reshape(2, spec.n_features))
 
 
-def _with_nearest_mean(registry, builder=lambda kwargs, seed: NearestMean(), restore=None):
+def _with_nearest_mean(registry, builder=lambda kwargs, seed: NearestMean()):
     registry.register(
-        "model",
-        ModelFamilyConfig(
-            name="NEAREST_MEAN",
-            task=TaskType.CLASSIFICATION,
-            n_layers=(1, 1),
-            builder=builder,
-            restore=restore,
-        ),
+        "model", ModelFamilyConfig(model=NearestMean, n_layers=(1, 1), builder=builder)
     )
     return registry
 
 
 def test_registered_family_wins_and_round_trips(registry, blobs40, tmp_path):
     X, y = blobs40
-    registry = _with_nearest_mean(registry, restore=NearestMean.from_spec)
+    registry = _with_nearest_mean(registry)
     config = FinderConfig(task=TaskType.CLASSIFICATION, n_trials=4, n_seeds=1, n_epochs=1,
                           threshold=0.8, base_seed=0)
     store = StudyStore(tmp_path / "study.jsonl")
@@ -103,21 +101,21 @@ def test_registered_family_wins_and_round_trips(registry, blobs40, tmp_path):
     np.testing.assert_array_equal(restored.predict(X, CallCounter()), y)
 
 
-def test_family_without_restore_is_refused_before_any_trial(registry, blobs40, tmp_path):
-    X, y = blobs40
-    built = []
+@pytest.mark.parametrize("missing", ["family", "task", "from_spec"])
+def test_family_class_without_identity_or_restore_is_refused(missing):
+    attrs = {"family": "INCOMPLETE", "task": TaskType.CLASSIFICATION,
+             "from_spec": classmethod(lambda cls, spec, registry: cls())}
+    del attrs[missing]
+    incomplete = type("Incomplete", (), attrs)
+    with pytest.raises(ValueError, match=f"Incomplete has no {missing}"):
+        ModelFamilyConfig(model=incomplete, n_layers=(1, 1), builder=lambda kwargs, seed: None)
 
-    def builder(kwargs, seed):
-        built.append(seed)
-        return NearestMean()
 
-    registry = _with_nearest_mean(registry, builder=builder)
-    store = StudyStore(tmp_path / "study.jsonl")
-    config = FinderConfig(task=TaskType.CLASSIFICATION, n_trials=2, n_seeds=1, n_epochs=1)
-    with pytest.raises(ValueError, match="NEAREST_MEAN"):
-        find_model(config, registry, X, y, store)
-    assert built == []
-    assert not (tmp_path / "study.jsonl").exists()
+def test_registered_family_is_named_by_its_class(registry):
+    for name in registry.model_names:
+        assert registry.model(name).model.family == name
+    config = _with_nearest_mean(registry).model("NEAREST_MEAN")
+    assert config.name == "NEAREST_MEAN" and config.model is NearestMean
 
 
 def test_family_without_spec_fields_is_refused_before_any_fit(registry, blobs40, tmp_path):
@@ -129,8 +127,7 @@ def test_family_without_spec_fields_is_refused_before_any_fit(registry, blobs40,
             fitted.append(self)
             return super().fit(X, y, ledger)
 
-    registry = _with_nearest_mean(registry, builder=lambda kwargs, seed: Unsavable(),
-                                  restore=NearestMean.from_spec)
+    registry = _with_nearest_mean(registry, builder=lambda kwargs, seed: Unsavable())
     store = StudyStore(tmp_path / "study.jsonl")
     config = FinderConfig(task=TaskType.CLASSIFICATION, n_trials=4, n_seeds=1, n_epochs=1,
                           threshold=0.8, base_seed=0)
@@ -176,6 +173,10 @@ class NanRegressor:
     def spec_fields(self):  # never called: a NaN-scoring trial fails, so it never wins
         raise AssertionError("a NaN-scoring trial cannot win")
 
+    @classmethod
+    def from_spec(cls, spec, registry):
+        return cls()
+
 
 @pytest.mark.parametrize("kind", ["mean_accuracy", "r2", "silhouette", "unknown"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -189,11 +190,7 @@ def test_nan_scoring_trial_fails_and_the_store_stays_standard_json(registry, sin
     registry.register(
         "model",
         ModelFamilyConfig(
-            name="NAN_REGRESSOR",
-            task=TaskType.REGRESSION,
-            n_layers=(1, 1),
-            builder=lambda kwargs, seed: NanRegressor(),
-            restore=lambda spec, registry: NanRegressor(),
+            model=NanRegressor, n_layers=(1, 1), builder=lambda kwargs, seed: NanRegressor()
         ),
     )
     config = FinderConfig(task=TaskType.REGRESSION, n_trials=8, n_seeds=1, n_epochs=1,
@@ -213,3 +210,78 @@ def test_nan_scoring_trial_fails_and_the_store_stays_standard_json(registry, sin
 
     for line in (tmp_path / "study.jsonl").read_text().splitlines():
         json.loads(line, parse_constant=refuse)
+
+
+class TwoMeans:
+    """Classical clustering toy written to the documented protocol: one
+    `fit(X, y, ledger)` and `score(X, y, counter)`, as every family has."""
+
+    task = TaskType.CLUSTERING
+    family = "TWO_MEANS"
+    score_kind = "silhouette"
+
+    def __init__(self, centers=None):
+        self.centers = centers
+
+    def fit(self, X, y, ledger):
+        totals = X.sum(axis=1)
+        self.centers = X[[np.argmin(totals), np.argmax(totals)]]
+        for _ in range(5):
+            labels = self.predict(X, ledger.scoring)
+            self.centers = np.array([X[labels == k].mean(axis=0) for k in (0, 1)])
+        return self
+
+    def predict(self, X, counter):
+        distances = ((np.asarray(X)[:, None, :] - self.centers[None, :, :]) ** 2).sum(axis=-1)
+        return np.argmin(distances, axis=1)
+
+    def score(self, X, y, counter):
+        return silhouette_score(X, self.predict(X, counter))
+
+    def spec_fields(self):
+        return {"n_wires": 0, "embedding": None, "layers": [],
+                "weights": [float(v) for v in self.centers.reshape(-1)], "extras": {}}
+
+    @classmethod
+    def from_spec(cls, spec, registry):
+        return cls(np.reshape(spec.weights, (2, spec.n_features)))
+
+
+def test_registered_clustering_family_wins_and_round_trips(registry, cluster_blobs, tmp_path):
+    registry.register(
+        "model", ModelFamilyConfig(model=TwoMeans, n_layers=(1, 1),
+                                   builder=lambda kwargs, seed: TwoMeans())
+    )
+    config = FinderConfig(task=TaskType.CLUSTERING, n_trials=6, n_seeds=2, n_epochs=2,
+                          base_seed=1)
+    store = StudyStore(tmp_path / "study.jsonl")
+    spec = find_model(config, registry, cluster_blobs, None, store)
+    outcomes = {(r.sampled["model_type"], r.status) for r in store.load()}
+    assert outcomes >= {("RBM", "complete"), ("TWO_MEANS", "complete")}
+    assert ("TWO_MEANS", "failed") not in outcomes
+    assert spec.model_family == "TWO_MEANS"
+
+    path = tmp_path / "model.json"
+    write_model_spec(spec, path)
+    restored = model_from_spec(read_model_spec(path), registry)
+    expected = TwoMeans().fit(cluster_blobs, None, BudgetLedger())
+    np.testing.assert_array_equal(
+        restored.predict(cluster_blobs, CallCounter()),
+        expected.predict(cluster_blobs, CallCounter()),
+    )
+    assert restored.score(cluster_blobs, None, CallCounter()) == spec.metadata["mean_score"]
+
+
+def test_readme_registration_example_runs(blobs40):
+    """The README's registration example, run as written, on blobs40."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (example,) = [block for block in re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+                  if "register(" in block]
+    X, y = blobs40
+    namespace = {"X": X, "y": y}
+    exec(compile(example, "README.md", "exec"), namespace)
+    spec, registry = namespace["spec"], namespace["registry"]
+    added = set(registry.model_names) - set(default_registry().model_names)
+    assert spec.model_family in added  # a classical family books no calls, so it wins
+    restored = model_from_spec(ModelSpec.from_json(spec.to_json()), registry)
+    np.testing.assert_array_equal(restored.predict(X, CallCounter()), y)

@@ -607,7 +607,7 @@ def test_rbm_pipeline_touches_no_device_calls(cluster_blobs):
         n_epochs=5,
         seed=0,
     )
-    model.fit(cluster_blobs, ledger)
+    model.fit(cluster_blobs, None, ledger)
     model.score(cluster_blobs)
     assert ledger.total == 0
 

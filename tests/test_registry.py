@@ -1,5 +1,7 @@
 """Embedding/layer behavior and the extensible registry tables."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -181,27 +183,29 @@ def test_registering_layer_preserves_existing_entries():
     assert registry.layer_names == before + ["RXOnly"]
 
 
+def _family(family, task):
+    """A bare model class carrying a family's identity and restore."""
+    return type(family, (), {"family": family, "task": task,
+                             "from_spec": classmethod(lambda cls, spec, registry: cls())})
+
+
 def test_model_entry_layer_bounds_validated():
-    with pytest.raises(ValueError):
-        ModelFamilyConfig(
-            name="BAD",
-            task=TaskType.CLASSIFICATION,
-            n_layers=(0, 2),
-            builder=lambda kwargs, seed: None,
-        )
-    with pytest.raises(ValueError):
-        ModelFamilyConfig(
-            name="BAD",
-            task=TaskType.CLASSIFICATION,
-            n_layers=(3, 2),
-            builder=lambda kwargs, seed: None,
-        )
+    bad = _family("BAD", TaskType.CLASSIFICATION)
+    with pytest.raises(ValueError, match="BAD"):
+        ModelFamilyConfig(model=bad, n_layers=(0, 2), builder=lambda kwargs, seed: None)
+    with pytest.raises(ValueError, match="BAD"):
+        ModelFamilyConfig(model=bad, n_layers=(3, 2), builder=lambda kwargs, seed: None)
+
+
+def test_model_entry_fields_are_the_class_and_its_search_space():
+    fields = [f.name for f in dataclasses.fields(ModelFamilyConfig)]
+    assert fields == ["model", "n_layers", "builder", "tunables", "fixed_options"]
 
 
 def test_models_for_task():
     registry = Registry()
     cfg = ModelFamilyConfig(
-        name="M", task=TaskType.REGRESSION, n_layers=(1, 2), builder=lambda k, s: None
+        model=_family("M", TaskType.REGRESSION), n_layers=(1, 2), builder=lambda k, s: None
     )
     register(registry, "model", cfg)
     assert registry.models_for_task(TaskType.REGRESSION) == ["M"]

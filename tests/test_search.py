@@ -10,7 +10,6 @@ from qmlfinder import (
     FinderConfig,
     ModelFamilyConfig,
     PortableRng,
-    RandomSampler,
     Registry,
     StudyFailureError,
     TaskType,
@@ -30,29 +29,32 @@ from qmlfinder import (
     suggest_supervised_kwargs,
     suggest_unsupervised_kwargs,
 )
-from qmlfinder.models import BinaryEncoder, RBMClusterer
+from qmlfinder.models import BinaryEncoder, QNNClassifier, RBMClusterer
 from qmlfinder.search import _fit_and_score, _suggest_and_build
 from qmlfinder.store import StudyStore, model_from_spec, model_to_spec
 
 from oracles import RefXorshift
 
 
-# -- samplers and trials ---------------------------------------------------------
+# -- trials ----------------------------------------------------------------------
 
 
-def test_sampler_bounds_hold_over_many_draws():
-    sampler = RandomSampler(123)
-    for _ in range(1000):
-        assert 1 <= sampler.suggest_int("i", 1, 3) <= 3
-        assert 0.3 <= sampler.suggest_float("f", 0.3, 0.7) <= 0.7
-        assert sampler.suggest_categorical("c", ["a", "b"]) in ("a", "b")
+def test_trial_draw_bounds_hold_over_many_draws():
+    trial = Trial(0, seed=123)
+    for i in range(1000):  # a new name per draw: a repeated name answers from the record
+        assert 1 <= trial.suggest_int(f"i{i}", 1, 3) <= 3
+        assert 0.3 <= trial.suggest_float(f"f{i}", 0.3, 0.7) <= 0.7
+        assert trial.suggest_categorical(f"c{i}", ["a", "b"]) in ("a", "b")
 
 
-def test_sampler_deterministic_under_seed_and_order():
-    a, b = RandomSampler(9), RandomSampler(9)
-    seq_a = [a.suggest_int("x", 0, 100) for _ in range(20)]
-    seq_b = [b.suggest_int("x", 0, 100) for _ in range(20)]
-    assert seq_a == seq_b
+def test_trial_draws_are_its_seeds_generator_in_suggestion_order():
+    a, b, rng = Trial(0, seed=9), Trial(1, seed=9), PortableRng(9)
+    seq_a = [a.suggest_int(f"x{i}", 0, 100) for i in range(20)]
+    seq_b = [b.suggest_int(f"x{i}", 0, 100) for i in range(20)]
+    assert seq_a == seq_b == [rng.randint(0, 100) for _ in range(20)]
+    assert a.suggest_float("f", 0.3, 0.7) == rng.uniform(0.3, 0.7)
+    assert a.suggest_float("g", 1e-3, 0.5, log=True) == rng.log_uniform(1e-3, 0.5)
+    assert a.suggest_categorical("c", ["a", "b", "c"]) == rng.choice(["a", "b", "c"])
 
 
 def test_trial_caches_repeated_names():
@@ -250,6 +252,9 @@ def test_injected_failures_mark_exactly_k_failed(registry, blobs40):
     # a model family whose builder explodes whenever its sampled switch is 1
     from qmlfinder import IntRange, ModelFamilyConfig, Registry
 
+    class Fragile(QNNClassifier):
+        family = "FRAGILE"
+
     X, y = blobs40
 
     def fragile_builder(kwargs, seed):
@@ -265,8 +270,7 @@ def test_injected_failures_mark_exactly_k_failed(registry, blobs40):
     reg.register(
         "model",
         ModelFamilyConfig(
-            name="FRAGILE",
-            task=TaskType.CLASSIFICATION,
+            model=Fragile,
             n_layers=(1, 2),
             builder=fragile_builder,
             tunables={"explode": IntRange(0, 1)},
@@ -541,11 +545,11 @@ def _record_encoder_fits(monkeypatch):
         init(self, **kwargs)
         self.encoder.key = (tuple(self.encoder.widths), self.seed)
 
-    def recording_fit(self, X, ledger=None):
+    def recording_fit(self, X, y=None, ledger=None):
         fits.append([self.encoder.key, False])
         fitting.append(True)
         try:
-            return fit(self, X, ledger)
+            return fit(self, X, y, ledger)
         finally:
             fitting.pop()
 
@@ -600,15 +604,20 @@ def test_failures_reach_their_trials_as_without_the_prepass(cluster_blobs, tmp_p
     def broken(kwargs, seed):
         raise RuntimeError("builder broke")
 
+    class Broken(RBMClusterer):
+        family = "BROKEN"
+
+    class Unprepared(RBMClusterer):
+        prepare = None
+
     outcomes = []
-    for prepare in (RBMClusterer.train_encoders, None):
+    for model in (RBMClusterer, Unprepared):
         registry = base_registry()
-        registry.register("model", replace(default_registry().model("RBM"), prepare=prepare))
-        registry.register("model", ModelFamilyConfig(
-            name="BROKEN", task=TaskType.CLUSTERING, n_layers=(1, 3), builder=broken,
-            restore=RBMClusterer.from_spec))
-        study = tmp_path / f"study-{prepare is None}.jsonl"
-        empty = tmp_path / f"empty-{prepare is None}.jsonl"
+        registry.register("model", replace(default_registry().model("RBM"), model=model))
+        registry.register("model", ModelFamilyConfig(model=Broken, n_layers=(1, 3),
+                                                     builder=broken))
+        study = tmp_path / f"study-{model.__name__}.jsonl"
+        empty = tmp_path / f"empty-{model.__name__}.jsonl"
         config = _clustering_config(n_trials=6, n_seeds=2, base_seed=2)
         spec = find_model(config, registry, cluster_blobs, None, StudyStore(study))
         with pytest.raises(StudyFailureError):
@@ -652,7 +661,7 @@ def _assert_same_encoder(model, other):
 def test_memo_hit_fits_the_same_model_as_no_memo(cluster_blobs, monkeypatch):
     fits, trained = _record_encoder_fits(monkeypatch)
     miss, hit = _clusterer(), _clusterer()
-    RBMClusterer.train_encoders([miss, hit], cluster_blobs)
+    RBMClusterer.prepare([miss, hit], cluster_blobs)
     miss.fit(cluster_blobs)
     hit.fit(cluster_blobs)
     assert fits == [[((4, 4, 3), 3), False]] * 2 and trained == [((4, 4, 3), 3)]
@@ -664,7 +673,7 @@ def test_memo_hit_fits_the_same_model_as_no_memo(cluster_blobs, monkeypatch):
 
 def test_mutating_a_memo_model_leaves_later_hits_intact(cluster_blobs):
     models = [_clusterer(), _clusterer()]
-    RBMClusterer.train_encoders(models, cluster_blobs)
+    RBMClusterer.prepare(models, cluster_blobs)
     first, later = models
     for stack in _encoder_stacks(first.fit(cluster_blobs)):
         for array in stack:
@@ -677,7 +686,7 @@ def test_mutating_a_memo_model_leaves_later_hits_intact(cluster_blobs):
 
 def test_a_clusterer_prepared_on_other_data_trains_afresh(cluster_blobs):
     prepared = _clusterer()
-    RBMClusterer.train_encoders([prepared], cluster_blobs[::2])
+    RBMClusterer.prepare([prepared], cluster_blobs[::2])
     prepared.fit(cluster_blobs)
     plain = _clusterer().fit(cluster_blobs)
     assert prepared.spec_fields() == plain.spec_fields()
@@ -775,9 +784,9 @@ def test_tuner_lr_bounds_over_many_draws():
     rng_trials = 1000
     from qmlfinder.search import TUNER_LEARNING_RATE_RANGE
 
-    sampler = RandomSampler(3)
-    for _ in range(rng_trials):
-        value = sampler.suggest_float("lr", *TUNER_LEARNING_RATE_RANGE, log=True)
+    trial = Trial(0, seed=3)
+    for i in range(rng_trials):
+        value = trial.suggest_float(f"lr{i}", *TUNER_LEARNING_RATE_RANGE, log=True)
         assert 1e-3 <= value <= 0.5
 
 
