@@ -64,7 +64,7 @@ def _r_squared(values: np.ndarray, targets: np.ndarray) -> float:
 
 def _initial_weights(param_count: int, seed: int) -> np.ndarray:
     rng = PortableRng(derive_seed(seed, 0))
-    return np.array(rng.uniforms(param_count, 0.0, pi))
+    return rng.uniforms(param_count, 0.0, pi)
 
 
 def _floats(values) -> list[float]:
@@ -414,8 +414,16 @@ class QEKClassifier(CircuitModel):
         cls, circuit: CircuitSpec, weights: np.ndarray, extras: Mapping
     ) -> "QEKClassifier":
         model = cls(circuit, ridge_lambda=extras["ridge_lambda"], weights=weights)
-        model.support_data = np.asarray(extras["support_data"], dtype=float)
-        model.dual_coeffs = np.asarray(extras["dual_coeffs"], dtype=float)
+        support = np.asarray(extras["support_data"], dtype=float)
+        coeffs = np.asarray(extras["dual_coeffs"], dtype=float)
+        widest = circuit.embedding.max_features(circuit.n_wires)
+        if support.ndim != 2 or support.shape[1] > widest:
+            raise ValueError(f"support_data must be rows of at most {widest} features, "
+                             f"got shape {support.shape}")
+        if coeffs.shape != support.shape[:1]:
+            raise ValueError(f"dual_coeffs has shape {coeffs.shape}, expected one per "
+                             f"support row ({len(support)})")
+        model.support_data, model.dual_coeffs = support, coeffs
         return model
 
 
@@ -447,9 +455,7 @@ class BinaryEncoder:
         weights, biases = [], []
         for fan_in, fan_out in zip(widths[:-1], widths[1:]):
             scale = 1.0 / np.sqrt(fan_in)
-            weights.append(
-                np.array(rng.uniforms(fan_out * fan_in, -scale, scale)).reshape(fan_out, fan_in)
-            )
+            weights.append(rng.uniforms(fan_out * fan_in, -scale, scale).reshape(fan_out, fan_in))
             biases.append(np.zeros(fan_out))
         return weights, biases
 
@@ -590,8 +596,8 @@ class RBM:
         if n_visible < 1 or n_hidden < 1:
             raise ValueError("RBM needs at least one visible and one hidden unit")
         rng = PortableRng(derive_seed(seed, 1))
-        self.weights = np.array(
-            rng.uniforms(n_visible * n_hidden, -self.init_scale, self.init_scale)
+        self.weights = rng.uniforms(
+            n_visible * n_hidden, -self.init_scale, self.init_scale
         ).reshape(n_visible, n_hidden)
         self.visible_bias = np.zeros(n_visible)
         self.hidden_bias = np.zeros(n_hidden)
@@ -604,7 +610,7 @@ class RBM:
         return _sigmoid(hidden @ self.weights.T + self.visible_bias)
 
     def _bernoulli(self, probs: np.ndarray) -> np.ndarray:
-        draws = np.array(self._sample_rng.uniforms(probs.size)).reshape(probs.shape)
+        draws = self._sample_rng.uniforms(probs.size).reshape(probs.shape)
         return (draws < probs).astype(float)
 
     def cd1_epoch(self, V: np.ndarray, learning_rate: float = 0.1) -> None:
@@ -627,11 +633,12 @@ class RBMClusterer:
     encoding of which hidden units fire (unit j contributes 2**j).
 
     Entirely classical: fitting and assignment touch no device-call counter.
-    Encoder training is a pure function of the data, the widths, the seed and
-    the encoder budget, so `fit` trains the encoder only when it is not
-    already the one trained on the same data. `prepare` trains them ahead
-    for many models in one lockstep, which a study does before its first
-    trial.
+    Training is a pure function of the data and the seed, plus the widths and
+    the encoder budget for the encoder, and the encoder, n_hidden and n_epochs
+    for the RBM; the firing threshold only reads the trained RBM. So `fit`
+    trains nothing when the model was already trained on the same data, and
+    `prepare` trains many models ahead, each distinct encoder and RBM once,
+    which a study does before its first trial.
     """
 
     task = TaskType.CLUSTERING
@@ -671,7 +678,7 @@ class RBMClusterer:
         self.n_epochs = n_epochs
         self.seed = seed
         self.encoder = BinaryEncoder(input_size, encoder_layers, latent_size, seed)
-        self._encoder_data: np.ndarray | None = None  # what the encoder was trained on
+        self._trained_on: np.ndarray | None = None  # the data encoder and RBM were trained on
         self.rbm = RBM(latent_size, n_hidden, seed)
         # per-feature affine scaling fitted on the training data
         self.feature_min: np.ndarray | None = None
@@ -690,17 +697,22 @@ class RBMClusterer:
         if X.ndim != 2 or X.shape[1] != self.input_size:
             raise ValueError(f"expected 2D data with {self.input_size} features")
         scaled = self._fit_scaling(X)
-        if self._encoder_data is None or not np.array_equal(X, self._encoder_data):
-            if self._encoder_data is not None:  # trained on other data: start afresh
+        if self._trained_on is None or not np.array_equal(X, self._trained_on):
+            if self._trained_on is not None:  # trained on other data: start afresh
                 self.encoder = BinaryEncoder(
                     self.input_size, self.encoder_layers, self.latent_size, self.seed
                 )
+                self.rbm = RBM(self.latent_size, self.n_hidden, self.seed)
             self.encoder.train(scaled, self.encoder_epochs, self.encoder_learning_rate)
-            self._encoder_data = X.copy()
+            self._train_rbm(X)
+            self._trained_on = X.copy()
+        return self
+
+    def _train_rbm(self, X: np.ndarray) -> None:
+        """CD-1 on the latent bits of X, under the scaling fitted to X."""
         latents = self._latent_bits(X)
         for _ in range(self.n_epochs):
             self.rbm.cd1_epoch(latents, self.rbm_learning_rate)
-        return self
 
     def _fit_scaling(self, X: np.ndarray) -> np.ndarray:
         """Fit the feature scaling to X; return the scaled data."""
@@ -710,26 +722,32 @@ class RBMClusterer:
 
     @staticmethod
     def prepare(models: Sequence["RBMClusterer"], X: np.ndarray) -> None:
-        """Train the encoders that fitting `models` on X needs, in place: each
-        distinct (widths, seed) once, all in one lockstep, copied into the
-        models that share it. Their `fit` on the same X then trains no
-        encoder. The models share one class, hence one encoder budget."""
+        """Train `models` on X in place, as their `fit` on X would, which then
+        trains nothing. Each distinct encoder, keyed by (widths, seed), trains
+        once, all of them in one lockstep; each distinct RBM, keyed by (widths,
+        seed, n_hidden, n_epochs), trains once on its encoder's latent bits.
+        Models sharing a key get copies. The models share one class, hence one
+        encoder budget and one RBM learning rate."""
         X = np.asarray(X, dtype=float)
         if not models or X.size == 0:  # no data: each fit fails on it and records that
             return
-        shared: dict[tuple, list[RBMClusterer]] = {}
-        for model in models:
-            shared.setdefault((tuple(model.encoder.widths), model.seed), []).append(model)
-        first, *others = [group[0] for group in shared.values()]
+        encoders = _groups(models, lambda m: (tuple(m.encoder.widths), m.seed))
+        first, *others = [lead for lead, *_ in encoders]
         first.encoder.train(first._fit_scaling(X), first.encoder_epochs,
                             first.encoder_learning_rate,
                             alongside=[model.encoder for model in others])
-        for lead, *copies in shared.values():
+        for lead, *copies in encoders:
             for model in copies:
                 model.encoder = deepcopy(lead.encoder)
+        for lead, *copies in _groups(models, lambda m: (tuple(m.encoder.widths), m.seed,
+                                                        m.n_hidden, m.n_epochs)):
+            lead._fit_scaling(X)
+            lead._train_rbm(X)
+            for model in copies:
+                model.rbm = deepcopy(lead.rbm)
         data = X.copy()
         for model in models:
-            model._encoder_data = data
+            model._trained_on = data
 
     def cluster_assign(self, x: Sequence[float]) -> int:
         return int(self.predict(np.atleast_2d(x))[0])
@@ -793,9 +811,21 @@ class RBMClusterer:
         rbm = model.rbm
         *encoder, rbm.weights, rbm.visible_bias, rbm.hidden_bias = _carve(flat, shapes)
         model.encoder.enc_weights, model.encoder.enc_biases = encoder[::2], encoder[1::2]
-        model.feature_min = np.asarray(extras["feature_min"], dtype=float)
-        model.feature_max = np.asarray(extras["feature_max"], dtype=float)
+        for name in ("feature_min", "feature_max"):
+            bound = np.asarray(extras[name], dtype=float)
+            if bound.shape != (model.input_size,):
+                raise ValueError(f"{name} has shape {bound.shape}, expected "
+                                 f"({model.input_size},)")
+            setattr(model, name, bound)
         return model
+
+
+def _groups(items: Sequence, key: Callable) -> list[list]:
+    """`items` grouped by `key`, in order of each key's first item."""
+    groups: dict[Any, list] = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return list(groups.values())
 
 
 def silhouette_score(X: np.ndarray, labels: np.ndarray) -> float:

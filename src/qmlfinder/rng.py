@@ -11,12 +11,25 @@ Generators:
     0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB).
   - xorshift64* (shifts 12, 25, 27; multiplier 0x2545F4914F6CDD1D) for the
     actual random stream.
+
+Jump table: the xorshift state update is linear over GF(2) (Vigna,
+arXiv:1402.6246), so the state j + 1 steps after s is the XOR, over the set
+bits i of s, of the state j + 1 steps after the single bit i. `uniforms` reads
+those states from a table of 64 x 128 `uint64` (64 KiB): entry [i, j] is the
+state j + 1 steps after bit i. One table pass yields up to 128 successive
+states; longer draws chain passes from the last state. The table is built on
+the first `uniforms` call, never at import, and is the same for every stream.
+All of its arithmetic uses explicit `np.uint64` operands, so numpy's integer
+promotion rules (which changed in numpy 2) cannot change a bit.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import Sequence, TypeVar
+
+import numpy as np
 
 MASK64 = (1 << 64) - 1
 
@@ -24,6 +37,9 @@ _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _SPLITMIX_MUL1 = 0xBF58476D1CE4E5B9
 _SPLITMIX_MUL2 = 0x94D049BB133111EB
 _XORSHIFT_MUL = 0x2545F4914F6CDD1D
+
+_JUMP_STEPS = 128  # successive states per jump-table pass
+_UNIT_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 #: Stride for deriving per-repeat training seeds: seed_k = base_seed * SEED_STRIDE + k.
 SEED_STRIDE = 10007
@@ -47,6 +63,20 @@ def derive_seed(base: int, index: int) -> int:
 def repeat_seed(base_seed: int, repeat: int) -> int:
     """Training seed for evaluation repeat `repeat` (documented linear rule)."""
     return base_seed * SEED_STRIDE + repeat
+
+
+@cache
+def _jump_table() -> np.ndarray:
+    """(64, _JUMP_STEPS) uint64: entry [i, j] is the state j + 1 xorshift steps
+    after the state with only bit i set."""
+    table, x = np.empty((64, _JUMP_STEPS), dtype=np.uint64), _UNIT_BITS
+    for j in range(_JUMP_STEPS):
+        x = x ^ (x >> np.uint64(12))
+        x = x ^ (x << np.uint64(25))  # a uint64 shift drops the carried-out bits
+        x = x ^ (x >> np.uint64(27))
+        table[:, j] = x
+    table.flags.writeable = False  # one table serves every stream
+    return table
 
 
 class PortableRng:
@@ -106,14 +136,19 @@ class PortableRng:
             j = self.randbelow(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def uniforms(self, n: int, low: float = 0.0, high: float = 1.0) -> list[float]:
-        """n successive `uniform(low, high)` draws, stepped in one local loop."""
-        x, span, out = self._state, high - low, []
-        append = out.append
-        for _ in range(n):
-            x ^= x >> 12
-            x = (x ^ (x << 25)) & MASK64
-            x ^= x >> 27
-            append(low + span * ((((x * _XORSHIFT_MUL) & MASK64) >> 11) * 2.0**-53))
+    def uniforms(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
+        """n successive `uniform(low, high)` draws as a float64 array, bit for bit,
+        with the stream left where n `uniform` calls leave it. The states come
+        from the jump table (module docstring), up to _JUMP_STEPS per pass."""
+        table, states, x = _jump_table(), np.empty(n, dtype=np.uint64), self._state
+        for start in range(0, n, _JUMP_STEPS):
+            block = states[start:start + _JUMP_STEPS]
+            # the table rows of x's set bits: compress keeps rows whose mask entry is nonzero
+            rows = table.compress(np.uint64(x) & _UNIT_BITS, axis=0)
+            np.bitwise_xor.reduce(rows[:, :len(block)], axis=0, out=block)
+            x = int(block[-1])
         self._state = x
-        return out
+        units = ((states * np.uint64(_XORSHIFT_MUL)) >> np.uint64(11)).astype(np.float64)
+        units *= 2.0**-53
+        with np.errstate(over="ignore", invalid="ignore"):  # as Python floats: inf, nan
+            return low + (high - low) * units

@@ -137,10 +137,10 @@ class CircuitLike(Protocol):
 
 
 def _matrix(a, b, c, d) -> np.ndarray:
-    """[[a, b], [c, d]] as a complex (..., 2, 2) array over the entries' broadcast
-    shape: one allocation, each entry assigned in place (real entries get +0j)."""
-    shape = np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(c), np.shape(d))
-    out = np.empty(shape + (2, 2), dtype=complex)
+    """[[a, b], [c, d]] as a complex (..., 2, 2) array over the shape of `a`, which
+    every other entry broadcasts to: one allocation, each entry assigned in
+    place (real entries get +0j)."""
+    out = np.empty(np.shape(a) + (2, 2), dtype=complex)
     out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
     return out
 
@@ -161,13 +161,14 @@ def _rz_matrix(t) -> np.ndarray:
 
 def _rot_matrix(phi, theta, omega) -> np.ndarray:
     """RZ(omega) @ RY(theta) @ RZ(phi), each entry multiplied in the product's order."""
-    shape = np.broadcast_shapes(np.shape(phi), np.shape(theta), np.shape(omega))
+    scalar = np.ndim(phi) == np.ndim(theta) == np.ndim(omega) == 0
     # on 1-d arrays: numpy's scalar arithmetic rounds differently from its array loops
     phi, theta, omega = np.atleast_1d(phi, theta, omega)
     a0, a1 = np.exp(-0.5j * omega), np.exp(0.5j * omega)
     b0, b1 = np.exp(-0.5j * phi), np.exp(0.5j * phi)
     c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return _matrix(a0 * c * b0, a0 * -s * b1, a1 * s * b0, a1 * c * b1).reshape(shape + (2, 2))
+    out = _matrix(a0 * c * b0, a0 * -s * b1, a1 * s * b0, a1 * c * b1)
+    return out[0] if scalar else out
 
 
 _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)

@@ -451,6 +451,39 @@ def test_model_file_with_integer_beyond_float_range_is_data_error(tmp_path, caps
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+EXTRAS_SHAPE_EDITS = {
+    # case: (model doc, edit, feature count of the data file, the field named)
+    "short_dual_coeffs": (_qek_model_doc, lambda x: x["dual_coeffs"].pop(), 2, "dual_coeffs"),
+    "wide_support_rows": (_qek_model_doc,
+                          lambda x: x.update(support_data=[r + [0.5] for r in x["support_data"]]),
+                          2, "support_data"),
+    "flat_support_data": (_qek_model_doc, lambda x: x.update(support_data=x["dual_coeffs"]),
+                          2, "support_data"),
+    "short_feature_min": (_rbm_model_doc, lambda x: x["feature_min"].pop(), 3, "feature_min"),
+    "long_feature_max": (_rbm_model_doc, lambda x: x["feature_max"].append(1.0), 3,
+                         "feature_max"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXTRAS_SHAPE_EDITS))
+def test_model_file_with_misshapen_extras_is_a_model_file_error(tmp_path, capsys, case):
+    import json
+
+    make_doc, edit, n_features, field = EXTRAS_SHAPE_EDITS[case]
+    doc = make_doc()
+    edit(doc["extras"])
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc))
+    features = tmp_path / "features.csv"
+    write_csv(features, [f"f{i}" for i in range(n_features)], [[0.2] * n_features] * 2)
+    code = cli_main(["predict", "--model", str(model_path), "--data", str(features),
+                     "--out", str(tmp_path / "pred.csv")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {model_path}: ") and field in err[0]
+    assert not (tmp_path / "pred.csv").exists()
+
+
 DEGENERATE_TARGETS = {
     # case: (task, header, rows, exit code); exit 3 is the study failure that
     # every trial of a constant regression target would end in

@@ -1,5 +1,8 @@
 """The portable generator must match its documented algorithm bit for bit."""
 
+import subprocess
+import sys
+
 import numpy as np
 
 from qmlfinder import PortableRng, derive_seed, repeat_seed, splitmix64
@@ -83,3 +86,13 @@ def test_uniform_range():
     rng = PortableRng(8)
     draws = np.array(rng.uniforms(500, -2.0, 3.0))
     assert draws.min() >= -2.0 and draws.max() < 3.0
+
+
+def test_jump_table_is_built_on_the_first_draw_not_at_import():
+    code = (
+        "from qmlfinder import rng; built = rng._jump_table.cache_info().currsize; "
+        "rng.PortableRng(0).uniforms(1); table = rng._jump_table(); "
+        "print(built, rng._jump_table.cache_info().currsize, table.nbytes, table.flags.writeable)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "1", "65536", "False"]

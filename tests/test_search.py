@@ -641,9 +641,10 @@ def test_clustering_store_bytes_match_under_n_cores(registry, cluster_blobs, tmp
     assert specs[1] == specs[2] == specs[4]
 
 
-def _clusterer(seed=3):
-    return RBMClusterer(input_size=4, encoder_layers=2, latent_size=3, n_hidden=2,
-                        firing_threshold=0.5, n_epochs=10, seed=seed)
+def _clusterer(seed=3, **overrides):
+    options = dict(input_size=4, encoder_layers=2, latent_size=3, n_hidden=2,
+                   firing_threshold=0.5, n_epochs=10, seed=seed)
+    return RBMClusterer(**{**options, **overrides})
 
 
 def _encoder_stacks(model):
@@ -691,6 +692,80 @@ def test_a_clusterer_prepared_on_other_data_trains_afresh(cluster_blobs):
     plain = _clusterer().fit(cluster_blobs)
     assert prepared.spec_fields() == plain.spec_fields()
     _assert_same_encoder(prepared, plain)
+
+
+def _record_rbm_trainings(monkeypatch):
+    """The models handed to RBMClusterer.prepare, and each model whose RBM trains."""
+    prepared, trainings = [], []
+    prepare, train_rbm = RBMClusterer.prepare, RBMClusterer._train_rbm
+
+    def recording_prepare(models, X):
+        prepared.extend(models)
+        prepare(models, X)
+
+    def recording_train_rbm(self, X):
+        trainings.append(self)
+        train_rbm(self, X)
+
+    monkeypatch.setattr(RBMClusterer, "prepare", staticmethod(recording_prepare))
+    monkeypatch.setattr(RBMClusterer, "_train_rbm", recording_train_rbm)
+    return prepared, trainings
+
+
+def _rbm_key(model):
+    return tuple(model.encoder.widths), model.seed, model.n_hidden, model.n_epochs
+
+
+# n_seeds=1 is the bench's cluster-blobs study (30 rows, 20 trials x 1 seed x 10 epochs)
+@pytest.mark.parametrize("n_seeds, distinct", [(1, 11), (3, None)], ids=["bench", "three_seeds"])
+def test_a_study_trains_each_distinct_rbm_once(registry, cluster_blobs, monkeypatch, n_seeds,
+                                               distinct):
+    prepared, trainings = _record_rbm_trainings(monkeypatch)
+    find_model(_clustering_config(n_seeds=n_seeds), registry, cluster_blobs, None)
+    keys = {_rbm_key(model) for model in prepared}
+    assert len(prepared) == 20 * n_seeds
+    assert sorted(map(_rbm_key, trainings)) == sorted(keys)
+    if distinct is not None:
+        assert len(keys) == distinct
+
+
+def test_every_prepared_clusterer_fits_as_without_prepare(registry, cluster_blobs, monkeypatch):
+    """On the 20 x 3 x 10 study, whose repeat-0 models are the bench study's."""
+    prepared, trainings = _record_rbm_trainings(monkeypatch)
+    find_model(_clustering_config(), registry, cluster_blobs, None)
+    trainings.clear()
+    for model in prepared:  # the repeats no trial reached included
+        model.fit(cluster_blobs)
+    assert prepared and trainings == []
+    monkeypatch.undo()
+
+    class Unprepared(RBMClusterer):
+        prepare = None
+
+    for model in prepared:
+        plain = Unprepared(input_size=model.input_size, encoder_layers=model.encoder_layers,
+                           latent_size=model.latent_size, n_hidden=model.n_hidden,
+                           firing_threshold=model.firing_threshold, n_epochs=model.n_epochs,
+                           seed=model.seed).fit(cluster_blobs)
+        assert model.spec_fields() == plain.spec_fields()
+
+
+def test_prepare_shares_an_rbm_only_within_its_key(cluster_blobs, monkeypatch):
+    variants = [{}, {"firing_threshold": 0.4}, {"n_epochs": 5}, {"n_hidden": 3}, {"seed": 4}]
+    models = [_clusterer(**variant) for variant in variants]
+    _, trainings = _record_rbm_trainings(monkeypatch)
+    RBMClusterer.prepare(models, cluster_blobs)
+    assert trainings == [models[0], *models[2:]]  # the threshold alone shares an RBM
+    monkeypatch.undo()
+    for variant, model in zip(variants, models):
+        plain = _clusterer(**variant).fit(cluster_blobs)
+        assert model.fit(cluster_blobs).spec_fields() == plain.spec_fields()
+
+
+def test_a_clusterer_refit_on_the_same_data_trains_nothing(cluster_blobs):
+    model = _clusterer().fit(cluster_blobs)
+    fitted = model.spec_fields()
+    assert model.fit(cluster_blobs).spec_fields() == fitted
 
 
 def test_find_model_requires_targets_for_supervised(registry):
