@@ -29,7 +29,7 @@ from .registry import (
     base_registry,
 )
 from .rng import PortableRng, derive_seed
-from .simulator import CallCounter, expectation_z, parameter_shift_gradient, run_circuit
+from .simulator import CallCounter, expectation_and_gradient, expectation_z, run_circuit
 from .training import BudgetLedger, OptimizerConfig, train_epochs
 
 
@@ -180,8 +180,7 @@ class QNN(CircuitModel):
             weights=self.weights,
             X=X,
             targets=targets,
-            forward=lambda w, X, c: expectation_z(run_circuit(self.circuit, w, X, c), 0),
-            gradient=lambda w, X, c: parameter_shift_gradient(self.circuit, w, X, 0, c),
+            evaluate=lambda w, X, rows: expectation_and_gradient(self.circuit, w, X, rows, 0),
             score_fn=score_fn,
             ledger=ledger,
             opt_config=optimizer or OptimizerConfig(),
@@ -324,21 +323,25 @@ def kernel_matrix(
 ) -> np.ndarray:
     """Fidelity kernel K[i][j] = |<phi(x1_i)|phi(x2_j)>|^2.
 
-    Each row is simulated once and K is |S1* S2^T|^2 over the stacked row
-    states S, held at once: rows * 2**n_wires amplitudes of 16 B each. The
-    booking is 2 calls per pair: N*(N-1) for a training kernel (X1 and X2 hold
-    the same rows; strict upper triangle, mirrored, over a unit diagonal) and
-    2*len(X1)*len(X2) for a cross kernel. The simulations themselves are not booked.
+    Each row is simulated once, all rows in one run, and K is |S1* S2^T|^2 over
+    the stacked row states S, held at once: rows * 2**n_wires amplitudes of 16 B
+    each (N + M rows for a cross kernel). The booking is 2 calls per pair:
+    N*(N-1) for a training kernel (X1 and X2 hold the same rows; strict upper
+    triangle, mirrored, over a unit diagonal) and 2*N*M for a cross kernel. The
+    simulation itself is not booked.
     """
     X1 = np.asarray(X1, dtype=float)
     X2 = np.asarray(X2, dtype=float)
-    S1 = run_circuit(circuit, weights, X1, CallCounter()).amplitudes
     if X1.shape == X2.shape and np.array_equal(X1, X2):
         n = len(X1)
-        upper = np.triu(np.abs(S1.conj() @ S1.T) ** 2, 1)
+        S = run_circuit(circuit, weights, X1, CallCounter()).amplitudes
+        upper = np.triu(np.abs(S.conj() @ S.T) ** 2, 1)
         counter.increment(n * (n - 1))
         return upper + upper.T + np.eye(n)
-    K = np.abs(S1.conj() @ run_circuit(circuit, weights, X2, CallCounter()).amplitudes.T) ** 2
+    # an empty side may be (0, 0), which does not stack onto rows of features
+    rows = np.concatenate([X1, X2]) if len(X1) and len(X2) else (X1 if len(X1) else X2)
+    S = run_circuit(circuit, weights, rows, CallCounter()).amplitudes
+    K = np.abs(S[: len(X1)].conj() @ S[len(X1) :].T) ** 2
     counter.increment(2 * len(X1) * len(X2))
     return K
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from math import pi
 from typing import Protocol, Sequence, Union
 
@@ -257,6 +258,46 @@ def fidelity(a: Statevector, b: Statevector) -> float | np.ndarray:
     return np.abs((a.amplitudes.conj() * b.amplitudes).sum(axis=-1)) ** 2
 
 
+@lru_cache(maxsize=8)
+def _merged_layout(n_x: int, n_rows: int, p: int) -> tuple[np.ndarray, ...]:
+    """Read-only plan of a merged run: the (2P + 1, P) shift mask and offsets
+    (row 0 unshifted, then +pi/2 and -pi/2 on each weight in turn), and each
+    circuit's row of that table and of the inputs (X's N rows, then `rows`).
+    Cached because a training runs at most four shapes, each many times."""
+    eye = np.eye(p, dtype=bool)
+    mask = np.concatenate([np.zeros((1, p), dtype=bool), eye, eye])
+    offsets = np.concatenate([np.zeros((1, p)), eye * (pi / 2), eye * -(pi / 2)])
+    row, shift = np.divmod(np.arange(n_rows * 2 * p), 2 * p)
+    weight_index = np.concatenate([np.zeros(n_x, dtype=int), 1 + shift])
+    row_index = np.concatenate([np.arange(n_x), n_x + row])
+    for a in (mask, offsets, weight_index, row_index):
+        a.flags.writeable = False  # one plan serves every call of its shape
+    return mask, offsets, weight_index, row_index
+
+
+def expectation_and_gradient(
+    spec: CircuitLike, weights: Sequence[float], X: np.ndarray, rows: np.ndarray, wire: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """<Z_wire> of every row of X (N, F) and the +-pi/2 parameter-shift gradients
+    (B, P) of `rows` (B, F) at 1-D weights, from N + B * 2P circuits run in
+    slices of at most 2**20 amplitudes; books nothing. Exact because each weight
+    of the shipped layers is the angle of one single-axis rotation (ROT: three).
+    """
+    w, X, rows = (np.asarray(a, dtype=float) for a in (weights, X, rows))
+    p, n_x = w.size, len(X)
+    mask, offsets, weight_index, row_index = _merged_layout(n_x, len(rows), p)
+    table, inputs = np.where(mask, w + offsets, w), np.concatenate([X, rows])
+    size = max(1, 2**20 >> spec.n_wires)
+    values = np.concatenate([  # with no circuits, one empty run
+        expectation_z(run_circuit(spec, table.take(weight_index[k : k + size], axis=0),
+                                  inputs.take(row_index[k : k + size], axis=0),
+                                  CallCounter()), wire)
+        for k in range(0, max(1, len(row_index)), size)
+    ])
+    shifted = values[n_x:].reshape(len(rows), 2, p)
+    return values[:n_x], 0.5 * (shifted[:, 0] - shifted[:, 1])
+
+
 def parameter_shift_gradient(
     spec: CircuitLike,
     weights: Sequence[float],
@@ -265,19 +306,9 @@ def parameter_shift_gradient(
     counter: CallCounter,
 ) -> np.ndarray:
     """Exact gradient of <Z_wire> via +-pi/2 shifts: rows (B, F) give (B, P) and
-    cost B * 2 * param_count calls; one row (F,) gives (P,).
-
-    The B * 2P circuits (each row under each of the 2P shifted weight rows) run
-    in batches of at most 2**20 amplitudes. Valid because every trainable
-    weight in the shipped layer templates enters the circuit as the angle of
-    exactly one single-axis rotation (ROT counts as three such rotations).
-    """
-    w, x = np.asarray(weights, dtype=float), np.asarray(x, dtype=float)
-    p, eye, rows = w.size, np.eye(w.size, dtype=bool), np.atleast_2d(x)
-    shifted = np.concatenate([np.where(eye, w + pi / 2, w), np.where(eye, w - pi / 2, w)])
-    n, size = len(rows) * 2 * p, max(1, 2**20 >> spec.n_wires)
-    values = np.concatenate([
-        expectation_z(run_circuit(spec, shifted[k % (2 * p)], rows[k // (2 * p)], counter), wire)
-        for k in np.split(np.arange(n), range(size, n, size))
-    ]).reshape(x.shape[:-1] + (2, p))
-    return 0.5 * (values[..., 0, :] - values[..., 1, :])
+    cost B * 2 * param_count calls; one row (F,) gives (P,)."""
+    x = np.asarray(x, dtype=float)
+    rows = np.atleast_2d(x)
+    _, grads = expectation_and_gradient(spec, weights, rows[:0], rows, wire)
+    counter.increment(2 * grads.size)
+    return grads.reshape(x.shape[:-1] + grads.shape[1:])

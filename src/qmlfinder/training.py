@@ -6,6 +6,9 @@ contract: E full epochs over N samples of a P-parameter circuit record
 before training and one after each epoch). To keep that model exact, the loss
 residuals (f - t) for an epoch are taken from the expectation values computed
 by the preceding full-train check rather than from extra forward passes.
+Each check shares its simulation with the next epoch's first mini-batch, and
+calls are booked when used: a batch run with the check that stops training is
+simulated but never booked.
 """
 
 from __future__ import annotations
@@ -134,8 +137,7 @@ def train_epochs(
     weights: Sequence[float],
     X: np.ndarray,
     targets: np.ndarray,
-    forward: Callable[[np.ndarray, np.ndarray, CallCounter], np.ndarray],
-    gradient: Callable[[np.ndarray, np.ndarray, CallCounter], np.ndarray],
+    evaluate: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     score_fn: Callable[[np.ndarray, np.ndarray], float],
     ledger: BudgetLedger,
     opt_config: OptimizerConfig,
@@ -150,9 +152,10 @@ def train_epochs(
 
     Batch order is shuffled once per epoch by the portable generator seeded
     with derive_seed(seed, epoch); the last partial batch is kept.
-    `forward(w, X, counter)` returns the output for every row of X at once;
-    `gradient(w, X_batch, counter)` the (B, P) gradients of a mini-batch's rows,
-    which are summed per sample in shuffled order.
+    `evaluate(w, X_check, X_batch)` returns, from one simulation that books
+    nothing, the output for every row of X_check and the (B, P) gradients of
+    X_batch's rows, summed per sample in shuffled order. A check books N calls;
+    a batch books 2*P*B when its gradients are used.
     """
     n = len(X)
     if n == 0:
@@ -161,28 +164,35 @@ def train_epochs(
         raise ValueError("batch_size must be >= 1")
     if n_epochs < 0:
         raise ValueError("n_epochs must be >= 0")
-    w = np.asarray(weights, dtype=float).copy()
 
-    values = forward(w, X, ledger.scoring)
-    score = score_fn(values, targets)
+    def check(w: np.ndarray, epoch: int):
+        """Score at w, simulated with the first batch of `epoch` if that epoch runs."""
+        order = list(range(n)) if epoch <= n_epochs else []
+        PortableRng(derive_seed(seed, epoch)).shuffle(order)
+        values, grads = evaluate(w, X, X[order[:batch_size]])
+        ledger.scoring.increment(n)
+        return order, values, grads, score_fn(values, targets)
+
+    w = np.asarray(weights, dtype=float).copy()
+    order, values, grads, score = check(w, 1)
     if score >= threshold or n_epochs == 0:
         return TrainResult(w, 0, score, values)
 
     state = init_opt_state(opt_config, w.size)
     epochs_run = 0
     for epoch in range(1, n_epochs + 1):
-        order = list(range(n))
-        PortableRng(derive_seed(seed, epoch)).shuffle(order)
         residuals = 2.0 * (values - targets)
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
+            if start:
+                _, grads = evaluate(w, X[:0], X[batch])
+            ledger.training_gradients.increment(2 * w.size * len(batch))
             grad = np.zeros_like(w)
-            for i, g in zip(batch, gradient(w, X[batch], ledger.training_gradients)):
+            for i, g in zip(batch, grads):
                 grad += residuals[i] * g
             grad /= len(batch)
             w, state = step(state, w, grad, opt_config)
-        values = forward(w, X, ledger.scoring)
-        score = score_fn(values, targets)
+        order, values, grads, score = check(w, epoch + 1)
         epochs_run = epoch
         if score >= threshold:
             break

@@ -266,3 +266,35 @@ def qnn_fit_cost(p, n, epochs_run):
 def training_kernel_cost(n):
     """Device calls to build an n-point training kernel: 2 per strict-upper pair."""
     return n * (n - 1)
+
+
+# Simulations that ran apart before runs sharing one weight vector were merged:
+# the gradient on its own sliced run, and the cross kernel from one run per
+# side. The merged runs must equal them bit for bit. They call the package's
+# run_circuit, imported on use so that loading this module imports nothing.
+
+
+def sliced_gradient(spec, weights, x, wire, counter):
+    """parameter_shift_gradient as it ran alone: rows (B, F) give (B, P), one
+    row (F,) gives (P,); the B * 2P circuits run in slices of 2**20 amplitudes."""
+    from qmlfinder.simulator import expectation_z, run_circuit
+
+    w, x = np.asarray(weights, dtype=float), np.asarray(x, dtype=float)
+    p, eye, rows = w.size, np.eye(w.size, dtype=bool), np.atleast_2d(x)
+    half_pi = math.pi / 2
+    shifted = np.concatenate([np.where(eye, w + half_pi, w), np.where(eye, w - half_pi, w)])
+    n, size = len(rows) * 2 * p, max(1, 2**20 >> spec.n_wires)
+    values = np.concatenate([
+        expectation_z(run_circuit(spec, shifted[k % (2 * p)], rows[k // (2 * p)], counter), wire)
+        for k in np.split(np.arange(n), range(size, n, size))
+    ]).reshape(x.shape[:-1] + (2, p))
+    return 0.5 * (values[..., 0, :] - values[..., 1, :])
+
+
+def two_run_cross_kernel(spec, weights, X1, X2):
+    """|S1* S2^T|^2 with the row states of X1 and of X2 from separate runs."""
+    from qmlfinder.simulator import CallCounter, run_circuit
+
+    S1 = run_circuit(spec, weights, np.asarray(X1, dtype=float), CallCounter()).amplitudes
+    S2 = run_circuit(spec, weights, np.asarray(X2, dtype=float), CallCounter()).amplitudes
+    return np.abs(S1.conj() @ S2.T) ** 2

@@ -36,6 +36,7 @@ from oracles import (
     ref_run_circuit,
     ref_train_autoencoder,
     training_kernel_cost,
+    two_run_cross_kernel,
 )
 
 
@@ -287,10 +288,30 @@ def test_kernel_matrix_matches_pairwise_fidelity():
 
 def test_cross_kernel_with_no_rows_is_empty_and_free():
     X = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
-    counter = CallCounter()
-    K = kernel_matrix(_feature_map(), np.zeros(6), X, np.empty((0, 2)), counter)
-    assert K.shape == (3, 0)
-    assert counter.total_calls == 0
+    no_rows, no_features = np.empty((0, 2)), np.empty((0, 0))  # `_rows([])` is (0, 0)
+    for X1, X2, shape in ((X, no_rows, (3, 0)), (X, no_features, (3, 0)),
+                          (no_features, X, (0, 3)), (no_rows, no_features, (0, 0))):
+        counter = CallCounter()
+        K = kernel_matrix(_feature_map(), np.zeros(6), X1, X2, counter)
+        assert K.shape == shape
+        assert counter.total_calls == 0
+
+
+@pytest.mark.parametrize("n_wires", [1, 2, 3, 4])
+@pytest.mark.parametrize("embedding", [ANGLE, AMPLITUDE], ids=lambda kind: kind.name)
+def test_cross_kernel_in_one_run_equals_two_runs_bit_for_bit(embedding, n_wires):
+    rng = PortableRng(505 + n_wires)
+    spec = CircuitSpec(n_wires, embedding, (STRONGLY_ENTANGLING, BASIC_ENTANGLER))
+    w = np.array(rng.uniforms(spec.param_count, 0, np.pi))
+    n_features = embedding.max_features(n_wires)
+    X1 = np.array([rng.uniforms(n_features, 0.1, 2.0) for _ in range(5)])
+    X2 = np.array([rng.uniforms(n_features, 0.1, 2.0) for _ in range(3)])
+    for A, B in ((X1, X2), (X2, X1), (X1[:1], X2), (X1, X1[:4])):
+        counter = CallCounter()
+        K = kernel_matrix(spec, w, A, B, counter)
+        assert K.shape == (len(A), len(B))
+        assert K.tobytes() == two_run_cross_kernel(spec, w, A, B).tobytes()
+        assert counter.total_calls == 2 * len(A) * len(B)
 
 
 def test_restored_qek_predict_simulates_each_row_once(blobs8, monkeypatch):
@@ -311,7 +332,7 @@ def test_restored_qek_predict_simulates_each_row_once(blobs8, monkeypatch):
     counter = CallCounter()
     restored.predict(X_new, counter)
     n, m = len(X), len(X_new)
-    assert len(runs) == 2 and sum(runs) == n + m
+    assert runs == [n + m]  # support and input rows in one run
     assert counter.total_calls == 2 * n * m
 
 

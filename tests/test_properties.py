@@ -10,10 +10,19 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qmlfinder.models import BinaryEncoder
+from qmlfinder.registry import AMPLITUDE, ANGLE, BASIC_ENTANGLER, STRONGLY_ENTANGLING, CircuitSpec
 from qmlfinder.rng import PortableRng
-from qmlfinder.simulator import Gate, gate_matrix
+from qmlfinder.simulator import (
+    CallCounter,
+    Gate,
+    expectation_and_gradient,
+    expectation_z,
+    gate_matrix,
+    parameter_shift_gradient,
+    run_circuit,
+)
 
-from oracles import product_rot, ref_train_autoencoder
+from oracles import product_rot, ref_train_autoencoder, sliced_gradient
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -37,6 +46,43 @@ def test_rot_matrix_equals_the_product_form_bit_for_bit(angles):
     got, want = gate_matrix(Gate("ROT", (0,), angles)), product_rot(*angles)
     assert got.dtype == np.complex128 and got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+@st.composite
+def merged_runs(draw):
+    """A circuit (ANGLE or AMPLITUDE, 1-4 wires, one or two layers of either
+    kind), 1-D weights, a read-out wire, 0-6 scoring rows and a mini-batch of
+    0 up to all of them, as training draws one."""
+    n_wires = draw(st.integers(1, 4))
+    embedding = draw(st.sampled_from([ANGLE, AMPLITUDE]))
+    layers = draw(st.lists(st.sampled_from([BASIC_ENTANGLER, STRONGLY_ENTANGLING]),
+                           min_size=1, max_size=2))
+    spec = CircuitSpec(n_wires, embedding, tuple(layers))
+    weights = draw(hnp.arrays(np.float64, (spec.param_count,),
+                              elements=st.floats(-2 * np.pi, 2 * np.pi)))
+    n_rows = draw(st.integers(1, 6))
+    n_features = draw(st.integers(1, embedding.max_features(n_wires)))
+    X = draw(hnp.arrays(np.float64, (n_rows, n_features),
+                        elements=st.floats(0.1, 2.0) | st.floats(-2.0, -0.1)))
+    batch = draw(st.lists(st.integers(0, n_rows - 1), max_size=n_rows, unique=True))
+    scored = X if draw(st.booleans()) else X[:0]  # later batches run without scoring
+    return spec, weights, draw(st.integers(0, n_wires - 1)), scored, X[batch]
+
+
+@settings(deadline=None)
+@given(merged_runs())
+def test_merged_run_equals_the_separate_runs_bit_for_bit(case):
+    spec, w, wire, X, rows = case
+    values, grads = expectation_and_gradient(spec, w, X, rows, wire)
+    # the 1-D weights build the layer gates from 0-d angles; the merged run
+    # gives each circuit its own row of weights
+    want = expectation_z(run_circuit(spec, w, X, CallCounter()), wire)
+    assert values.shape == want.shape and values.tobytes() == want.tobytes()
+    alone, wrapped = CallCounter(), CallCounter()
+    want = sliced_gradient(spec, w, rows, wire, alone)
+    assert grads.shape == (len(rows), spec.param_count) and grads.tobytes() == want.tobytes()
+    assert parameter_shift_gradient(spec, w, rows, wire, wrapped).tobytes() == want.tobytes()
+    assert wrapped.total_calls == alone.total_calls == 2 * spec.param_count * len(rows)
 
 
 @st.composite

@@ -28,7 +28,13 @@ from qmlfinder import (
     ry,
     rz,
 )
-from qmlfinder.simulator import MAX_WIRES, gate_matrix, h as hadamard, pauli_z
+from qmlfinder.simulator import (
+    MAX_WIRES,
+    expectation_and_gradient,
+    gate_matrix,
+    h as hadamard,
+    pauli_z,
+)
 
 from oracles import (
     REF_H,
@@ -38,6 +44,7 @@ from oracles import (
     ref_expectation_z,
     ref_run_circuit,
     ref_rot,
+    sliced_gradient,
     ref_rx,
     ref_ry,
     ref_rz,
@@ -490,6 +497,18 @@ def test_gradient_of_rows_equals_per_row_gradients(embedding, n_wires):
     assert counter.total_calls == 3 * 2 * p
     for row, grad in zip(X, grads):
         assert np.array_equal(grad, parameter_shift_gradient(spec, w, row, 0, CallCounter()))
+
+
+def test_merged_run_slices_cut_between_scoring_and_shifted_circuits():
+    # at 14 wires a slice holds 64 circuits: 3 scoring rows, then 2 * 14 shifted
+    # circuits for each of 3 batch rows, so the first slice ends inside the third
+    rng = PortableRng(808)
+    spec = CircuitSpec(14, ANGLE, (BASIC_ENTANGLER,))
+    w = np.array(rng.uniforms(spec.param_count, -np.pi, np.pi))
+    X = np.array([rng.uniforms(14, -np.pi, np.pi) for _ in range(3)])
+    values, grads = expectation_and_gradient(spec, w, X, X[[2, 0, 1]], 0)
+    assert values.tobytes() == expectation_z(run_circuit(spec, w, X, CallCounter()), 0).tobytes()
+    assert grads.tobytes() == sliced_gradient(spec, w, X[[2, 0, 1]], 0, CallCounter()).tobytes()
 
 
 def test_call_accounting_gradients_plus_forwards():

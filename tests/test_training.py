@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import qmlfinder.simulator
 from qmlfinder import (
     ANGLE,
     BASIC_ENTANGLER,
+    STRONGLY_ENTANGLING,
     BudgetLedger,
     CircuitSpec,
     OptimizerConfig,
@@ -17,6 +19,7 @@ from qmlfinder import (
 )
 from qmlfinder.rng import derive_seed
 
+from conftest import make_blobs
 from oracles import qnn_fit_cost
 
 
@@ -147,6 +150,61 @@ def test_cost_model_exact_over_sweep(p, n, b, e):
     assert ledger.total == gradients + scoring
 
 
+def _spy_runs(monkeypatch):
+    """The number of circuits in each run_circuit call, in call order."""
+    runs, run_circuit = [], qmlfinder.simulator.run_circuit
+
+    def spy(spec, weights, x, counter):
+        state = run_circuit(spec, weights, x, counter)
+        runs.append(len(state.amplitudes))
+        return state
+
+    monkeypatch.setattr(qmlfinder.simulator, "run_circuit", spy)
+    return runs
+
+
+@pytest.mark.parametrize("n, b, e", [(8, 3, 2), (8, 8, 3), (20, 4, 1), (10, 4, 2)])
+def test_full_length_fit_runs_each_check_with_the_next_first_batch(monkeypatch, n, b, e):
+    runs = _spy_runs(monkeypatch)
+    model, ledger = _fit_qnn(n, b, e, 2, threshold=1.0)
+    assert model.epochs_run == e
+    # E + 1 checks, the first E of them sharing a run with a first batch,
+    # then each epoch's other batches alone
+    assert len(runs) == e + 1 + e * (-(-n // b) - 1)
+    assert sum(runs) == ledger.total == sum(qnn_fit_cost(2, n, e))
+
+
+def test_zero_epoch_fit_simulates_the_training_rows_only(monkeypatch):
+    runs = _spy_runs(monkeypatch)
+    _, ledger = _fit_qnn(12, 4, 0, 2, threshold=1.0)
+    assert runs == [12] and ledger.total == 12
+
+
+def _fit_blobs(n_epochs, threshold):
+    # overlapping blobs: accuracy moves between epochs and never reaches 1.0
+    X, y = make_blobs(0, 6, [(0.6, 0.6), (-0.6, -0.6)], 1.2)
+    model = QNNClassifier(CircuitSpec(2, ANGLE, (STRONGLY_ENTANGLING,)), batch_size=5,
+                          n_epochs=n_epochs, accuracy_threshold=threshold, seed=0)
+    ledger = BudgetLedger()
+    model.fit(X, y, ledger)
+    return model, ledger
+
+
+def test_fit_stopped_by_its_threshold_books_the_closed_form(monkeypatch):
+    scores = [_fit_blobs(k, 1.0)[0].train_score for k in range(4)]
+    assert max(scores) < 1.0
+    e = next(k for k in range(1, 4) if scores[k] > max(scores[:k]))
+    runs = _spy_runs(monkeypatch)
+    model, ledger = _fit_blobs(9, scores[e])
+    n, p = 12, model.circuit.param_count
+    assert model.epochs_run == e
+    assert ledger.as_dict() == {"training_gradients": 2 * p * n * e, "training_forward": 0,
+                                "scoring": n * (e + 1), "kernel": 0,
+                                "total": 2 * p * n * e + n * (e + 1)}
+    # the stopping check also simulated epoch e + 1's first batch, never booked
+    assert sum(runs) == ledger.total + 2 * p * 5
+
+
 def test_threshold_zero_stops_at_precheck():
     model, ledger = _fit_qnn(12, 4, 5, 2, threshold=0.0)
     assert model.epochs_run == 0
@@ -183,21 +241,15 @@ def test_batch_order_deterministic_and_epoch_indexed():
 
 
 def test_train_epochs_threshold_unreachable_runs_all():
-    def forward(w, X, counter):
-        counter.increment(len(X))
-        return np.full(len(X), float(w[0]))
-
-    def gradient(w, X, counter):
-        counter.increment(2 * len(X))
-        return np.ones((len(X), 1))
+    def evaluate(w, X, rows):
+        return np.full(len(X), float(w[0])), np.ones((len(rows), 1))
 
     ledger = BudgetLedger()
     result = train_epochs(
         weights=[0.0],
         X=np.zeros((6, 1)),
         targets=np.zeros(6),
-        forward=forward,
-        gradient=gradient,
+        evaluate=evaluate,
         score_fn=lambda v, t: 0.5,
         ledger=ledger,
         opt_config=OptimizerConfig(learning_rate=0.1),
@@ -222,8 +274,7 @@ def test_train_epochs_stops_when_threshold_met():
         weights=[0.0],
         X=np.zeros((4, 1)),
         targets=np.zeros(4),
-        forward=lambda w, X, c: (c.increment(len(X)), np.zeros(len(X)))[1],
-        gradient=lambda w, X, c: (c.increment(2 * len(X)), np.full((len(X), 1), 0.1))[1],
+        evaluate=lambda w, X, rows: (np.zeros(len(X)), np.full((len(rows), 1), 0.1)),
         score_fn=score,
         ledger=BudgetLedger(),
         opt_config=OptimizerConfig(),
