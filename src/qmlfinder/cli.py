@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import sys
+from typing import Any, Callable
 
 import numpy as np
 
@@ -212,17 +213,22 @@ class _Usage(Exception):
     pass
 
 
-def _count(minimum: int):
-    """argparse type for an integer count of at least `minimum`."""
+def _checked(convert: type, rule: str, ok: Callable[[Any], bool]):
+    """argparse type: `convert(text)`, a usage error unless `ok` accepts it."""
 
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
         return value
 
-    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    parse.__name__ = convert.__name__  # argparse's "invalid int value" message names the type
     return parse
+
+
+def _count(minimum: int):
+    """argparse type for an integer count of at least `minimum`."""
+    return _checked(int, f">= {minimum}", lambda value: value >= minimum)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -239,7 +245,8 @@ def _build_parser() -> argparse.ArgumentParser:
     find.add_argument("--trials", type=_count(1), default=20)
     find.add_argument("--seeds", type=_count(1), default=3)
     find.add_argument("--epochs", type=_count(0), default=10)
-    find.add_argument("--threshold", type=float, default=0.8)
+    find.add_argument("--threshold", default=0.8,
+                      type=_checked(float, "a number", lambda value: not math.isnan(value)))
     find.add_argument("--seed", type=int, default=0)
     find.add_argument("--store", default="study.jsonl")
     find.add_argument("--out", default="model.json")

@@ -1,8 +1,8 @@
 """The trainable model families the finder chooses among.
 
 Every family presents one protocol: class attributes `task`, `family` and
-`score_kind`; construct with a seed, `fit(X, y, ledger)` (a supervised fit
-sets `train_score`), `predict`, and `score`, with every simulated device call
+`score_kind`; construct with a seed, `fit(X, y, ledger)` (which sets
+`train_score`), `predict`, and `score`, with every simulated device call
 booked on the caller's ledger; `spec_fields()` freezes a trained model into
 model-file fields and the class-level `from_spec(spec, registry)` restores
 it. The clusterer also has the optional class-level `prepare` hook.
@@ -686,7 +686,7 @@ class RBMClusterer:
         # per-feature affine scaling fitted on the training data
         self.feature_min: np.ndarray | None = None
         self.feature_max: np.ndarray | None = None
-        self.train_score: float | None = None
+        self._fitted = False
 
     def _scale(self, X: np.ndarray) -> np.ndarray:
         span = np.where(self.feature_max > self.feature_min, self.feature_max - self.feature_min, 1.0)
@@ -709,7 +709,14 @@ class RBMClusterer:
             self.encoder.train(scaled, self.encoder_epochs, self.encoder_learning_rate)
             self._train_rbm(X)
             self._trained_on = X.copy()
+        self._fitted = True
         return self
+
+    @property
+    def train_score(self) -> float | None:
+        """Silhouette of the fitted data, None before `fit`; computed on read, so
+        a degenerate clustering raises ScoreUndefinedError here, not in `fit`."""
+        return self.score(self._trained_on) if self._fitted else None
 
     def _train_rbm(self, X: np.ndarray) -> None:
         """CD-1 on the latent bits of X, under the scaling fitted to X."""
@@ -882,11 +889,8 @@ def _build_qnn_regressor(kwargs: Mapping, seed: int) -> QNNRegressor:
 
 
 def _build_qek_classifier(kwargs: Mapping, seed: int) -> QEKClassifier:
-    return QEKClassifier(
-        CircuitSpec(kwargs["n_wires"], kwargs["embedding"], tuple(kwargs["layers"])),
-        ridge_lambda=kwargs.get("ridge_lambda", 1e-3),
-        seed=seed,
-    )
+    circuit = CircuitSpec(kwargs["n_wires"], kwargs["embedding"], tuple(kwargs["layers"]))
+    return QEKClassifier(circuit, seed=seed)
 
 
 def _build_rbm_clusterer(kwargs: Mapping, seed: int) -> RBMClusterer:
@@ -919,7 +923,6 @@ def default_registry() -> Registry:
             model=QEKClassifier,
             n_layers=(3, 5),
             builder=_build_qek_classifier,
-            fixed_options={"ridge_lambda": 1e-3},
         ),
     )
     reg.register(

@@ -190,7 +190,6 @@ class IntRange:
 class FloatRange:
     low: float
     high: float
-    log: bool = False
 
 
 TunableRange = IntRange | FloatRange
@@ -214,7 +213,6 @@ class ModelFamilyConfig:
     n_layers: tuple[int, int]
     builder: Callable[[Mapping[str, Any], int], Any]
     tunables: Mapping[str, TunableRange] = field(default_factory=dict)
-    fixed_options: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         missing = [attr for attr in ("family", "task", "from_spec")

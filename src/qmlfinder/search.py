@@ -11,7 +11,7 @@ base_seed * 10007 + k, making repeat k comparable across trials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, floor, sqrt
+from math import ceil, floor, isnan, sqrt
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -79,6 +79,8 @@ class FinderConfig:
             raise ValueError("n_cores must be >= 1")
         if self.n_epochs < 0:
             raise ValueError("n_epochs must be >= 0")
+        if isnan(self.threshold):
+            raise ValueError("threshold must be a number, got nan")
 
 
 def suggest_embedding(trial: Trial, registry: Registry, n_features: int) -> EmbeddingKind:
@@ -114,7 +116,7 @@ def _suggest_tunables(trial: Trial, tunables: Mapping) -> dict[str, Any]:
         if isinstance(spec, IntRange):
             out[name] = trial.suggest_int(name, spec.low, spec.high)
         elif isinstance(spec, FloatRange):
-            out[name] = trial.suggest_float(name, spec.low, spec.high, log=spec.log)
+            out[name] = trial.suggest_float(name, spec.low, spec.high)
         else:
             raise TypeError(f"unsupported tunable range {spec!r} for {name}")
     return out
@@ -134,16 +136,14 @@ def suggest_supervised_kwargs(
     low, high = family.n_layers
     n_layers = trial.suggest_int("n_layers", low, high)
     embedding = suggest_embedding(trial, registry, n_features)
-    kwargs: dict[str, Any] = {
+    return {
         "n_wires": embedding.wires_for_features(n_features),
         "embedding": embedding,
         "layers": suggest_layers(trial, n_layers, registry),
         "n_epochs": config.n_epochs,
         "threshold": config.threshold,
+        **_suggest_tunables(trial, family.tunables),
     }
-    kwargs.update(_suggest_tunables(trial, family.tunables))
-    kwargs.update(family.fixed_options)
-    return kwargs
 
 
 def suggest_unsupervised_kwargs(
@@ -166,17 +166,15 @@ def suggest_unsupervised_kwargs(
         "rbm_n_hidden_neurons", floor(sqrt(out_channels)), ceil(0.75 * out_channels)
     )
     low, high = family.n_layers
-    kwargs: dict[str, Any] = {
+    return {
         "input_size": input_size,
         "lbae_out_channels": out_channels,
         "rbm_n_visible_neurons": out_channels,  # hard equality with the latent width
         "rbm_n_hidden_neurons": n_hidden,
         "lbae_n_layers": trial.suggest_int("lbae_n_layers", low, high),
         "n_epochs": config.n_epochs,
+        **_suggest_tunables(trial, family.tunables),
     }
-    kwargs.update(_suggest_tunables(trial, family.tunables))
-    kwargs.update(family.fixed_options)
-    return kwargs
 
 
 def _suggest_and_build(
@@ -205,14 +203,9 @@ def _require_finite(X: np.ndarray, y) -> None:
 
 
 def _fit_and_score(model, X: np.ndarray, y, ledger: BudgetLedger) -> float:
-    """Fit `model` and return its trial score: the `train_score` a supervised
-    fit recorded, or a clustering model's `score` on X, booked as scoring."""
+    """Fit `model` and return its `train_score`, bounds-checked as a trial score."""
     model.fit(X, y, ledger)
-    if model.task == TaskType.CLUSTERING:
-        value = float(model.score(X, y, ledger.scoring))
-    else:
-        value = float(model.train_score)
-    return Score(value, model.score_kind).value  # bounds-checked at the trial boundary
+    return Score(float(model.train_score), model.score_kind).value
 
 
 def evaluate_config(

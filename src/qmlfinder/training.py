@@ -22,6 +22,7 @@ from .rng import PortableRng, derive_seed
 from .simulator import CallCounter
 
 OPTIMIZER_KINDS = ("vanilla_gd", "momentum_gd", "adam")
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -29,9 +30,6 @@ class OptimizerConfig:
     kind: str = "vanilla_gd"
     learning_rate: float = 0.1
     momentum: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.kind not in OPTIMIZER_KINDS:
@@ -46,7 +44,7 @@ class OptimizerConfig:
         if self.kind == "momentum_gd":
             out["momentum"] = self.momentum
         if self.kind == "adam":
-            out.update({"beta1": self.beta1, "beta2": self.beta2, "epsilon": self.epsilon})
+            out.update({"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "epsilon": ADAM_EPSILON})
         return out
 
 
@@ -90,12 +88,12 @@ def step(
         return w - lr * velocity, new_state
     # adam, bias-corrected
     t = state.step_count + 1
-    m = config.beta1 * state.first_moment + (1 - config.beta1) * g
-    v = config.beta2 * state.second_moment + (1 - config.beta2) * g * g
-    m_hat = m / (1 - config.beta1**t)
-    v_hat = v / (1 - config.beta2**t)
+    m = ADAM_BETA1 * state.first_moment + (1 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.second_moment + (1 - ADAM_BETA2) * g * g
+    m_hat = m / (1 - ADAM_BETA1**t)
+    v_hat = v / (1 - ADAM_BETA2**t)
     new_state = OptState(step_count=t, first_moment=m, second_moment=v)
-    return w - lr * m_hat / (np.sqrt(v_hat) + config.epsilon), new_state
+    return w - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON), new_state
 
 
 _PHASES = ("training_gradients", "training_forward", "scoring", "kernel")
@@ -129,7 +127,6 @@ class TrainResult:
     weights: np.ndarray
     epochs_run: int
     final_score: float
-    final_values: np.ndarray
 
 
 def train_epochs(
@@ -176,7 +173,7 @@ def train_epochs(
     w = np.asarray(weights, dtype=float).copy()
     order, values, grads, score = check(w, 1)
     if score >= threshold or n_epochs == 0:
-        return TrainResult(w, 0, score, values)
+        return TrainResult(w, 0, score)
 
     state = init_opt_state(opt_config, w.size)
     epochs_run = 0
@@ -187,13 +184,13 @@ def train_epochs(
             if start:
                 _, grads = evaluate(w, X[:0], X[batch])
             ledger.training_gradients.increment(2 * w.size * len(batch))
-            grad = np.zeros_like(w)
-            for i, g in zip(batch, grads):
-                grad += residuals[i] * g
+            # added in row order (numpy's pairwise sum would round differently);
+            # + 0.0 makes an all -0.0 sum +0.0
+            grad = np.add.accumulate(residuals[batch, None] * grads, axis=0)[-1] + 0.0
             grad /= len(batch)
             w, state = step(state, w, grad, opt_config)
         order, values, grads, score = check(w, epoch + 1)
         epochs_run = epoch
         if score >= threshold:
             break
-    return TrainResult(w, epochs_run, score, values)
+    return TrainResult(w, epochs_run, score)

@@ -258,6 +258,15 @@ def ref_train_autoencoder(weights, biases, X, n_epochs, learning_rate):
             biases[layer] -= learning_rate * grad_b
 
 
+def loop_gradient_sum(residuals, batch, grads):
+    """A batch's residual-weighted gradient sum added row by row in batch
+    order, starting from +0.0: `grads` holds one row per index in `batch`."""
+    grad = np.zeros(grads.shape[1])
+    for i, g in zip(batch, grads):
+        grad += residuals[i] * g
+    return grad
+
+
 def qnn_fit_cost(p, n, epochs_run):
     """(training_gradients, scoring) for a full run of `epochs_run` epochs."""
     return 2 * p * n * epochs_run, n * (epochs_run + 1)

@@ -364,6 +364,20 @@ def test_invalid_counts_are_usage_errors(tmp_path, blobs_csv, argv, capsys):
     assert not (tmp_path / "s.jsonl").exists()
 
 
+@pytest.mark.parametrize("text", ["nan", "NaN"])
+def test_nan_threshold_is_a_usage_error(tmp_path, blobs_csv, text, capsys):
+    # no score is >= nan, so a study would pick an "infeasible-best" model and exit 0
+    assert run_find(tmp_path, blobs_csv, ["--threshold", text]) == EXIT_USAGE
+    assert "argument --threshold: must be a number, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "study.jsonl").exists()
+
+
+@pytest.mark.parametrize("text, tag", [("inf", "infeasible-best"), ("-inf", "feasible")])
+def test_infinite_thresholds_keep_their_meaning(tmp_path, blobs_csv, text, tag, capsys):
+    assert run_find(tmp_path, blobs_csv, [f"--threshold={text}"]) == EXIT_OK
+    assert f"({tag})" in capsys.readouterr().out
+
+
 def test_predict_reports_device_calls(tmp_path, capsys):
     from qmlfinder import (
         ANGLE,

@@ -15,6 +15,7 @@ from qmlfinder import (
     FinderConfig,
     ModelFamilyConfig,
     TaskType,
+    base_registry,
     default_registry,
     find_model,
     select_best,
@@ -214,7 +215,8 @@ def test_nan_scoring_trial_fails_and_the_store_stays_standard_json(registry, sin
 
 class TwoMeans:
     """Classical clustering toy written to the documented protocol: one
-    `fit(X, y, ledger)` and `score(X, y, counter)`, as every family has."""
+    `fit(X, y, ledger)` that sets `train_score`, and `score(X, y, counter)`,
+    as every family has."""
 
     task = TaskType.CLUSTERING
     family = "TWO_MEANS"
@@ -229,6 +231,7 @@ class TwoMeans:
         for _ in range(5):
             labels = self.predict(X, ledger.scoring)
             self.centers = np.array([X[labels == k].mean(axis=0) for k in (0, 1)])
+        self.train_score = silhouette_score(X, self.predict(X, ledger.scoring))
         return self
 
     def predict(self, X, counter):
@@ -270,6 +273,30 @@ def test_registered_clustering_family_wins_and_round_trips(registry, cluster_blo
         expected.predict(cluster_blobs, CallCounter()),
     )
     assert restored.score(cluster_blobs, None, CallCounter()) == spec.metadata["mean_score"]
+
+
+class TrainScoredTwoMeans(TwoMeans):
+    """TwoMeans whose `score` refuses to run: a trial must record `train_score`."""
+
+    family = "TRAIN_SCORED_TWO_MEANS"
+
+    def score(self, X, y, counter):
+        raise AssertionError("a trial records train_score; it does not call score")
+
+
+def test_clustering_trial_records_the_train_score_its_fit_set(cluster_blobs, tmp_path):
+    registry = base_registry().register(
+        "model", ModelFamilyConfig(model=TrainScoredTwoMeans, n_layers=(1, 1),
+                                   builder=lambda kwargs, seed: TrainScoredTwoMeans())
+    )
+    config = FinderConfig(task=TaskType.CLUSTERING, n_trials=3, n_seeds=2, n_epochs=1)
+    store = StudyStore(tmp_path / "study.jsonl")
+    spec = find_model(config, registry, cluster_blobs, None, store)
+    expected = TwoMeans().fit(cluster_blobs, None, BudgetLedger()).train_score
+    records = store.load()
+    assert [r.status for r in records] == ["complete"] * 3
+    assert all(r.per_seed_scores == [expected, expected] for r in records)
+    assert spec.metadata["mean_score"] == expected
 
 
 def test_readme_registration_example_runs(blobs40):

@@ -633,6 +633,30 @@ def test_rbm_pipeline_touches_no_device_calls(cluster_blobs):
     assert ledger.total == 0
 
 
+def _small_clusterer(seed=0):
+    return RBMClusterer(input_size=4, encoder_layers=1, latent_size=2, n_hidden=1,
+                        firing_threshold=0.5, n_epochs=5, seed=seed)
+
+
+def test_rbm_train_score_is_the_silhouette_of_the_fitted_data(cluster_blobs):
+    model, prepared = _small_clusterer(), _small_clusterer()
+    RBMClusterer.prepare([prepared], cluster_blobs)
+    assert model.train_score is None and prepared.train_score is None  # trained, not fitted
+    model.fit(cluster_blobs, None, BudgetLedger())
+    assert model.train_score == model.score(cluster_blobs) > 0.9
+    assert prepared.fit(cluster_blobs, None, BudgetLedger()).train_score == model.train_score
+
+
+def test_rbm_degenerate_fit_returns_and_its_train_score_raises(cluster_blobs):
+    identical = np.ones((10, 4))  # every point lands in one cluster
+    model = _small_clusterer().fit(identical, None, BudgetLedger())
+    with pytest.raises(ScoreUndefinedError, match="silhouette undefined: all points share"):
+        model.train_score
+    seed_1 = _small_clusterer(seed=1).fit(cluster_blobs, None, BudgetLedger())  # one firing code
+    with pytest.raises(ScoreUndefinedError, match="silhouette undefined"):
+        seed_1.train_score
+
+
 def test_rbm_validation():
     kwargs = dict(encoder_layers=1, n_hidden=1, firing_threshold=0.5, n_epochs=1, seed=0)
     with pytest.raises(ValueError):

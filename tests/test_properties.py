@@ -1,5 +1,5 @@
-"""Property tests (hypothesis): simulator, encoder training and generator
-invariants over generated inputs."""
+"""Property tests (hypothesis): simulator, gradient training, encoder training
+and generator invariants over generated inputs."""
 
 import numpy as np
 import pytest
@@ -21,8 +21,9 @@ from qmlfinder.simulator import (
     parameter_shift_gradient,
     run_circuit,
 )
+from qmlfinder.training import BudgetLedger, OptimizerConfig, train_epochs
 
-from oracles import product_rot, ref_train_autoencoder, sliced_gradient
+from oracles import loop_gradient_sum, product_rot, ref_train_autoencoder, sliced_gradient
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -83,6 +84,48 @@ def test_merged_run_equals_the_separate_runs_bit_for_bit(case):
     assert grads.shape == (len(rows), spec.param_count) and grads.tobytes() == want.tobytes()
     assert parameter_shift_gradient(spec, w, rows, wire, wrapped).tobytes() == want.tobytes()
     assert wrapped.total_calls == alone.total_calls == 2 * spec.param_count * len(rows)
+
+
+# signed zeros and small integers make exact cancellations, and all -0.0 sums, common
+SUMMANDS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def gradient_batches(draw):
+    """Outputs, targets and per-row gradients of n rows and P weights, a batch
+    size, and +-0.0 starting weights, under which a step keeps a zero's sign."""
+    n, p = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    values, targets = (draw(hnp.arrays(np.float64, (n,), elements=SUMMANDS)) for _ in "vt")
+    grads = draw(hnp.arrays(np.float64, (n, p), elements=SUMMANDS))
+    w0 = draw(hnp.arrays(np.float64, (p,), elements=st.sampled_from([0.0, -0.0])))
+    return values, targets, grads, w0, draw(st.integers(1, n)), draw(st.integers(0, 2**32))
+
+
+@settings(deadline=None)
+@given(gradient_batches())
+@example((np.zeros(1), np.zeros(1), np.array([[-0.0]]), np.array([-0.0]), 1, 0))
+# one column of 8 rows: numpy's pairwise sum adds these in another order, and rounds apart
+@example((np.array([0.1, -0.9, 0.5, 0.1, -0.3, 0.6, -0.4, -0.1]), np.zeros(8), np.ones((8, 1)),
+          np.zeros(1), 8, 0))
+def test_batch_gradient_sum_equals_the_row_loop_bit_for_bit(case):
+    values, targets, grads, w0, batch_size, seed = case
+    X = np.arange(len(values), dtype=float)[:, None]  # each row holds its own index
+    batches = []
+
+    def evaluate(w, X_check, X_batch):  # the same outputs and gradients at any weights
+        batch = X_batch[:, 0].astype(int).tolist()
+        batches.extend([batch] if batch else [])
+        return values[X_check[:, 0].astype(int)], grads[batch]
+
+    opt = OptimizerConfig(learning_rate=1.0)
+    result = train_epochs(weights=w0, X=X, targets=targets, evaluate=evaluate,
+                          score_fn=lambda v, t: 0.0, ledger=BudgetLedger(), opt_config=opt,
+                          batch_size=batch_size, n_epochs=1, threshold=np.inf, seed=seed)
+    residuals, want = 2.0 * (values - targets), w0
+    for batch in batches:
+        want = want - opt.learning_rate * (loop_gradient_sum(residuals, batch, grads[batch])
+                                           / len(batch))
+    assert result.weights.tobytes() == want.tobytes()
 
 
 @st.composite

@@ -199,7 +199,7 @@ def test_model_entry_layer_bounds_validated():
 
 def test_model_entry_fields_are_the_class_and_its_search_space():
     fields = [f.name for f in dataclasses.fields(ModelFamilyConfig)]
-    assert fields == ["model", "n_layers", "builder", "tunables", "fixed_options"]
+    assert fields == ["model", "n_layers", "builder", "tunables"]
 
 
 def test_models_for_task():

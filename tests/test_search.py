@@ -127,6 +127,13 @@ def test_embedding_compatibility_arithmetic(registry):
     assert len(prep.amplitudes) == 4
 
 
+def test_finder_config_refuses_a_nan_threshold():
+    with pytest.raises(ValueError, match="threshold must be a number, got nan"):
+        FinderConfig(task=TaskType.CLASSIFICATION, threshold=float("nan"))
+    for threshold in (float("inf"), float("-inf")):  # nothing, or every complete trial, passes
+        assert FinderConfig(task=TaskType.CLASSIFICATION, threshold=threshold).threshold == threshold
+
+
 def test_supervised_kwargs_bounds(registry):
     config = FinderConfig(task=TaskType.CLASSIFICATION)
     X = np.zeros((10, 2))
@@ -142,7 +149,7 @@ def test_supervised_kwargs_bounds(registry):
         kwargs = suggest_supervised_kwargs(trial, "QEK", registry, X, config)
         assert 3 <= trial.sampled["n_layers"] <= 5
         assert "batch_size" not in trial.sampled
-        assert kwargs["ridge_lambda"] == 1e-3
+        assert registry.model("QEK").builder(kwargs, 0).ridge_lambda == 1e-3
 
 
 def test_supervised_wire_rule(registry):
