@@ -277,10 +277,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_float_values(argv: list[str]) -> list[str]:
+    """argv with `--threshold VALUE` written `--threshold=VALUE` when VALUE is a
+    float: argparse takes a value such as `-inf` or `-1e3` for an option and
+    would refuse `--threshold` for want of an argument."""
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] == "--threshold" and _is_float(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def cli_main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_float_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:

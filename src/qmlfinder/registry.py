@@ -167,17 +167,25 @@ class CircuitSpec:
     def layer_names(self) -> list[str]:
         return [kind.name for kind in self.layer_kinds]
 
-    def build_ops(self, weights: Sequence[float], x: Sequence[float]) -> list[Operation]:
+    def embedding_ops(self, x: Sequence[float]) -> list[Operation]:
+        """Operations loading the feature-major rows `x`, (F,) or (F, B)."""
+        return embed(self.embedding, x, self.n_wires)
+
+    def layer_ops(self, weights: Sequence[float]) -> list[Gate]:
+        """Gates of every layer at weights (P,) or, one column per weight vector, (P, W)."""
         w = np.asarray(weights, dtype=float)
         if len(w) != self.param_count:
             raise ValueError(f"expected {self.param_count} weights, got {len(w)}")
-        ops = embed(self.embedding, x, self.n_wires)
-        offset = 0
+        gates, offset = [], 0
         for kind in self.layer_kinds:
             count = kind.params_per_layer(self.n_wires)
-            ops.extend(build_layer(kind, self.n_wires, w[offset : offset + count]))
+            gates.extend(build_layer(kind, self.n_wires, w[offset : offset + count]))
             offset += count
-        return ops
+        return gates
+
+    def build_ops(self, weights: Sequence[float], x: Sequence[float]) -> list[Operation]:
+        layers = self.layer_ops(weights)  # a wrong weight count is refused before embedding
+        return self.embedding_ops(x) + layers
 
 
 @dataclass(frozen=True)

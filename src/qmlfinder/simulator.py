@@ -8,6 +8,13 @@ Fixed conventions (they are part of the serialization and test contract):
   - One circuit is one device call, also in a batch (states, gate angles and
     expectations take a leading batch axis); expectations are exact.
     models.kernel_matrix runs each row once and books 2 calls per kernel pair.
+
+run_circuit and the merged runs of expectation_and_gradient share one loop,
+`_simulate`. A merged run's circuits repeat few input rows and weight vectors,
+so it embeds each input row once and builds each layer gate's matrices once
+per weight vector, then gathers both onto the circuits with `take`. The
+gathered matrices are contiguous (B, 2, 2) arrays, as if built per circuit, so
+every matmul takes the same numpy path and the results are the same bits.
 """
 
 from __future__ import annotations
@@ -127,12 +134,17 @@ class CallCounter:
 
 
 class CircuitLike(Protocol):
-    """What run_circuit needs from a circuit description."""
+    """What the simulation needs from a circuit description: the embedding of
+    feature-major rows x, the layer gates at weights, and both in one list."""
 
     n_wires: int
 
     @property
     def param_count(self) -> int: ...
+
+    def embedding_ops(self, x: np.ndarray) -> list[Operation]: ...
+
+    def layer_ops(self, weights: np.ndarray) -> list[Gate]: ...
 
     def build_ops(self, weights: np.ndarray, x: np.ndarray) -> list[Operation]: ...
 
@@ -201,9 +213,9 @@ def _wire_view(amps: np.ndarray, wire: int) -> np.ndarray:
     return amps.reshape(amps.shape[:-1] + (1 << wire, 2, amps.shape[-1] >> (wire + 1)))
 
 
-def apply_gate(state: Statevector, gate: Gate) -> Statevector:
-    """Apply one gate to a copy of the state: its matrix on axis -2 of the wire's
-    view, or for CNOT a flip of the target axis in the control=1 half."""
+def _apply(state: Statevector, gate: Gate, matrix: np.ndarray | None = None) -> Statevector:
+    """apply_gate, with a single-wire gate's (..., 2, 2) matrix given, or built
+    from its angles when None."""
     n = state.n_wires
     if max(gate.wires) >= n:
         raise ValueError(f"wire {max(gate.wires)} out of range for a {n}-wire state")
@@ -214,9 +226,59 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
         half = on.reshape(on.shape[:-2] + (1 << (n - 1),))
         on[...] = _wire_view(half, target - (target > control))[..., ::-1, :].reshape(on.shape)
     else:
-        out = gate_matrix(gate)[..., None, :, :] @ _wire_view(state.amplitudes, gate.wires[0])
+        matrix = gate_matrix(gate) if matrix is None else matrix
+        out = matrix[..., None, :, :] @ _wire_view(state.amplitudes, gate.wires[0])
         amps = out.reshape(out.shape[:-3] + (1 << n,))
     return Statevector(amps, n)
+
+
+def apply_gate(state: Statevector, gate: Gate) -> Statevector:
+    """Apply one gate to a copy of the state: its matrix on axis -2 of the wire's
+    view, or for CNOT a flip of the target axis in the control=1 half."""
+    return _apply(state, gate)
+
+
+def _prepare(state: Statevector, op: StatePrep) -> Statevector:
+    amps = state.amplitudes
+    if np.any(amps[..., 0] != 1.0) or np.any(amps[..., 1:]):
+        raise ValueError("state preparation is only valid on the all-zeros state")
+    prepared = np.asarray(op.amplitudes, dtype=complex)
+    if prepared.shape[-1:] != amps.shape[-1:]:
+        raise ValueError(
+            f"prepared amplitudes have length {prepared.shape[-1]}, state needs {amps.shape[-1]}"
+        )
+    return Statevector(np.broadcast_to(prepared, amps.shape).copy(), state.n_wires)
+
+
+def _run_ops(state: Statevector, ops: Sequence[Operation]) -> Statevector:
+    for op in ops:
+        state = apply_gate(state, op) if isinstance(op, Gate) else _prepare(state, op)
+    return state
+
+
+def _simulate(
+    spec: CircuitLike,
+    weights: np.ndarray,
+    x: np.ndarray,
+    weights_at: np.ndarray | None = None,
+    rows_at: np.ndarray | None = None,
+) -> Statevector:
+    """The circuits' final states, booking nothing. Without indices: as
+    run_circuit. With both: circuit k runs weight row weights_at[k] of weights
+    (W, P) on input row rows_at[k] of x (R, F), gathered from R embedded states
+    and, per single-wire layer gate, W matrices."""
+    w, x = np.asarray(weights, dtype=float), np.asarray(x, dtype=float)
+    if rows_at is None:
+        state = Statevector.zero(spec.n_wires, np.broadcast_shapes(w.shape[:-1], x.shape[:-1]))
+        return _run_ops(state, spec.build_ops(w.T, x.T))
+    state = _run_ops(Statevector.zero(spec.n_wires, x.shape[:-1]), spec.embedding_ops(x.T))
+    state = Statevector(state.amplitudes.take(rows_at, axis=0), spec.n_wires)
+    for gate in spec.layer_ops(w.T):
+        matrix = None if gate.kind == "CNOT" else gate_matrix(gate)
+        if matrix is not None and matrix.ndim > 2:  # one matrix per weight row
+            matrix = matrix.take(weights_at, axis=0)
+        state = _apply(state, gate, matrix)
+    return state
 
 
 def run_circuit(
@@ -225,20 +287,7 @@ def run_circuit(
     """Execute embedding plus layers on |0...0>: weights (B, P), rows (B, F) or both
     run B circuits, return (B, 2**n) amplitudes and book B calls (1-D: one circuit)."""
     batch = np.broadcast_shapes(np.shape(weights)[:-1], np.shape(x)[:-1])
-    state = Statevector.zero(spec.n_wires, batch)
-    for op in spec.build_ops(np.asarray(weights, dtype=float).T, np.asarray(x, dtype=float).T):
-        if isinstance(op, Gate):
-            state = apply_gate(state, op)
-            continue
-        amps = state.amplitudes
-        if np.any(amps[..., 0] != 1.0) or np.any(amps[..., 1:]):
-            raise ValueError("state preparation is only valid on the all-zeros state")
-        prepared = np.asarray(op.amplitudes, dtype=complex)
-        if prepared.shape[-1:] != amps.shape[-1:]:
-            raise ValueError(
-                f"prepared amplitudes have length {prepared.shape[-1]}, state needs {amps.shape[-1]}"
-            )
-        state = Statevector(np.broadcast_to(prepared, amps.shape).copy(), spec.n_wires)
+    state = _simulate(spec, weights, x)
     counter.increment(int(np.prod(batch)))
     return state
 
@@ -282,18 +331,23 @@ def expectation_and_gradient(
     (B, P) of `rows` (B, F) at 1-D weights, from N + B * 2P circuits run in
     slices of at most 2**20 amplitudes; books nothing. Exact because each weight
     of the shipped layers is the angle of one single-axis rotation (ROT: three).
+
+    The circuits use only N + B input rows and 2P + 1 weight vectors. A slice
+    embeds the input rows its circuits use, once each, and builds each layer
+    gate's matrices once per weight vector; both are gathered onto its circuits.
     """
     w, X, rows = (np.asarray(a, dtype=float) for a in (weights, X, rows))
     p, n_x = w.size, len(X)
     mask, offsets, weight_index, row_index = _merged_layout(n_x, len(rows), p)
     table, inputs = np.where(mask, w + offsets, w), np.concatenate([X, rows])
     size = max(1, 2**20 >> spec.n_wires)
-    values = np.concatenate([  # with no circuits, one empty run
-        expectation_z(run_circuit(spec, table.take(weight_index[k : k + size], axis=0),
-                                  inputs.take(row_index[k : k + size], axis=0),
-                                  CallCounter()), wire)
-        for k in range(0, max(1, len(row_index)), size)
-    ])
+    values = []
+    for k in range(0, max(1, len(row_index)), size):  # with no circuits, one empty run
+        used = row_index[k : k + size]  # consecutive input rows
+        lo, hi = (used[0], used[-1] + 1) if len(used) else (0, 0)
+        values.append(expectation_z(  # unbound: a slice's states go before the next's
+            _simulate(spec, table, inputs[lo:hi], weight_index[k : k + size], used - lo), wire))
+    values = np.concatenate(values)
     shifted = values[n_x:].reshape(len(rows), 2, p)
     return values[:n_x], 0.5 * (shifted[:, 0] - shifted[:, 1])
 

@@ -14,6 +14,7 @@ simulated but never booked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -129,6 +130,18 @@ class TrainResult:
     final_score: float
 
 
+@lru_cache(maxsize=128)
+def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
+    """Read-only batch order of `epoch`: range(n) shuffled by the portable
+    generator seeded with derive_seed(seed, epoch). Cached because every QNN
+    trial of a study trains on the same n rows with the same repeat seeds."""
+    order = list(range(n))
+    PortableRng(derive_seed(seed, epoch)).shuffle(order)
+    out = np.array(order, dtype=np.intp)
+    out.flags.writeable = False  # one order serves every trial that draws it
+    return out
+
+
 def train_epochs(
     *,
     weights: Sequence[float],
@@ -164,8 +177,7 @@ def train_epochs(
 
     def check(w: np.ndarray, epoch: int):
         """Score at w, simulated with the first batch of `epoch` if that epoch runs."""
-        order = list(range(n)) if epoch <= n_epochs else []
-        PortableRng(derive_seed(seed, epoch)).shuffle(order)
+        order = _epoch_order(seed, epoch, n if epoch <= n_epochs else 0)
         values, grads = evaluate(w, X, X[order[:batch_size]])
         ledger.scoring.increment(n)
         return order, values, grads, score_fn(values, targets)

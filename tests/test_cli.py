@@ -364,7 +364,7 @@ def test_invalid_counts_are_usage_errors(tmp_path, blobs_csv, argv, capsys):
     assert not (tmp_path / "s.jsonl").exists()
 
 
-@pytest.mark.parametrize("text", ["nan", "NaN"])
+@pytest.mark.parametrize("text", ["nan", "NaN", "-nan"])
 def test_nan_threshold_is_a_usage_error(tmp_path, blobs_csv, text, capsys):
     # no score is >= nan, so a study would pick an "infeasible-best" model and exit 0
     assert run_find(tmp_path, blobs_csv, ["--threshold", text]) == EXIT_USAGE
@@ -376,6 +376,19 @@ def test_nan_threshold_is_a_usage_error(tmp_path, blobs_csv, text, capsys):
 def test_infinite_thresholds_keep_their_meaning(tmp_path, blobs_csv, text, tag, capsys):
     assert run_find(tmp_path, blobs_csv, [f"--threshold={text}"]) == EXIT_OK
     assert f"({tag})" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", ["-inf", "-1e3"])
+def test_a_negative_threshold_may_follow_its_flag_after_a_space(tmp_path, blobs_csv, text,
+                                                                capsys):
+    # argparse alone reads `-inf` and `-1e3` as options, not as the flag's value
+    assert run_find(tmp_path, blobs_csv, ["--threshold", text]) == EXIT_OK
+    assert "(feasible)" in capsys.readouterr().out
+
+
+def test_threshold_without_a_value_is_a_usage_error(tmp_path, blobs_csv, capsys):
+    assert run_find(tmp_path, blobs_csv, ["--threshold", "--seed", "1"]) == EXIT_USAGE
+    assert "argument --threshold: expected one argument" in capsys.readouterr().err
 
 
 def test_predict_reports_device_calls(tmp_path, capsys):

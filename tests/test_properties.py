@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from qmlfinder.models import BinaryEncoder
 from qmlfinder.registry import AMPLITUDE, ANGLE, BASIC_ENTANGLER, STRONGLY_ENTANGLING, CircuitSpec
-from qmlfinder.rng import PortableRng
+from qmlfinder.rng import PortableRng, derive_seed
 from qmlfinder.simulator import (
     CallCounter,
     Gate,
@@ -21,7 +21,7 @@ from qmlfinder.simulator import (
     parameter_shift_gradient,
     run_circuit,
 )
-from qmlfinder.training import BudgetLedger, OptimizerConfig, train_epochs
+from qmlfinder.training import BudgetLedger, OptimizerConfig, _epoch_order, train_epochs
 
 from oracles import loop_gradient_sum, product_rot, ref_train_autoencoder, sliced_gradient
 
@@ -52,8 +52,8 @@ def test_rot_matrix_equals_the_product_form_bit_for_bit(angles):
 @st.composite
 def merged_runs(draw):
     """A circuit (ANGLE or AMPLITUDE, 1-4 wires, one or two layers of either
-    kind), 1-D weights, a read-out wire, 0-6 scoring rows and a mini-batch of
-    0 up to all of them, as training draws one."""
+    kind), 1-D weights, a read-out wire, 0-6 scoring rows and a batch of 0-8
+    rows drawn with repeats from them and from up to two rows not among them."""
     n_wires = draw(st.integers(1, 4))
     embedding = draw(st.sampled_from([ANGLE, AMPLITUDE]))
     layers = draw(st.lists(st.sampled_from([BASIC_ENTANGLER, STRONGLY_ENTANGLING]),
@@ -63,11 +63,12 @@ def merged_runs(draw):
                               elements=st.floats(-2 * np.pi, 2 * np.pi)))
     n_rows = draw(st.integers(1, 6))
     n_features = draw(st.integers(1, embedding.max_features(n_wires)))
-    X = draw(hnp.arrays(np.float64, (n_rows, n_features),
-                        elements=st.floats(0.1, 2.0) | st.floats(-2.0, -0.1)))
-    batch = draw(st.lists(st.integers(0, n_rows - 1), max_size=n_rows, unique=True))
+    pool = draw(hnp.arrays(np.float64, (n_rows + draw(st.integers(0, 2)), n_features),
+                           elements=st.floats(0.1, 2.0) | st.floats(-2.0, -0.1)))
+    X = pool[:n_rows]
+    batch = draw(st.lists(st.integers(0, len(pool) - 1), max_size=8))
     scored = X if draw(st.booleans()) else X[:0]  # later batches run without scoring
-    return spec, weights, draw(st.integers(0, n_wires - 1)), scored, X[batch]
+    return spec, weights, draw(st.integers(0, n_wires - 1)), scored, pool[batch]
 
 
 @settings(deadline=None)
@@ -126,6 +127,17 @@ def test_batch_gradient_sum_equals_the_row_loop_bit_for_bit(case):
         want = want - opt.learning_rate * (loop_gradient_sum(residuals, batch, grads[batch])
                                            / len(batch))
     assert result.weights.tobytes() == want.tobytes()
+
+
+@settings(deadline=None)
+@given(st.integers(-(2**64), 2**64), st.integers(0, 50), st.integers(0, 40))
+def test_cached_epoch_order_equals_a_fresh_shuffle(seed, epoch, n):
+    want = list(range(n))
+    PortableRng(derive_seed(seed, epoch)).shuffle(want)
+    got = _epoch_order(seed, epoch, n)
+    assert got.tolist() == want and _epoch_order(seed, epoch, n) is got
+    with pytest.raises(ValueError, match="read-only"):
+        got[...] = 0  # every trial that draws this order shares the array
 
 
 @st.composite

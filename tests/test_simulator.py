@@ -511,6 +511,32 @@ def test_merged_run_slices_cut_between_scoring_and_shifted_circuits():
     assert grads.tobytes() == sliced_gradient(spec, w, X[[2, 0, 1]], 0, CallCounter()).tobytes()
 
 
+def test_merged_run_builds_matrices_per_distinct_row_and_weight_vector(monkeypatch):
+    # N = 5 scoring rows and a batch of B = 3 (one row twice, one not in X)
+    # make N + 2PB = 53 circuits from N + B = 8 input rows and 2P + 1 = 17
+    # weight vectors: each gate's matrices are built over those, not per circuit
+    import qmlfinder.simulator as simulator
+
+    built, gate_matrix_of = [], simulator.gate_matrix
+
+    def spy(gate):
+        matrix = gate_matrix_of(gate)
+        built.append((gate.kind, matrix.shape))
+        return matrix
+
+    monkeypatch.setattr(simulator, "gate_matrix", spy)
+    rng = PortableRng(909)
+    spec = CircuitSpec(2, ANGLE, (BASIC_ENTANGLER, STRONGLY_ENTANGLING))
+    p = spec.param_count
+    w = np.array(rng.uniforms(p, -np.pi, np.pi))
+    X = np.array([rng.uniforms(2, -np.pi, np.pi) for _ in range(5)])
+    rows = np.array([X[3], rng.uniforms(2, -np.pi, np.pi), X[3]])
+    values, grads = expectation_and_gradient(spec, w, X, rows, 0)
+    assert built == [("RX", (5 + 3, 2, 2))] * 2 + [("RX", (2 * p + 1, 2, 2))] * 2 + [
+        ("ROT", (2 * p + 1, 2, 2))] * 2
+    assert values.shape == (5,) and grads.shape == (3, p)
+
+
 def test_call_accounting_gradients_plus_forwards():
     spec = CircuitSpec(2, ANGLE, (BASIC_ENTANGLER, STRONGLY_ENTANGLING))
     p = spec.param_count

@@ -151,15 +151,16 @@ def test_cost_model_exact_over_sweep(p, n, b, e):
 
 
 def _spy_runs(monkeypatch):
-    """The number of circuits in each run_circuit call, in call order."""
-    runs, run_circuit = [], qmlfinder.simulator.run_circuit
+    """The number of circuits in each simulation (run_circuit and every slice of
+    a merged run go through simulator._simulate), in call order."""
+    runs, simulate = [], qmlfinder.simulator._simulate
 
-    def spy(spec, weights, x, counter):
-        state = run_circuit(spec, weights, x, counter)
+    def spy(*args):
+        state = simulate(*args)
         runs.append(len(state.amplitudes))
         return state
 
-    monkeypatch.setattr(qmlfinder.simulator, "run_circuit", spy)
+    monkeypatch.setattr(qmlfinder.simulator, "_simulate", spy)
     return runs
 
 
