@@ -13,6 +13,7 @@ from .models import (
     default_registry,
     kernel_matrix,
     silhouette_score,
+    suggest_unsupervised_kwargs,
 )
 from .records import StudyFailureError, TrialRecord, select_best
 from .registry import (
@@ -22,16 +23,16 @@ from .registry import (
     STRONGLY_ENTANGLING,
     CircuitSpec,
     EmbeddingKind,
-    FloatRange,
-    IntRange,
     LayerKind,
-    ModelFamilyConfig,
     Registry,
     TaskType,
     base_registry,
     build_layer,
     embed,
     register,
+    suggest_circuit,
+    suggest_embedding,
+    suggest_layers,
 )
 from .rng import SEED_STRIDE, PortableRng, derive_seed, repeat_seed, splitmix64
 from .search import (
@@ -43,10 +44,6 @@ from .search import (
     find_hyperparameters,
     find_model,
     run_trial,
-    suggest_embedding,
-    suggest_layers,
-    suggest_supervised_kwargs,
-    suggest_unsupervised_kwargs,
 )
 from .simulator import (
     CallCounter,

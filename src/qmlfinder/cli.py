@@ -41,9 +41,10 @@ class DataFormatError(ValueError):
 
 
 def _read_table(path: str) -> tuple[list[str], np.ndarray]:
-    """Numeric CSV with a mandatory header row."""
+    """Numeric CSV with a mandatory header row; a leading UTF-8 byte-order mark
+    (as spreadsheet programs write) is not part of the first column name."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc

@@ -1,11 +1,13 @@
 """The trainable model families the finder chooses among.
 
 Every family presents one protocol: class attributes `task`, `family` and
-`score_kind`; construct with a seed, `fit(X, y, ledger)` (which sets
-`train_score`), `predict`, and `score`, with every simulated device call
-booked on the caller's ledger; `spec_fields()` freezes a trained model into
-model-file fields and the class-level `from_spec(spec, registry)` restores
-it. The clusterer also has the optional class-level `prepare` hook.
+`score_kind`; the class-level `build(trial, X, config, registry, seed)`
+draws the family's own options on a search trial and returns an untrained
+model; `fit(X, y, ledger)` (which sets `train_score`), `predict`, and
+`score`, with every simulated device call booked on the caller's ledger;
+`spec_fields()` freezes a trained model into model-file fields and the
+class-level `from_spec(spec, registry)` restores it. The clusterer also has
+the optional class-level `prepare` hook.
 Label convention is fixed: class 0 maps to target +1 (the <Z> of |0>), so a
 classifier predicts 1 exactly when its expectation drops to 0 or below.
 """
@@ -14,23 +16,18 @@ from __future__ import annotations
 
 from copy import deepcopy
 from dataclasses import dataclass
-from math import isfinite, pi, prod
-from typing import Any, Callable, Mapping, Sequence
+from math import ceil, floor, isfinite, pi, prod, sqrt
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .registry import (
-    CircuitSpec,
-    FloatRange,
-    IntRange,
-    ModelFamilyConfig,
-    Registry,
-    TaskType,
-    base_registry,
-)
+from .registry import CircuitSpec, Registry, TaskType, base_registry, suggest_circuit
 from .rng import PortableRng, derive_seed
 from .simulator import CallCounter, expectation_and_gradient, expectation_z, run_circuit
 from .training import BudgetLedger, OptimizerConfig, train_epochs
+
+if TYPE_CHECKING:
+    from .search import FinderConfig, Trial
 
 
 class ScoreUndefinedError(RuntimeError):
@@ -141,12 +138,13 @@ class QNN(CircuitModel):
     """Variational model read out as <Z_0>, trained by parameter-shift gradient
     descent on the squared error against targets in [-1, 1].
 
-    Subclasses map labels to targets, pick the training score, and name their
+    Subclasses map labels to targets, pick the training score, name their
     model-file extras in `extras_keys`: constructor keywords that are also
-    attributes.
+    attributes, and name the one taking the study threshold in `threshold_key`.
     """
 
     extras_keys: tuple[str, ...] = ()
+    threshold_key: str
 
     def __init__(
         self,
@@ -163,6 +161,14 @@ class QNN(CircuitModel):
         self.batch_size = batch_size
         self.n_epochs = n_epochs
         self.epochs_run = 0
+
+    @classmethod
+    def build(cls, trial: "Trial", X: np.ndarray, config: "FinderConfig", registry: Registry,
+              seed: int) -> "QNN":
+        """Draws 1-3 layers, then a batch size of 15-25."""
+        circuit = suggest_circuit(trial, registry, X, (1, 3))
+        return cls(circuit, batch_size=trial.suggest_int("batch_size", 15, 25),
+                   n_epochs=config.n_epochs, seed=seed, **{cls.threshold_key: config.threshold})
 
     def expectations(self, X: np.ndarray, counter: CallCounter) -> np.ndarray:
         return expectation_z(run_circuit(self.circuit, self.weights, _rows(X), counter), 0)
@@ -213,6 +219,7 @@ class QNNClassifier(QNN):
     family = "QNN"
     score_kind = "mean_accuracy"
     extras_keys = ("batch_size", "n_epochs", "accuracy_threshold")
+    threshold_key = "accuracy_threshold"
 
     def __init__(
         self,
@@ -260,6 +267,7 @@ class QNNRegressor(QNN):
     family = "QNN_REGRESSOR"
     score_kind = "r2"
     extras_keys = ("batch_size", "n_epochs", "r2_threshold", "target_min", "target_max")
+    threshold_key = "r2_threshold"
 
     def __init__(
         self,
@@ -373,6 +381,12 @@ class QEKClassifier(CircuitModel):
         self.support_data: np.ndarray | None = None
         self.dual_coeffs: np.ndarray | None = None
         self._train_kernel: np.ndarray | None = None
+
+    @classmethod
+    def build(cls, trial: "Trial", X: np.ndarray, config: "FinderConfig", registry: Registry,
+              seed: int) -> "QEKClassifier":
+        """Draws 3-5 layers for the feature map."""
+        return cls(suggest_circuit(trial, registry, X, (3, 5)), seed=seed)
 
     def fit(self, X: np.ndarray, y: np.ndarray, ledger: BudgetLedger) -> "QEKClassifier":
         X = np.asarray(X, dtype=float)
@@ -688,6 +702,17 @@ class RBMClusterer:
         self.feature_max: np.ndarray | None = None
         self._fitted = False
 
+    @classmethod
+    def build(cls, trial: "Trial", X: np.ndarray, config: "FinderConfig", registry: Registry,
+              seed: int) -> "RBMClusterer":
+        """Draws the options `suggest_unsupervised_kwargs` names."""
+        kwargs = suggest_unsupervised_kwargs(trial, X, registry, config)
+        return cls(input_size=kwargs["input_size"], encoder_layers=kwargs["lbae_n_layers"],
+                   latent_size=kwargs["lbae_out_channels"],
+                   n_hidden=kwargs["rbm_n_hidden_neurons"],
+                   firing_threshold=kwargs["firing_threshold"], n_epochs=kwargs["n_epochs"],
+                   seed=seed)
+
     def _scale(self, X: np.ndarray) -> np.ndarray:
         span = np.where(self.feature_max > self.feature_min, self.feature_max - self.feature_min, 1.0)
         return (X - self.feature_min) / span
@@ -699,16 +724,14 @@ class RBMClusterer:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.input_size:
             raise ValueError(f"expected 2D data with {self.input_size} features")
-        scaled = self._fit_scaling(X)
         if self._trained_on is None or not np.array_equal(X, self._trained_on):
             if self._trained_on is not None:  # trained on other data: start afresh
                 self.encoder = BinaryEncoder(
                     self.input_size, self.encoder_layers, self.latent_size, self.seed
                 )
                 self.rbm = RBM(self.latent_size, self.n_hidden, self.seed)
-            self.encoder.train(scaled, self.encoder_epochs, self.encoder_learning_rate)
-            self._train_rbm(X)
-            self._trained_on = X.copy()
+            type(self).prepare([self], X)
+        self._fit_scaling(X)
         self._fitted = True
         return self
 
@@ -732,12 +755,12 @@ class RBMClusterer:
 
     @staticmethod
     def prepare(models: Sequence["RBMClusterer"], X: np.ndarray) -> None:
-        """Train `models` on X in place, as their `fit` on X would, which then
-        trains nothing. Each distinct encoder, keyed by (widths, seed), trains
-        once, all of them in one lockstep; each distinct RBM, keyed by (widths,
-        seed, n_hidden, n_epochs), trains once on its encoder's latent bits.
-        Models sharing a key get copies. The models share one class, hence one
-        encoder budget and one RBM learning rate."""
+        """Train `models` on X in place; a model's `fit` trains through here too,
+        so a later `fit` on X trains nothing. Each distinct encoder, keyed by
+        (widths, seed), trains once, all of them in one lockstep; each distinct
+        RBM, keyed by (widths, seed, n_hidden, n_epochs), trains once on its
+        encoder's latent bits. Models sharing a key get copies. The models
+        share one class, hence one encoder budget and one RBM learning rate."""
         X = np.asarray(X, dtype=float)
         if not models or X.size == 0:  # no data: each fit fails on it and records that
             return
@@ -868,79 +891,39 @@ def silhouette_score(X: np.ndarray, labels: np.ndarray) -> float:
     return float(s.mean())
 
 
-def _build_qnn_classifier(kwargs: Mapping, seed: int) -> QNNClassifier:
-    return QNNClassifier(
-        CircuitSpec(kwargs["n_wires"], kwargs["embedding"], tuple(kwargs["layers"])),
-        batch_size=kwargs["batch_size"],
-        n_epochs=kwargs["n_epochs"],
-        accuracy_threshold=kwargs["threshold"],
-        seed=seed,
+def suggest_unsupervised_kwargs(
+    trial: "Trial",
+    X: np.ndarray,
+    registry: Registry,
+    config: "FinderConfig",
+) -> dict[str, Any]:
+    """Construction options for the encoder+RBM pipeline; the latent and hidden
+    widths follow the sqrt/0.75 bracketing of the input size, the encoder has
+    1-3 layers and the firing threshold is in [0.3, 0.7]."""
+    input_size = int(np.asarray(X).shape[1])
+    if input_size < 2:
+        raise ValueError("clustering requires input size >= 2")
+    out_channels = trial.suggest_int(
+        "lbae_out_channels", floor(sqrt(input_size)), ceil(0.75 * input_size)
     )
-
-
-def _build_qnn_regressor(kwargs: Mapping, seed: int) -> QNNRegressor:
-    return QNNRegressor(
-        CircuitSpec(kwargs["n_wires"], kwargs["embedding"], tuple(kwargs["layers"])),
-        batch_size=kwargs["batch_size"],
-        n_epochs=kwargs["n_epochs"],
-        r2_threshold=kwargs["threshold"],
-        seed=seed,
+    n_hidden = trial.suggest_int(
+        "rbm_n_hidden_neurons", floor(sqrt(out_channels)), ceil(0.75 * out_channels)
     )
-
-
-def _build_qek_classifier(kwargs: Mapping, seed: int) -> QEKClassifier:
-    circuit = CircuitSpec(kwargs["n_wires"], kwargs["embedding"], tuple(kwargs["layers"]))
-    return QEKClassifier(circuit, seed=seed)
-
-
-def _build_rbm_clusterer(kwargs: Mapping, seed: int) -> RBMClusterer:
-    return RBMClusterer(
-        input_size=kwargs["input_size"],
-        encoder_layers=kwargs["lbae_n_layers"],
-        latent_size=kwargs["lbae_out_channels"],
-        n_hidden=kwargs["rbm_n_hidden_neurons"],
-        firing_threshold=kwargs["firing_threshold"],
-        n_epochs=kwargs["n_epochs"],
-        seed=seed,
-    )
+    return {
+        "input_size": input_size,
+        "lbae_out_channels": out_channels,
+        "rbm_n_visible_neurons": out_channels,  # hard equality with the latent width
+        "rbm_n_hidden_neurons": n_hidden,
+        "lbae_n_layers": trial.suggest_int("lbae_n_layers", 1, 3),
+        "n_epochs": config.n_epochs,
+        "firing_threshold": trial.suggest_float("firing_threshold", 0.3, 0.7),
+    }
 
 
 def default_registry() -> Registry:
-    """The shipped search space: two embeddings, two layers, four families."""
+    """The shipped search space: two embeddings, two layers, four families, in
+    the order a trial's `model_type` draw offers them."""
     reg = base_registry()
-    reg.register(
-        "model",
-        ModelFamilyConfig(
-            model=QNNClassifier,
-            n_layers=(1, 3),
-            builder=_build_qnn_classifier,
-            tunables={"batch_size": IntRange(15, 25)},
-        ),
-    )
-    reg.register(
-        "model",
-        ModelFamilyConfig(
-            model=QEKClassifier,
-            n_layers=(3, 5),
-            builder=_build_qek_classifier,
-        ),
-    )
-    reg.register(
-        "model",
-        ModelFamilyConfig(
-            model=QNNRegressor,
-            n_layers=(1, 3),
-            builder=_build_qnn_regressor,
-            tunables={"batch_size": IntRange(15, 25)},
-        ),
-    )
-    reg.register(
-        "model",
-        ModelFamilyConfig(
-            model=RBMClusterer,
-            n_layers=(1, 3),  # encoder depth bounds (lbae_n_layers)
-            builder=_build_rbm_clusterer,
-            tunables={"firing_threshold": FloatRange(0.3, 0.7)},
-        ),
-    )
+    for family in (QNNClassifier, QEKClassifier, QNNRegressor, RBMClusterer):
+        reg.register("model", family)
     return reg

@@ -1,9 +1,13 @@
-"""Data embeddings, trainable layer templates, and the extensible registries
-that span the architecture search space.
+"""Data embeddings, trainable layer templates, the extensible registries that
+span the architecture search space, and the draws a circuit family makes on
+them.
 
 Registering an extra embedding, layer, or model family widens what the model
 finder can sample; nothing else needs to change. Names registered here are
 part of the model-file serialization contract.
+
+A model family is its class (models.py states the protocol); the model table
+holds classes, named by their `family`.
 """
 
 from __future__ import annotations
@@ -11,11 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from math import ceil, log2
-from typing import Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from .simulator import MAX_WIRES, Gate, Operation, StatePrep, cnot, rot, rx
+
+if TYPE_CHECKING:
+    from .search import Trial
 
 
 class TaskType(str, Enum):
@@ -188,69 +195,31 @@ class CircuitSpec:
         return self.embedding_ops(x) + layers
 
 
-@dataclass(frozen=True)
-class IntRange:
-    low: int
-    high: int
-
-
-@dataclass(frozen=True)
-class FloatRange:
-    low: float
-    high: float
-
-
-TunableRange = IntRange | FloatRange
-
-
-@dataclass(frozen=True)
-class ModelFamilyConfig:
-    """One searchable model family: its model class, layer-count bounds, and tunables.
-
-    The class is the one place the family's identity lives: its `family` is
-    the registry name, `task` the task it is searched for, `from_spec(spec,
-    registry)` rebuilds a trained model from its model file, and an optional
-    class attribute `prepare(models, X)` gets, before a study's first trial,
-    every model of the family its trials will fit on X, and may do their
-    shared work ahead, in place. A class without `family`, `task` or
-    `from_spec` is refused. `builder(kwargs, seed)` makes an untrained model
-    from the sampled construction options.
-    """
-
-    model: type
-    n_layers: tuple[int, int]
-    builder: Callable[[Mapping[str, Any], int], Any]
-    tunables: Mapping[str, TunableRange] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        missing = [attr for attr in ("family", "task", "from_spec")
-                   if not hasattr(self.model, attr)]
-        if missing:
-            raise ValueError(f"model class {self.model.__name__} has no {', '.join(missing)}")
-        low, high = self.n_layers
-        if low < 1 or high < low:
-            raise ValueError(f"invalid n_layers bounds {self.n_layers} for {self.name}")
-
-    @property
-    def name(self) -> str:
-        return self.model.family
-
-
 class Registry:
-    """Name-keyed tables of embeddings, layers, and model families."""
+    """Name-keyed tables of embeddings, layers, and model family classes."""
 
     def __init__(self) -> None:
         self._embeddings: dict[str, EmbeddingKind] = {}
         self._layers: dict[str, LayerKind] = {}
-        self._models: dict[str, ModelFamilyConfig] = {}
+        self._models: dict[str, type] = {}
 
     def register(self, table: str, entry) -> "Registry":
+        """Add `entry` under its name; a model class is named by its `family` and
+        is refused without `family`, `task`, `build` or `from_spec`."""
         tables = {"embedding": self._embeddings, "layer": self._layers, "model": self._models}
         if table not in tables:
             raise ValueError(f"unknown registry table {table!r}")
-        if entry.name in tables[table]:
-            raise ValueError(f"{table} {entry.name!r} is already registered")
-        tables[table][entry.name] = entry
+        if table == "model":
+            missing = [attr for attr in ("family", "task", "build", "from_spec")
+                       if not hasattr(entry, attr)]
+            if missing:
+                raise ValueError(f"model class {entry.__name__} has no {', '.join(missing)}")
+            name = entry.family
+        else:
+            name = entry.name
+        if name in tables[table]:
+            raise ValueError(f"{table} {name!r} is already registered")
+        tables[table][name] = entry
         return self
 
     @property
@@ -271,11 +240,11 @@ class Registry:
     def layer(self, name: str) -> LayerKind:
         return self._layers[name]
 
-    def model(self, name: str) -> ModelFamilyConfig:
+    def model(self, name: str) -> type:
         return self._models[name]
 
     def models_for_task(self, task: TaskType) -> list[str]:
-        return [name for name, cfg in self._models.items() if cfg.model.task == task]
+        return [name for name, cls in self._models.items() if cls.task == task]
 
     def copy(self) -> "Registry":
         dup = Registry()
@@ -298,3 +267,45 @@ def base_registry() -> Registry:
     reg.register("layer", BASIC_ENTANGLER)
     reg.register("layer", STRONGLY_ENTANGLING)
     return reg
+
+
+def suggest_embedding(trial: "Trial", registry: Registry, n_features: int) -> EmbeddingKind:
+    """Categorical draw over the embeddings that can host `n_features` features."""
+    eligible = []
+    for name in registry.embedding_names:
+        kind = registry.embedding(name)
+        wires = kind.wires_for_features(n_features)
+        if 1 <= wires <= MAX_WIRES and n_features <= kind.max_features(wires):
+            eligible.append(name)
+    if not eligible:
+        raise ValueError(f"no registered embedding can host {n_features} features")
+    return registry.embedding(trial.suggest_categorical("embedding", eligible))
+
+
+def suggest_layers(trial: "Trial", n_layers: int, registry: Registry) -> list[LayerKind]:
+    """Exactly n_layers categorical draws named layer_0 ... layer_{n-1}; the
+    sampled order is the order the layers are applied in."""
+    if n_layers < 1:
+        raise ValueError("n_layers must be >= 1")
+    names = registry.layer_names
+    if not names:
+        raise ValueError("layer registry is empty")
+    return [
+        registry.layer(trial.suggest_categorical(f"layer_{i}", names)) for i in range(n_layers)
+    ]
+
+
+def suggest_circuit(
+    trial: "Trial", registry: Registry, X: np.ndarray, n_layers: tuple[int, int]
+) -> CircuitSpec:
+    """A circuit for the rows X: the layer count within the inclusive bounds
+    `n_layers` first, then the embedding (which fixes the wire count), then
+    the per-slot layer kinds."""
+    n_features = int(np.asarray(X).shape[1])
+    depth = trial.suggest_int("n_layers", *n_layers)
+    embedding = suggest_embedding(trial, registry, n_features)
+    return CircuitSpec(
+        embedding.wires_for_features(n_features),
+        embedding,
+        tuple(suggest_layers(trial, depth, registry)),
+    )

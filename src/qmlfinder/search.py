@@ -1,6 +1,9 @@
-"""The search engine: seeded trials, the suggestion procedures, the model
-finder with its threshold-constrained call-minimization objective, and the
+"""The search engine: seeded trials, the model finder with its
+threshold-constrained call-minimization objective, and the
 optimizer-comparison tuner.
+
+A trial draws `model_type` among the task's families; that family's class
+draws the rest in its `build`, each option where the model needs it.
 
 Trials run one at a time in id order, each record stored before the next
 trial starts; every trial seeds its own sampler from (base_seed, trial_id).
@@ -11,16 +14,15 @@ base_seed * 10007 + k, making repeat k comparable across trials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, floor, isnan, sqrt
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from math import isnan
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from .models import QNN, Score, default_registry
 from .records import StudyFailureError, TrialRecord, rank_key
-from .registry import EmbeddingKind, FloatRange, IntRange, LayerKind, Registry, TaskType
+from .registry import Registry, TaskType
 from .rng import PortableRng, derive_seed, repeat_seed
-from .simulator import MAX_WIRES
 from .store import ModelSpec, StudyStore, model_from_spec, model_to_spec
 from .training import BudgetLedger, OptimizerConfig
 
@@ -83,100 +85,6 @@ class FinderConfig:
             raise ValueError("threshold must be a number, got nan")
 
 
-def suggest_embedding(trial: Trial, registry: Registry, n_features: int) -> EmbeddingKind:
-    """Categorical draw over the embeddings that can host `n_features` features."""
-    eligible = []
-    for name in registry.embedding_names:
-        kind = registry.embedding(name)
-        wires = kind.wires_for_features(n_features)
-        if 1 <= wires <= MAX_WIRES and n_features <= kind.max_features(wires):
-            eligible.append(name)
-    if not eligible:
-        raise ValueError(f"no registered embedding can host {n_features} features")
-    return registry.embedding(trial.suggest_categorical("embedding", eligible))
-
-
-def suggest_layers(trial: Trial, n_layers: int, registry: Registry) -> list[LayerKind]:
-    """Exactly n_layers categorical draws named layer_0 ... layer_{n-1}; the
-    sampled order is the order the layers are applied in."""
-    if n_layers < 1:
-        raise ValueError("n_layers must be >= 1")
-    names = registry.layer_names
-    if not names:
-        raise ValueError("layer registry is empty")
-    return [
-        registry.layer(trial.suggest_categorical(f"layer_{i}", names)) for i in range(n_layers)
-    ]
-
-
-def _suggest_tunables(trial: Trial, tunables: Mapping) -> dict[str, Any]:
-    out = {}
-    for name in sorted(tunables):
-        spec = tunables[name]
-        if isinstance(spec, IntRange):
-            out[name] = trial.suggest_int(name, spec.low, spec.high)
-        elif isinstance(spec, FloatRange):
-            out[name] = trial.suggest_float(name, spec.low, spec.high)
-        else:
-            raise TypeError(f"unsupported tunable range {spec!r} for {name}")
-    return out
-
-
-def suggest_supervised_kwargs(
-    trial: Trial,
-    model_type: str,
-    registry: Registry,
-    X: np.ndarray,
-    config: FinderConfig,
-) -> dict[str, Any]:
-    """Construction options for a circuit-based model: layer count first, then
-    embedding (which fixes the wire count), then the per-slot layer kinds."""
-    family = registry.model(model_type)
-    n_features = int(np.asarray(X).shape[1])
-    low, high = family.n_layers
-    n_layers = trial.suggest_int("n_layers", low, high)
-    embedding = suggest_embedding(trial, registry, n_features)
-    return {
-        "n_wires": embedding.wires_for_features(n_features),
-        "embedding": embedding,
-        "layers": suggest_layers(trial, n_layers, registry),
-        "n_epochs": config.n_epochs,
-        "threshold": config.threshold,
-        **_suggest_tunables(trial, family.tunables),
-    }
-
-
-def suggest_unsupervised_kwargs(
-    trial: Trial,
-    X: np.ndarray,
-    registry: Registry,
-    config: FinderConfig,
-    model_type: str = "RBM",
-) -> dict[str, Any]:
-    """Construction options for the encoder+RBM pipeline; the latent and hidden
-    widths follow the sqrt/0.75 bracketing of the input size."""
-    family = registry.model(model_type)
-    input_size = int(np.asarray(X).shape[1])
-    if input_size < 2:
-        raise ValueError("clustering requires input size >= 2")
-    out_channels = trial.suggest_int(
-        "lbae_out_channels", floor(sqrt(input_size)), ceil(0.75 * input_size)
-    )
-    n_hidden = trial.suggest_int(
-        "rbm_n_hidden_neurons", floor(sqrt(out_channels)), ceil(0.75 * out_channels)
-    )
-    low, high = family.n_layers
-    return {
-        "input_size": input_size,
-        "lbae_out_channels": out_channels,
-        "rbm_n_visible_neurons": out_channels,  # hard equality with the latent width
-        "rbm_n_hidden_neurons": n_hidden,
-        "lbae_n_layers": trial.suggest_int("lbae_n_layers", low, high),
-        "n_epochs": config.n_epochs,
-        **_suggest_tunables(trial, family.tunables),
-    }
-
-
 def _suggest_and_build(
     trial: Trial,
     config: FinderConfig,
@@ -188,11 +96,7 @@ def _suggest_and_build(
     if not families:
         raise ValueError(f"no model families registered for task {config.task.value}")
     model_type = trial.suggest_categorical("model_type", families)
-    if config.task == TaskType.CLUSTERING:
-        kwargs = suggest_unsupervised_kwargs(trial, X, registry, config, model_type)
-    else:
-        kwargs = suggest_supervised_kwargs(trial, model_type, registry, X, config)
-    return registry.model(model_type).builder(kwargs, seed)
+    return registry.model(model_type).build(trial, X, config, registry, seed)
 
 
 def _require_finite(X: np.ndarray, y) -> None:
@@ -278,7 +182,7 @@ def _prepare(plan: Iterable[tuple[Trial, list]], registry: Registry, X: np.ndarr
             if not isinstance(model, Exception):
                 families.setdefault(trial.sampled["model_type"], []).append(model)
     for name, models in families.items():
-        prepare = getattr(registry.model(name).model, "prepare", None)
+        prepare = getattr(registry.model(name), "prepare", None)
         if prepare is not None:
             prepare(models, X)
 
@@ -342,7 +246,7 @@ def find_model(
     each family's `prepare` gets its models. Between trials only the leading
     trial's repeat-0 model is kept.
 
-    Every candidate family's builder must return models with `spec_fields`,
+    Every candidate family's `build` must return models with `spec_fields`,
     and X and y must be finite; otherwise a ValueError naming the family, or
     X or y, is raised before any fit or store write. Every registered family's
     class has `from_spec`, so the winner can be restored from its model file.

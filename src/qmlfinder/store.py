@@ -8,6 +8,7 @@ floats), which makes serialize -> parse -> serialize byte-identical.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -155,7 +156,7 @@ def model_from_spec(spec: ModelSpec, registry: Registry):
         raise ValueError(f"unsupported model format_version {spec.format_version}")
     if spec.model_family not in registry.model_names:
         raise ValueError(f"unknown model family {spec.model_family!r}")
-    return registry.model(spec.model_family).model.from_spec(spec, registry)
+    return registry.model(spec.model_family).from_spec(spec, registry)
 
 
 def _format_cell(value) -> str:
@@ -169,21 +170,22 @@ def _format_cell(value) -> str:
 
 
 def export_report(store: StudyStore, out_path: str | os.PathLike) -> str:
-    """Write one CSV row per trial and return a one-line summary naming the
-    best trial under the finder's selection rule."""
+    """Write one CSV row per trial, quoted where a cell holds a comma, quote or
+    newline, and return a one-line summary naming the best trial under the
+    finder's selection rule."""
     records = store.load()
     sampled_names: set[str] = set()
     for record in records:
         sampled_names.update(record.sampled)
     sampled_columns = sorted(sampled_names)
-    lines = [",".join(list(REPORT_FIXED_COLUMNS) + sampled_columns)]
-    for record in records:
-        doc = record.as_dict()
-        row = [_format_cell(doc[c]) for c in REPORT_FIXED_COLUMNS]
-        row += [_format_cell(record.sampled.get(name)) for name in sampled_columns]
-        lines.append(",".join(row))
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(list(REPORT_FIXED_COLUMNS) + sampled_columns)
+        for record in records:
+            doc = record.as_dict()
+            row = [_format_cell(doc[c]) for c in REPORT_FIXED_COLUMNS]
+            row += [_format_cell(record.sampled.get(name)) for name in sampled_columns]
+            writer.writerow(row)
     if not records:
         return "warning: study store is empty; wrote header-only report"
     try:

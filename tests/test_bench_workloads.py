@@ -1,4 +1,4 @@
-"""The benchmark's four workloads at seed 0, each run once through the CLI and
+"""The benchmark's four workloads at seeds 0-3, each run once through the CLI and
 checked as bench/run.py checks them: bench/checks.py finds no problem, and the
 outcome (device calls, winner, failed trials) is the one bench/reference.json
 records. The bench modules are loaded from their files and used as they are."""
@@ -27,9 +27,12 @@ def _load(name: str):
 checks, run, workloads = _load("checks"), _load("run"), _load("workloads")
 
 
-@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
-def test_workload_passes_its_checks_and_matches_the_reference(tmp_path, name, capsys):
-    workload = workloads.WORKLOADS[name](0, str(tmp_path), qmlfinder)
+@pytest.mark.parametrize("name, seed", [
+    pytest.param(name, seed, id=name + (f"-seed{seed}" if seed else ""))
+    for name in workloads.WORKLOADS for seed in range(4)
+])
+def test_workload_passes_its_checks_and_matches_the_reference(tmp_path, name, seed, capsys):
+    workload = workloads.WORKLOADS[name](seed, str(tmp_path), qmlfinder)
     assert cli_main(workload.argv) == EXIT_OK
     registry = default_registry()
     if workload.study:
@@ -38,4 +41,4 @@ def test_workload_passes_its_checks_and_matches_the_reference(tmp_path, name, ca
         oracles = checks.load_oracles(ROOT / "tests" / "oracles.py")
         problems, outcome = checks.check_predict(workload, registry, oracles)
     assert problems == []
-    assert run.reference_drift(name, 0, outcome) == []  # None: nothing recorded
+    assert run.reference_drift(name, seed, outcome) == []  # None: nothing recorded

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, and invocation determinism."""
 
+import json
 import subprocess
 import sys
 
@@ -95,6 +96,17 @@ def test_missing_target_for_classification_is_usage_error(tmp_path, blobs_csv):
          "--store", str(tmp_path / "s.jsonl"), "--out", str(tmp_path / "m.json")]
     )
     assert code == EXIT_USAGE
+
+
+def test_byte_order_mark_is_not_part_of_the_first_column_name(tmp_path, blobs_csv):
+    # spreadsheet programs' "CSV UTF-8" starts the file with U+FEFF
+    lines = blobs_csv.read_text().splitlines()
+    moved = [",".join([cells[-1], *cells[:-1]]) for cells in (line.split(",") for line in lines)]
+    path = tmp_path / "bom.csv"
+    path.write_text("\ufeff" + "\n".join(moved) + "\n", encoding="utf-8")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbfy,f0,f1\n")
+    assert run_find(tmp_path, path) == EXIT_OK
+    assert json.loads((tmp_path / "model.json").read_text())["n_features"] == 2
 
 
 def test_non_binary_target_is_data_error(tmp_path, capsys):

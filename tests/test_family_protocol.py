@@ -13,7 +13,7 @@ from qmlfinder import (
     BudgetLedger,
     CallCounter,
     FinderConfig,
-    ModelFamilyConfig,
+    Registry,
     TaskType,
     base_registry,
     default_registry,
@@ -42,6 +42,10 @@ class UnsavableNearestMean:
     def __init__(self, means=None):
         self.means = means
         self.train_score = None
+
+    @classmethod
+    def build(cls, trial, X, config, registry, seed):
+        return cls()
 
     def fit(self, X, y, ledger):
         self.means = np.array([X[y == label].mean(axis=0) for label in (0, 1)])
@@ -73,16 +77,9 @@ class NearestMean(UnsavableNearestMean):
         return cls(np.asarray(spec.weights, dtype=float).reshape(2, spec.n_features))
 
 
-def _with_nearest_mean(registry, builder=lambda kwargs, seed: NearestMean()):
-    registry.register(
-        "model", ModelFamilyConfig(model=NearestMean, n_layers=(1, 1), builder=builder)
-    )
-    return registry
-
-
 def test_registered_family_wins_and_round_trips(registry, blobs40, tmp_path):
     X, y = blobs40
-    registry = _with_nearest_mean(registry)
+    registry = registry.register("model", NearestMean)
     config = FinderConfig(task=TaskType.CLASSIFICATION, n_trials=4, n_seeds=1, n_epochs=1,
                           threshold=0.8, base_seed=0)
     store = StudyStore(tmp_path / "study.jsonl")
@@ -102,21 +99,53 @@ def test_registered_family_wins_and_round_trips(registry, blobs40, tmp_path):
     np.testing.assert_array_equal(restored.predict(X, CallCounter()), y)
 
 
-@pytest.mark.parametrize("missing", ["family", "task", "from_spec"])
+@pytest.mark.parametrize("missing", ["family", "task", "build", "from_spec"])
 def test_family_class_without_identity_or_restore_is_refused(missing):
     attrs = {"family": "INCOMPLETE", "task": TaskType.CLASSIFICATION,
+             "build": classmethod(lambda cls, trial, X, config, registry, seed: cls()),
              "from_spec": classmethod(lambda cls, spec, registry: cls())}
     del attrs[missing]
     incomplete = type("Incomplete", (), attrs)
+    registry = Registry()
     with pytest.raises(ValueError, match=f"Incomplete has no {missing}"):
-        ModelFamilyConfig(model=incomplete, n_layers=(1, 1), builder=lambda kwargs, seed: None)
+        registry.register("model", incomplete)
+    assert registry.model_names == []
 
 
 def test_registered_family_is_named_by_its_class(registry):
     for name in registry.model_names:
-        assert registry.model(name).model.family == name
-    config = _with_nearest_mean(registry).model("NEAREST_MEAN")
-    assert config.name == "NEAREST_MEAN" and config.model is NearestMean
+        assert registry.model(name).family == name
+    assert registry.register("model", NearestMean).model("NEAREST_MEAN") is NearestMean
+
+
+def test_registered_family_trials_record_only_what_its_build_draws(
+    registry, blobs40, cluster_blobs, tmp_path
+):
+    registry.register("model", NearestMean).register("model", TwoMeans)
+    studies = ((TaskType.CLASSIFICATION, *blobs40), (TaskType.CLUSTERING, cluster_blobs, None))
+    for task, X, y in studies:
+        store = StudyStore(tmp_path / f"{task.value}.jsonl")
+        config = FinderConfig(task=task, n_trials=8, n_seeds=1, n_epochs=1, base_seed=0)
+        find_model(config, registry, X, y, store)
+        added = [r for r in store.load()
+                 if r.sampled["model_type"] in ("NEAREST_MEAN", "TWO_MEANS")]
+        assert added and all(r.status == "complete" for r in added)
+        assert all(list(r.sampled) == ["model_type"] for r in added)
+
+
+def test_registered_family_searches_data_wider_than_any_embedding(tmp_path):
+    width = 2**16 + 1  # beyond 16 ANGLE wires and 2**16 AMPLITUDE amplitudes
+    X = np.repeat([[0.0], [1.0]], 2, axis=0) * np.ones(width)
+    y = np.array([0, 0, 1, 1])
+    registry = default_registry().register("model", NearestMean)
+    store = StudyStore(tmp_path / "study.jsonl")
+    config = FinderConfig(task=TaskType.CLASSIFICATION, n_trials=6, n_seeds=1, n_epochs=1)
+    spec = find_model(config, registry, X, y, store)
+    records = store.load()
+    assert spec.model_family == "NEAREST_MEAN"
+    assert {r.status for r in records if r.sampled["model_type"] == "NEAREST_MEAN"} == {"complete"}
+    assert all(r.error == f"ValueError: no registered embedding can host {width} features"
+               for r in records if r.sampled["model_type"] != "NEAREST_MEAN")
 
 
 def test_family_without_spec_fields_is_refused_before_any_fit(registry, blobs40, tmp_path):
@@ -128,7 +157,12 @@ def test_family_without_spec_fields_is_refused_before_any_fit(registry, blobs40,
             fitted.append(self)
             return super().fit(X, y, ledger)
 
-    registry = _with_nearest_mean(registry, builder=lambda kwargs, seed: Unsavable())
+    class BuildsUnsavable(NearestMean):
+        @classmethod
+        def build(cls, trial, X, config, registry, seed):
+            return Unsavable()
+
+    registry = registry.register("model", BuildsUnsavable)
     store = StudyStore(tmp_path / "study.jsonl")
     config = FinderConfig(task=TaskType.CLASSIFICATION, n_trials=4, n_seeds=1, n_epochs=1,
                           threshold=0.8, base_seed=0)
@@ -167,6 +201,10 @@ class NanRegressor:
     family = "NAN_REGRESSOR"
     score_kind = "r2"
 
+    @classmethod
+    def build(cls, trial, X, config, registry, seed):
+        return cls()
+
     def fit(self, X, y, ledger):
         self.train_score = float("nan")
         return self
@@ -188,12 +226,7 @@ def test_score_refuses_non_finite_values(kind, value):
 
 def test_nan_scoring_trial_fails_and_the_store_stays_standard_json(registry, sine20, tmp_path):
     X, y = sine20
-    registry.register(
-        "model",
-        ModelFamilyConfig(
-            model=NanRegressor, n_layers=(1, 1), builder=lambda kwargs, seed: NanRegressor()
-        ),
-    )
+    registry.register("model", NanRegressor)
     config = FinderConfig(task=TaskType.REGRESSION, n_trials=8, n_seeds=1, n_epochs=1,
                           base_seed=0)
     store = StudyStore(tmp_path / "study.jsonl")
@@ -225,6 +258,10 @@ class TwoMeans:
     def __init__(self, centers=None):
         self.centers = centers
 
+    @classmethod
+    def build(cls, trial, X, config, registry, seed):
+        return cls()
+
     def fit(self, X, y, ledger):
         totals = X.sum(axis=1)
         self.centers = X[[np.argmin(totals), np.argmax(totals)]]
@@ -251,10 +288,7 @@ class TwoMeans:
 
 
 def test_registered_clustering_family_wins_and_round_trips(registry, cluster_blobs, tmp_path):
-    registry.register(
-        "model", ModelFamilyConfig(model=TwoMeans, n_layers=(1, 1),
-                                   builder=lambda kwargs, seed: TwoMeans())
-    )
+    registry.register("model", TwoMeans)
     config = FinderConfig(task=TaskType.CLUSTERING, n_trials=6, n_seeds=2, n_epochs=2,
                           base_seed=1)
     store = StudyStore(tmp_path / "study.jsonl")
@@ -285,10 +319,7 @@ class TrainScoredTwoMeans(TwoMeans):
 
 
 def test_clustering_trial_records_the_train_score_its_fit_set(cluster_blobs, tmp_path):
-    registry = base_registry().register(
-        "model", ModelFamilyConfig(model=TrainScoredTwoMeans, n_layers=(1, 1),
-                                   builder=lambda kwargs, seed: TrainScoredTwoMeans())
-    )
+    registry = base_registry().register("model", TrainScoredTwoMeans)
     config = FinderConfig(task=TaskType.CLUSTERING, n_trials=3, n_seeds=2, n_epochs=1)
     store = StudyStore(tmp_path / "study.jsonl")
     spec = find_model(config, registry, cluster_blobs, None, store)

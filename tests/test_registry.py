@@ -1,7 +1,5 @@
 """Embedding/layer behavior and the extensible registry tables."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,6 @@ from qmlfinder import (
     CircuitSpec,
     EmbeddingKind,
     LayerKind,
-    ModelFamilyConfig,
     PortableRng,
     Registry,
     TaskType,
@@ -184,32 +181,23 @@ def test_registering_layer_preserves_existing_entries():
 
 
 def _family(family, task):
-    """A bare model class carrying a family's identity and restore."""
-    return type(family, (), {"family": family, "task": task,
-                             "from_spec": classmethod(lambda cls, spec, registry: cls())})
-
-
-def test_model_entry_layer_bounds_validated():
-    bad = _family("BAD", TaskType.CLASSIFICATION)
-    with pytest.raises(ValueError, match="BAD"):
-        ModelFamilyConfig(model=bad, n_layers=(0, 2), builder=lambda kwargs, seed: None)
-    with pytest.raises(ValueError, match="BAD"):
-        ModelFamilyConfig(model=bad, n_layers=(3, 2), builder=lambda kwargs, seed: None)
-
-
-def test_model_entry_fields_are_the_class_and_its_search_space():
-    fields = [f.name for f in dataclasses.fields(ModelFamilyConfig)]
-    assert fields == ["model", "n_layers", "builder", "tunables"]
+    """A bare model class carrying a family's identity, build and restore."""
+    new = classmethod(lambda cls, *args: cls())
+    return type(family, (), {"family": family, "task": task, "build": new, "from_spec": new})
 
 
 def test_models_for_task():
     registry = Registry()
-    cfg = ModelFamilyConfig(
-        model=_family("M", TaskType.REGRESSION), n_layers=(1, 2), builder=lambda k, s: None
-    )
-    register(registry, "model", cfg)
+    register(registry, "model", _family("M", TaskType.REGRESSION))
     assert registry.models_for_task(TaskType.REGRESSION) == ["M"]
     assert registry.models_for_task(TaskType.CLUSTERING) == []
+
+
+def test_model_registered_twice_is_refused():
+    registry = Registry()
+    register(registry, "model", _family("M", TaskType.REGRESSION))
+    with pytest.raises(ValueError, match="model 'M' is already registered"):
+        register(registry, "model", _family("M", TaskType.CLASSIFICATION))
 
 
 def test_registry_copy_is_independent():

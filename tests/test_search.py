@@ -1,14 +1,11 @@
 """Search contracts: sampler determinism and bounds, suggestion schemas,
 trial crash containment, the selection objective, and the tuner."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from qmlfinder import (
     FinderConfig,
-    ModelFamilyConfig,
     PortableRng,
     Registry,
     StudyFailureError,
@@ -17,7 +14,6 @@ from qmlfinder import (
     TrialRecord,
     UnsupportedModelError,
     base_registry,
-    default_registry,
     derive_seed,
     find_hyperparameters,
     find_model,
@@ -26,10 +22,10 @@ from qmlfinder import (
     select_best,
     suggest_embedding,
     suggest_layers,
-    suggest_supervised_kwargs,
     suggest_unsupervised_kwargs,
 )
-from qmlfinder.models import BinaryEncoder, QNNClassifier, RBMClusterer
+from qmlfinder import search
+from qmlfinder.models import BinaryEncoder, QEKClassifier, QNNClassifier, RBMClusterer
 from qmlfinder.search import _fit_and_score, _suggest_and_build
 from qmlfinder.store import StudyStore, model_from_spec, model_to_spec
 
@@ -139,17 +135,19 @@ def test_supervised_kwargs_bounds(registry):
     X = np.zeros((10, 2))
     for trial_id in range(200):
         trial = Trial(trial_id, derive_seed(0, trial_id))
-        kwargs = suggest_supervised_kwargs(trial, "QNN", registry, X, config)
+        model = QNNClassifier.build(trial, X, config, registry, 0)
         assert 1 <= trial.sampled["n_layers"] <= 3
         assert 15 <= trial.sampled["batch_size"] <= 25
-        assert kwargs["n_epochs"] == config.n_epochs
-        assert kwargs["threshold"] == config.threshold
+        assert model.batch_size == trial.sampled["batch_size"]
+        assert len(model.circuit.layer_kinds) == trial.sampled["n_layers"]
+        assert model.n_epochs == config.n_epochs
+        assert model.accuracy_threshold == config.threshold
     for trial_id in range(200):
         trial = Trial(trial_id, derive_seed(1, trial_id))
-        kwargs = suggest_supervised_kwargs(trial, "QEK", registry, X, config)
+        model = QEKClassifier.build(trial, X, config, registry, 0)
         assert 3 <= trial.sampled["n_layers"] <= 5
         assert "batch_size" not in trial.sampled
-        assert registry.model("QEK").builder(kwargs, 0).ridge_lambda == 1e-3
+        assert model.ridge_lambda == 1e-3
 
 
 def test_supervised_wire_rule(registry):
@@ -157,11 +155,11 @@ def test_supervised_wire_rule(registry):
     X = np.zeros((4, 5))
     for trial_id in range(50):
         trial = Trial(trial_id, derive_seed(3, trial_id))
-        kwargs = suggest_supervised_kwargs(trial, "QNN", registry, X, config)
+        n_wires = QNNClassifier.build(trial, X, config, registry, 0).circuit.n_wires
         if trial.sampled["embedding"] == "ANGLE":
-            assert kwargs["n_wires"] == 5
+            assert n_wires == 5
         else:
-            assert kwargs["n_wires"] == 3  # ceil(log2(5))
+            assert n_wires == 3  # ceil(log2(5))
 
 
 def test_unsupervised_kwargs_bounds(registry):
@@ -203,11 +201,27 @@ def test_schema_deterministic_given_family_and_depth(registry):
     schemas = {}
     for trial_id in range(300):
         trial = Trial(trial_id, derive_seed(0, trial_id))
-        kwargs = suggest_supervised_kwargs(trial, "QNN", registry, X, config)
+        QNNClassifier.build(trial, X, config, registry, 0)
         key = trial.sampled["n_layers"]
         names = tuple(trial.sampled)
         schemas.setdefault(key, names)
         assert schemas[key] == names
+
+
+@pytest.mark.parametrize("family", ["QNN", "QEK", "QNN_REGRESSOR", "RBM"])
+def test_each_shipped_family_draws_its_options_in_order(registry, cluster_blobs, family):
+    config = FinderConfig(task=registry.model(family).task)
+    for trial_id in range(20):
+        trial = Trial(trial_id, derive_seed(0, trial_id))
+        registry.model(family).build(trial, cluster_blobs, config, registry, 0)
+        if family == "RBM":
+            expected = ["lbae_out_channels", "rbm_n_hidden_neurons", "lbae_n_layers",
+                        "firing_threshold"]
+        else:
+            layers = [f"layer_{i}" for i in range(trial.sampled["n_layers"])]
+            expected = ["n_layers", "embedding", *layers]
+            expected += ["batch_size"] if family != "QEK" else []
+        assert list(trial.sampled) == expected
 
 
 def test_registered_third_embedding_widens_suggest_domain(registry):
@@ -256,33 +270,24 @@ def test_run_trial_contains_failures(registry):
 
 
 def test_injected_failures_mark_exactly_k_failed(registry, blobs40):
-    # a model family whose builder explodes whenever its sampled switch is 1
-    from qmlfinder import IntRange, ModelFamilyConfig, Registry
-
+    # a model family whose build explodes whenever its sampled switch is 1
     class Fragile(QNNClassifier):
         family = "FRAGILE"
 
-    X, y = blobs40
+        @classmethod
+        def build(cls, trial, X, config, registry, seed):
+            if trial.suggest_int("explode", 0, 1) == 1:
+                raise RuntimeError("injected failure")
+            return super().build(trial, X, config, registry, seed)
 
-    def fragile_builder(kwargs, seed):
-        if kwargs["explode"] == 1:
-            raise RuntimeError("injected failure")
-        return registry.model("QNN").builder({**kwargs, "batch_size": 15}, seed)
+    X, y = blobs40
 
     reg = Registry()
     for name in registry.embedding_names:
         reg.register("embedding", registry.embedding(name))
     for name in registry.layer_names:
         reg.register("layer", registry.layer(name))
-    reg.register(
-        "model",
-        ModelFamilyConfig(
-            model=Fragile,
-            n_layers=(1, 2),
-            builder=fragile_builder,
-            tunables={"explode": IntRange(0, 1)},
-        ),
-    )
+    reg.register("model", Fragile)
     config = FinderConfig(task=TaskType.CLASSIFICATION, n_trials=12, n_seeds=1,
                           n_epochs=0, threshold=0.0, base_seed=0)
     records = [
@@ -462,9 +467,9 @@ def test_find_model_store_bytes_match_under_n_cores(registry, blobs40, tmp_path)
 def test_each_trial_is_stored_before_the_next_starts(registry, blobs40, tmp_path):
     log = []
 
-    def logged(builder):
-        def build(kwargs, seed):
-            model = builder(kwargs, seed)
+    def logged(family):
+        def build(cls, trial, X, config, registry, seed):
+            model = family.build(trial, X, config, registry, seed)
             fit = model.fit
 
             def logged_fit(*args):
@@ -473,7 +478,7 @@ def test_each_trial_is_stored_before_the_next_starts(registry, blobs40, tmp_path
 
             model.fit = logged_fit
             return model
-        return build
+        return type(family.__name__, (family,), {"build": classmethod(build)})
 
     class LoggedStore(StudyStore):
         def append_trial(self, record):
@@ -482,8 +487,7 @@ def test_each_trial_is_stored_before_the_next_starts(registry, blobs40, tmp_path
 
     reg = base_registry()
     for name in registry.models_for_task(TaskType.CLASSIFICATION):
-        family = registry.model(name)
-        reg.register("model", replace(family, builder=logged(family.builder)))
+        reg.register("model", logged(registry.model(name)))
     X, y = blobs40
     config = FinderConfig(task=TaskType.CLASSIFICATION, n_trials=8, n_seeds=2, n_epochs=1,
                           threshold=0.8, base_seed=2, n_cores=4)
@@ -497,16 +501,15 @@ def test_each_trial_is_stored_before_the_next_starts(registry, blobs40, tmp_path
 def test_a_study_builds_each_planned_model_once(registry, blobs40, cluster_blobs, task):
     builds = []
 
-    def counted(builder):
-        def build(kwargs, seed):
+    def counted(family):
+        def build(cls, trial, X, config, registry, seed):
             builds.append(seed)
-            return builder(kwargs, seed)
-        return build
+            return family.build(trial, X, config, registry, seed)
+        return type(family.__name__, (family,), {"build": classmethod(build)})
 
     reg = base_registry()
     for name in registry.models_for_task(task):
-        family = registry.model(name)
-        reg.register("model", replace(family, builder=counted(family.builder)))
+        reg.register("model", counted(registry.model(name)))
     X, y = blobs40 if task == TaskType.CLASSIFICATION else (cluster_blobs, None)
     config = FinderConfig(task=task, n_trials=6, n_seeds=3, n_epochs=1, base_seed=1)
     find_model(config, reg, X, y)
@@ -604,27 +607,24 @@ def test_encoder_memo_does_not_outlive_a_study(registry, cluster_blobs, monkeypa
     assert per_study[0] and per_study[0] == per_study[1]
 
 
-def test_failures_reach_their_trials_as_without_the_prepass(cluster_blobs, tmp_path):
-    """A family whose builder raises, and data no fit accepts, leave the same
+def test_failures_reach_their_trials_as_without_the_prepass(cluster_blobs, tmp_path, monkeypatch):
+    """A family whose build raises, and data no fit accepts, leave the same
     records and winner as a study without the encoder pre-pass."""
-
-    def broken(kwargs, seed):
-        raise RuntimeError("builder broke")
 
     class Broken(RBMClusterer):
         family = "BROKEN"
 
-    class Unprepared(RBMClusterer):
-        prepare = None
+        @classmethod
+        def build(cls, trial, X, config, registry, seed):
+            raise RuntimeError("build broke")
 
+    registry = base_registry().register("model", RBMClusterer).register("model", Broken)
     outcomes = []
-    for model in (RBMClusterer, Unprepared):
-        registry = base_registry()
-        registry.register("model", replace(default_registry().model("RBM"), model=model))
-        registry.register("model", ModelFamilyConfig(model=Broken, n_layers=(1, 3),
-                                                     builder=broken))
-        study = tmp_path / f"study-{model.__name__}.jsonl"
-        empty = tmp_path / f"empty-{model.__name__}.jsonl"
+    for prepass in ("with", "without"):
+        if prepass == "without":  # each fit trains its own encoder and RBM
+            monkeypatch.setattr(search, "_prepare", lambda plan, registry, X: None)
+        study = tmp_path / f"study-{prepass}.jsonl"
+        empty = tmp_path / f"empty-{prepass}.jsonl"
         config = _clustering_config(n_trials=6, n_seeds=2, base_seed=2)
         spec = find_model(config, registry, cluster_blobs, None, StudyStore(study))
         with pytest.raises(StudyFailureError):
@@ -633,7 +633,7 @@ def test_failures_reach_their_trials_as_without_the_prepass(cluster_blobs, tmp_p
         outcomes.append((study.read_bytes(), spec.to_json(), empty.read_bytes()))
     assert outcomes[0] == outcomes[1]
     errors = [r.error for r in StudyStore(study).load()]
-    assert "RuntimeError: builder broke" in errors
+    assert "RuntimeError: build broke" in errors
     assert any(r.status == "complete" for r in StudyStore(study).load())
 
 
@@ -745,15 +745,11 @@ def test_every_prepared_clusterer_fits_as_without_prepare(registry, cluster_blob
         model.fit(cluster_blobs)
     assert prepared and trainings == []
     monkeypatch.undo()
-
-    class Unprepared(RBMClusterer):
-        prepare = None
-
-    for model in prepared:
-        plain = Unprepared(input_size=model.input_size, encoder_layers=model.encoder_layers,
-                           latent_size=model.latent_size, n_hidden=model.n_hidden,
-                           firing_threshold=model.firing_threshold, n_epochs=model.n_epochs,
-                           seed=model.seed).fit(cluster_blobs)
+    for model in prepared:  # a fresh model's fit trains it alone
+        plain = RBMClusterer(input_size=model.input_size, encoder_layers=model.encoder_layers,
+                             latent_size=model.latent_size, n_hidden=model.n_hidden,
+                             firing_threshold=model.firing_threshold, n_epochs=model.n_epochs,
+                             seed=model.seed).fit(cluster_blobs)
         assert model.spec_fields() == plain.spec_fields()
 
 

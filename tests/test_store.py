@@ -1,5 +1,6 @@
 """Store durability, model-file fidelity, and the CSV report."""
 
+import csv
 import json
 import threading
 
@@ -254,6 +255,19 @@ def test_report_numeric_roundtrip(tmp_path):
     row = dict(zip(header, lines[1].split(",")))
     assert abs(float(row["mean_score"]) - score) < 1e-12
     assert float(row["mean_score"]) == score  # repr round-trips exactly
+
+
+def test_report_quotes_cells_holding_commas_and_quotes(tmp_path):
+    store = StudyStore(tmp_path / "s.jsonl")
+    sampled = {"layer_0": "A,B", "embedding": 'say "hi"', "n_layers": 1}
+    store.append_trial(_record(0, sampled=sampled))
+    out = tmp_path / "report.csv"
+    export_report(store, out)
+    with open(out, newline="", encoding="utf-8") as fh:
+        header, row = csv.reader(fh)
+    assert len(row) == len(header)
+    cells = dict(zip(header, row))
+    assert (cells["layer_0"], cells["embedding"], cells["n_layers"]) == ("A,B", 'say "hi"', "1")
 
 
 def test_report_empty_store_warns(tmp_path):
