@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from copy import deepcopy
 from dataclasses import dataclass
+from functools import partial
 from math import ceil, floor, isfinite, pi, prod, sqrt
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .registry import CircuitSpec, Registry, TaskType, base_registry, suggest_circuit
 from .rng import PortableRng, derive_seed
-from .simulator import CallCounter, expectation_and_gradient, expectation_z, run_circuit
+from .simulator import CallCounter, MergedRuns, expectation_z, run_circuit
 from .training import BudgetLedger, OptimizerConfig, train_epochs
 
 if TYPE_CHECKING:
@@ -53,10 +54,14 @@ def _accuracy(values: np.ndarray, targets: np.ndarray) -> float:
     return float(np.mean((values <= 0) == (targets < 0)))
 
 
-def _r_squared(values: np.ndarray, targets: np.ndarray) -> float:
+def _ss_tot(targets: np.ndarray) -> float:
+    return float(np.sum((targets - targets.mean()) ** 2))
+
+
+def _r_squared(values: np.ndarray, targets: np.ndarray, ss_tot: float | None = None) -> float:
+    """R^2; `ss_tot` is the targets' total sum of squares, computed unless given."""
     ss_res = float(np.sum((targets - values) ** 2))
-    ss_tot = float(np.sum((targets - targets.mean()) ** 2))
-    return 1.0 - ss_res / ss_tot
+    return 1.0 - ss_res / (_ss_tot(targets) if ss_tot is None else ss_tot)
 
 
 def _initial_weights(param_count: int, seed: int) -> np.ndarray:
@@ -146,15 +151,8 @@ class QNN(CircuitModel):
     extras_keys: tuple[str, ...] = ()
     threshold_key: str
 
-    def __init__(
-        self,
-        circuit: CircuitSpec,
-        *,
-        batch_size: int,
-        n_epochs: int,
-        seed: int,
-        weights: Sequence[float] | None,
-    ) -> None:
+    def __init__(self, circuit: CircuitSpec, *, batch_size: int, n_epochs: int, seed: int,
+                 weights: Sequence[float] | None) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         super().__init__(circuit, seed, weights)
@@ -173,20 +171,14 @@ class QNN(CircuitModel):
     def expectations(self, X: np.ndarray, counter: CallCounter) -> np.ndarray:
         return expectation_z(run_circuit(self.circuit, self.weights, _rows(X), counter), 0)
 
-    def _train(
-        self,
-        X: np.ndarray,
-        targets: np.ndarray,
-        score_fn: Callable[[np.ndarray, np.ndarray], float],
-        threshold: float,
-        ledger: BudgetLedger,
-        optimizer: OptimizerConfig | None,
-    ) -> "QNN":
+    def _train(self, X: np.ndarray, targets: np.ndarray,
+               score_fn: Callable[[np.ndarray, np.ndarray], float], threshold: float,
+               ledger: BudgetLedger, optimizer: OptimizerConfig | None) -> "QNN":
         result = train_epochs(
             weights=self.weights,
             X=X,
             targets=targets,
-            evaluate=lambda w, X, rows: expectation_and_gradient(self.circuit, w, X, rows, 0),
+            evaluate=MergedRuns(self.circuit, X, 0),  # embeds X once
             score_fn=score_fn,
             ledger=ledger,
             opt_config=optimizer or OptimizerConfig(),
@@ -221,16 +213,9 @@ class QNNClassifier(QNN):
     extras_keys = ("batch_size", "n_epochs", "accuracy_threshold")
     threshold_key = "accuracy_threshold"
 
-    def __init__(
-        self,
-        circuit: CircuitSpec,
-        *,
-        batch_size: int,
-        n_epochs: int,
-        accuracy_threshold: float,
-        seed: int = 0,
-        weights: Sequence[float] | None = None,
-    ) -> None:
+    def __init__(self, circuit: CircuitSpec, *, batch_size: int, n_epochs: int,
+                 accuracy_threshold: float, seed: int = 0,
+                 weights: Sequence[float] | None = None) -> None:
         if not 0.0 <= accuracy_threshold <= 1.0:
             raise ValueError("accuracy_threshold must be in [0, 1]")
         super().__init__(circuit, batch_size=batch_size, n_epochs=n_epochs, seed=seed,
@@ -240,13 +225,8 @@ class QNNClassifier(QNN):
     def predict(self, X: np.ndarray, counter: CallCounter) -> np.ndarray:
         return (self.expectations(X, counter) <= 0).astype(int)
 
-    def fit(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        ledger: BudgetLedger,
-        optimizer: OptimizerConfig | None = None,
-    ) -> "QNNClassifier":
+    def fit(self, X: np.ndarray, y: np.ndarray, ledger: BudgetLedger,
+            optimizer: OptimizerConfig | None = None) -> "QNNClassifier":
         X = np.asarray(X, dtype=float)
         y = np.asarray(y)
         if len(X) < 2:
@@ -269,18 +249,9 @@ class QNNRegressor(QNN):
     extras_keys = ("batch_size", "n_epochs", "r2_threshold", "target_min", "target_max")
     threshold_key = "r2_threshold"
 
-    def __init__(
-        self,
-        circuit: CircuitSpec,
-        *,
-        batch_size: int,
-        n_epochs: int,
-        r2_threshold: float,
-        seed: int = 0,
-        weights: Sequence[float] | None = None,
-        target_min: float | None = None,
-        target_max: float | None = None,
-    ) -> None:
+    def __init__(self, circuit: CircuitSpec, *, batch_size: int, n_epochs: int,
+                 r2_threshold: float, seed: int = 0, weights: Sequence[float] | None = None,
+                 target_min: float | None = None, target_max: float | None = None) -> None:
         super().__init__(circuit, batch_size=batch_size, n_epochs=n_epochs, seed=seed,
                          weights=weights)
         self.r2_threshold = r2_threshold
@@ -298,13 +269,8 @@ class QNNRegressor(QNN):
             raise ValueError("regressor must be fit (or restored) before predicting")
         return self._inverse(self.expectations(X, counter))
 
-    def fit(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        ledger: BudgetLedger,
-        optimizer: OptimizerConfig | None = None,
-    ) -> "QNNRegressor":
+    def fit(self, X: np.ndarray, y: np.ndarray, ledger: BudgetLedger,
+            optimizer: OptimizerConfig | None = None) -> "QNNRegressor":
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         if len(X) < 2:
@@ -313,7 +279,9 @@ class QNNRegressor(QNN):
         self.target_max = float(y.max())
         if self.target_min == self.target_max:
             raise ValueError("constant targets: rescaling to [-1, 1] is undefined")
-        return self._train(X, self._rescale(y), _r_squared, self.r2_threshold, ledger, optimizer)
+        targets = self._rescale(y)
+        score = partial(_r_squared, ss_tot=_ss_tot(targets))  # one total per fit
+        return self._train(X, targets, score, self.r2_threshold, ledger, optimizer)
 
     def score(self, X: np.ndarray, y: np.ndarray, counter: CallCounter) -> float:
         y = np.asarray(y, dtype=float)
@@ -322,13 +290,8 @@ class QNNRegressor(QNN):
         return _r_squared(self.predict(X, counter), y)
 
 
-def kernel_matrix(
-    circuit: CircuitSpec,
-    weights: Sequence[float],
-    X1: np.ndarray,
-    X2: np.ndarray,
-    counter: CallCounter,
-) -> np.ndarray:
+def kernel_matrix(circuit: CircuitSpec, weights: Sequence[float], X1: np.ndarray,
+                  X2: np.ndarray, counter: CallCounter) -> np.ndarray:
     """Fidelity kernel K[i][j] = |<phi(x1_i)|phi(x2_j)>|^2.
 
     Each row is simulated once, all rows in one run, and K is |S1* S2^T|^2 over

@@ -9,23 +9,24 @@ Fixed conventions (they are part of the serialization and test contract):
     expectations take a leading batch axis); expectations are exact.
     models.kernel_matrix runs each row once and books 2 calls per kernel pair.
 
-run_circuit and the merged runs of expectation_and_gradient share one loop,
-`_simulate`. A merged run's circuits repeat few input rows and weight vectors,
-so it embeds each input row once and builds each layer gate's matrices once
-per weight vector, then gathers both onto the circuits with `take`. The
-gathered matrices are contiguous (B, 2, 2) arrays, as if built per circuit, so
-every matmul takes the same numpy path and the results are the same bits.
+Layers run from the circuit's gate plan (CircuitSpec.plan), each gate kind's
+matrices built in one call. A fit's merged runs (MergedRuns) embed its rows
+once and build each layer gate's matrices once per weight vector, gathered
+onto the circuits with `take` as contiguous (B, 2, 2) arrays, as if built per
+circuit, so every matmul takes the same numpy path and gives the same bits.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from math import pi
-from typing import Protocol, Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .registry import CircuitSpec
 
 MAX_WIRES = 16
 
@@ -133,22 +134,6 @@ class CallCounter:
             self._total += n
 
 
-class CircuitLike(Protocol):
-    """What the simulation needs from a circuit description: the embedding of
-    feature-major rows x, the layer gates at weights, and both in one list."""
-
-    n_wires: int
-
-    @property
-    def param_count(self) -> int: ...
-
-    def embedding_ops(self, x: np.ndarray) -> list[Operation]: ...
-
-    def layer_ops(self, weights: np.ndarray) -> list[Gate]: ...
-
-    def build_ops(self, weights: np.ndarray, x: np.ndarray) -> list[Operation]: ...
-
-
 def _matrix(a, b, c, d) -> np.ndarray:
     """[[a, b], [c, d]] as a complex (..., 2, 2) array over the shape of `a`, which
     every other entry broadcasts to: one allocation, each entry assigned in
@@ -213,29 +198,28 @@ def _wire_view(amps: np.ndarray, wire: int) -> np.ndarray:
     return amps.reshape(amps.shape[:-1] + (1 << wire, 2, amps.shape[-1] >> (wire + 1)))
 
 
-def _apply(state: Statevector, gate: Gate, matrix: np.ndarray | None = None) -> Statevector:
-    """apply_gate, with a single-wire gate's (..., 2, 2) matrix given, or built
-    from its angles when None."""
-    n = state.n_wires
-    if max(gate.wires) >= n:
-        raise ValueError(f"wire {max(gate.wires)} out of range for a {n}-wire state")
-    if gate.kind == "CNOT":
-        control, target = gate.wires
-        amps = state.amplitudes.copy()
-        on = _wire_view(amps, control)[..., 1, :]  # control=1 half: a state of the other n-1 wires
-        half = on.reshape(on.shape[:-2] + (1 << (n - 1),))
-        on[...] = _wire_view(half, target - (target > control))[..., ::-1, :].reshape(on.shape)
-    else:
-        matrix = gate_matrix(gate) if matrix is None else matrix
-        out = matrix[..., None, :, :] @ _wire_view(state.amplitudes, gate.wires[0])
-        amps = out.reshape(out.shape[:-3] + (1 << n,))
-    return Statevector(amps, n)
+def _rotate(amps: np.ndarray, n: int, wire: int, matrix: np.ndarray) -> np.ndarray:
+    out = matrix[..., None, :, :] @ _wire_view(amps, wire)
+    return out.reshape(out.shape[:-3] + (1 << n,))
+
+
+def _cnot(amps: np.ndarray, n: int, control: int, target: int) -> np.ndarray:
+    amps = amps.copy()
+    on = _wire_view(amps, control)[..., 1, :]  # control=1 half: a state of the other n-1 wires
+    half = on.reshape(on.shape[:-2] + (1 << (n - 1),))
+    on[...] = _wire_view(half, target - (target > control))[..., ::-1, :].reshape(on.shape)
+    return amps
 
 
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     """Apply one gate to a copy of the state: its matrix on axis -2 of the wire's
     view, or for CNOT a flip of the target axis in the control=1 half."""
-    return _apply(state, gate)
+    n = state.n_wires
+    if max(gate.wires) >= n:
+        raise ValueError(f"wire {max(gate.wires)} out of range for a {n}-wire state")
+    if gate.kind == "CNOT":
+        return Statevector(_cnot(state.amplitudes, n, *gate.wires), n)
+    return Statevector(_rotate(state.amplitudes, n, gate.wires[0], gate_matrix(gate)), n)
 
 
 def _prepare(state: Statevector, op: StatePrep) -> Statevector:
@@ -256,39 +240,45 @@ def _run_ops(state: Statevector, ops: Sequence[Operation]) -> Statevector:
     return state
 
 
-def _simulate(
-    spec: CircuitLike,
-    weights: np.ndarray,
-    x: np.ndarray,
-    weights_at: np.ndarray | None = None,
-    rows_at: np.ndarray | None = None,
-) -> Statevector:
+def _embed(spec: CircuitSpec, x: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
+    return _run_ops(Statevector.zero(spec.n_wires, batch), spec.embedding_ops(x.T)).amplitudes
+
+
+def _simulate(spec: CircuitSpec, weights: np.ndarray, x: np.ndarray | None,
+              weights_at: np.ndarray | None = None, rows_at: np.ndarray | None = None,
+              states: np.ndarray | None = None) -> Statevector:
     """The circuits' final states, booking nothing. Without indices: as
     run_circuit. With both: circuit k runs weight row weights_at[k] of weights
-    (W, P) on input row rows_at[k] of x (R, F), gathered from R embedded states
-    and, per single-wire layer gate, W matrices."""
-    w, x = np.asarray(weights, dtype=float), np.asarray(x, dtype=float)
-    if rows_at is None:
-        state = Statevector.zero(spec.n_wires, np.broadcast_shapes(w.shape[:-1], x.shape[:-1]))
-        return _run_ops(state, spec.build_ops(w.T, x.T))
-    state = _run_ops(Statevector.zero(spec.n_wires, x.shape[:-1]), spec.embedding_ops(x.T))
-    state = Statevector(state.amplitudes.take(rows_at, axis=0), spec.n_wires)
-    for gate in spec.layer_ops(w.T):
-        matrix = None if gate.kind == "CNOT" else gate_matrix(gate)
-        if matrix is not None and matrix.ndim > 2:  # one matrix per weight row
-            matrix = matrix.take(weights_at, axis=0)
-        state = _apply(state, gate, matrix)
-    return state
+    (W, P) on row rows_at[k] of `states`, or of the rows x (R, F) embedded."""
+    if states is None:
+        states = _embed(spec, x, x.shape[:-1] if rows_at is not None else
+                        np.broadcast_shapes(weights.shape[:-1], x.shape[:-1]))
+    amps, n = (states if rows_at is None else states.take(rows_at, axis=0)), spec.n_wires
+    del states  # held no longer than a slice's first gate
+    (columns_of, steps), mats = spec.plan, {}
+    for kind, columns in columns_of.items():
+        m = _GATES[kind][1](*weights.T[columns.T])
+        mats[kind] = np.broadcast_to(m, (len(columns), 2, 2)) if m.ndim == 2 else m
+    for kind, a, b in steps:
+        if kind == "CNOT":
+            amps = _cnot(amps, n, a, b)
+            continue
+        m = mats[kind][a]
+        if weights_at is not None and m.ndim > 2:  # one matrix per weight row
+            m = m.take(weights_at, axis=0)
+        amps = _rotate(amps, n, b, m)
+    return Statevector(amps, n)
 
 
-def run_circuit(
-    spec: CircuitLike, weights: Sequence[float], x: Sequence[float], counter: CallCounter
-) -> Statevector:
+def run_circuit(spec: CircuitSpec, weights: Sequence[float], x: Sequence[float],
+                counter: CallCounter) -> Statevector:
     """Execute embedding plus layers on |0...0>: weights (B, P), rows (B, F) or both
     run B circuits, return (B, 2**n) amplitudes and book B calls (1-D: one circuit)."""
-    batch = np.broadcast_shapes(np.shape(weights)[:-1], np.shape(x)[:-1])
-    state = _simulate(spec, weights, x)
-    counter.increment(int(np.prod(batch)))
+    w, x = np.asarray(weights, dtype=float), np.asarray(x, dtype=float)
+    if w.shape[-1] != spec.param_count:  # refused before embedding
+        raise ValueError(f"expected {spec.param_count} weights, got {w.shape[-1]}")
+    state = _simulate(spec, w, x)
+    counter.increment(int(np.prod(state.amplitudes.shape[:-1])))
     return state
 
 
@@ -307,62 +297,52 @@ def fidelity(a: Statevector, b: Statevector) -> float | np.ndarray:
     return np.abs((a.amplitudes.conj() * b.amplitudes).sum(axis=-1)) ** 2
 
 
-@lru_cache(maxsize=8)
-def _merged_layout(n_x: int, n_rows: int, p: int) -> tuple[np.ndarray, ...]:
-    """Read-only plan of a merged run: the (2P + 1, P) shift mask and offsets
-    (row 0 unshifted, then +pi/2 and -pi/2 on each weight in turn), and each
-    circuit's row of that table and of the inputs (X's N rows, then `rows`).
-    Cached because a training runs at most four shapes, each many times."""
-    eye = np.eye(p, dtype=bool)
-    mask = np.concatenate([np.zeros((1, p), dtype=bool), eye, eye])
-    offsets = np.concatenate([np.zeros((1, p)), eye * (pi / 2), eye * -(pi / 2)])
-    row, shift = np.divmod(np.arange(n_rows * 2 * p), 2 * p)
-    weight_index = np.concatenate([np.zeros(n_x, dtype=int), 1 + shift])
-    row_index = np.concatenate([np.arange(n_x), n_x + row])
-    for a in (mask, offsets, weight_index, row_index):
-        a.flags.writeable = False  # one plan serves every call of its shape
-    return mask, offsets, weight_index, row_index
+class MergedRuns:
+    """A fit's runs on the rows X (N, F): called with 1-D weights and row
+    indices `check` and `batch`, <Z_wire> of the rows in `check` and the (B, P)
+    +-pi/2 parameter-shift gradients of those in `batch`, from len(check) +
+    2P*B circuits in slices of at most 2**20 amplitudes; books nothing. X is
+    embedded once if it fits one slice, else each slice embeds its rows."""
+
+    def __init__(self, spec: CircuitSpec, X: np.ndarray, wire: int) -> None:
+        self.spec, self.X, self.wire = spec, np.asarray(X, dtype=float), wire
+        self.size = max(1, 2**20 >> spec.n_wires)  # circuits per slice
+        self.states = _embed(spec, self.X, self.X.shape[:-1]) if len(self.X) <= self.size else None
+        p = spec.param_count
+        eye = np.eye(p, dtype=bool)  # weight rows: unshifted, then +-pi/2 on each weight in turn
+        self.mask = np.concatenate([np.zeros((1, p), dtype=bool), eye, eye])
+        self.offsets = np.concatenate([np.zeros((1, p)), eye * (pi / 2), eye * -(pi / 2)])
+        self.layouts: dict[tuple[int, int], np.ndarray] = {}  # weight row of each circuit
+
+    def __call__(self, weights: Sequence[float], check: np.ndarray,
+                 batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        w = np.asarray(weights, dtype=float)
+        p, n_check = w.size, len(check)
+        table = np.where(self.mask, w + self.offsets, w)
+        weights_at = self.layouts.get((n_check, len(batch)))
+        if weights_at is None:
+            weights_at = self.layouts[n_check, len(batch)] = np.concatenate(
+                [np.zeros(n_check, dtype=np.intp), np.tile(np.arange(1, 2 * p + 1), len(batch))])
+        rows_at, values = np.concatenate([check, np.repeat(batch, 2 * p)]), []
+        for k in range(0, max(1, len(rows_at)), self.size):  # with no circuits, one empty run
+            used, x = rows_at[k : k + self.size], None
+            if self.states is None:  # embed the slice's distinct rows
+                distinct, used = np.unique(used, return_inverse=True)
+                x = self.X[distinct]
+            values.append(expectation_z(  # unbound: a slice's states go before the next's
+                _simulate(self.spec, table, x, weights_at[k : k + self.size], used, self.states),
+                self.wire))
+        values = np.concatenate(values)
+        shifted = values[n_check:].reshape(len(batch), 2, p)
+        return values[:n_check], 0.5 * (shifted[:, 0] - shifted[:, 1])
 
 
-def expectation_and_gradient(
-    spec: CircuitLike, weights: Sequence[float], X: np.ndarray, rows: np.ndarray, wire: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """<Z_wire> of every row of X (N, F) and the +-pi/2 parameter-shift gradients
-    (B, P) of `rows` (B, F) at 1-D weights, from N + B * 2P circuits run in
-    slices of at most 2**20 amplitudes; books nothing. Exact because each weight
-    of the shipped layers is the angle of one single-axis rotation (ROT: three).
-
-    The circuits use only N + B input rows and 2P + 1 weight vectors. A slice
-    embeds the input rows its circuits use, once each, and builds each layer
-    gate's matrices once per weight vector; both are gathered onto its circuits.
-    """
-    w, X, rows = (np.asarray(a, dtype=float) for a in (weights, X, rows))
-    p, n_x = w.size, len(X)
-    mask, offsets, weight_index, row_index = _merged_layout(n_x, len(rows), p)
-    table, inputs = np.where(mask, w + offsets, w), np.concatenate([X, rows])
-    size = max(1, 2**20 >> spec.n_wires)
-    values = []
-    for k in range(0, max(1, len(row_index)), size):  # with no circuits, one empty run
-        used = row_index[k : k + size]  # consecutive input rows
-        lo, hi = (used[0], used[-1] + 1) if len(used) else (0, 0)
-        values.append(expectation_z(  # unbound: a slice's states go before the next's
-            _simulate(spec, table, inputs[lo:hi], weight_index[k : k + size], used - lo), wire))
-    values = np.concatenate(values)
-    shifted = values[n_x:].reshape(len(rows), 2, p)
-    return values[:n_x], 0.5 * (shifted[:, 0] - shifted[:, 1])
-
-
-def parameter_shift_gradient(
-    spec: CircuitLike,
-    weights: Sequence[float],
-    x: Sequence[float],
-    wire: int,
-    counter: CallCounter,
-) -> np.ndarray:
+def parameter_shift_gradient(spec: CircuitSpec, weights: Sequence[float], x: Sequence[float],
+                             wire: int, counter: CallCounter) -> np.ndarray:
     """Exact gradient of <Z_wire> via +-pi/2 shifts: rows (B, F) give (B, P) and
     cost B * 2 * param_count calls; one row (F,) gives (P,)."""
     x = np.asarray(x, dtype=float)
     rows = np.atleast_2d(x)
-    _, grads = expectation_and_gradient(spec, weights, rows[:0], rows, wire)
+    _, grads = MergedRuns(spec, rows, wire)(weights, np.arange(0), np.arange(len(rows)))
     counter.increment(2 * grads.size)
     return grads.reshape(x.shape[:-1] + grads.shape[1:])

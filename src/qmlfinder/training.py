@@ -14,7 +14,6 @@ simulated but never booked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,12 +66,8 @@ def init_opt_state(config: OptimizerConfig, n_params: int) -> OptState:
     return state
 
 
-def step(
-    state: OptState,
-    weights: np.ndarray,
-    gradient: np.ndarray,
-    config: OptimizerConfig,
-) -> tuple[np.ndarray, OptState]:
+def step(state: OptState, weights: np.ndarray, gradient: np.ndarray,
+         config: OptimizerConfig) -> tuple[np.ndarray, OptState]:
     """One optimizer update; returns new weights and the advanced state."""
     w = np.asarray(weights, dtype=float)
     g = np.asarray(gradient, dtype=float)
@@ -130,16 +125,25 @@ class TrainResult:
     final_score: float
 
 
-@lru_cache(maxsize=128)
+_ORDERS: dict[tuple[int, int, int], np.ndarray] = {}
+_ORDERS_BOUND = 2**20  # row indices, 8 MiB
+
+
 def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     """Read-only batch order of `epoch`: range(n) shuffled by the portable
     generator seeded with derive_seed(seed, epoch). Cached because every QNN
-    trial of a study trains on the same n rows with the same repeat seeds."""
-    order = list(range(n))
-    PortableRng(derive_seed(seed, epoch)).shuffle(order)
-    out = np.array(order, dtype=np.intp)
-    out.flags.writeable = False  # one order serves every trial that draws it
-    return out
+    trial of a study trains on the same n rows with the same repeat seeds; an
+    order that would take the cache past _ORDERS_BOUND empties it first."""
+    order = _ORDERS.get((seed, epoch, n))
+    if order is None:
+        shuffled = list(range(n))
+        PortableRng(derive_seed(seed, epoch)).shuffle(shuffled)
+        order = np.array(shuffled, dtype=np.intp)
+        order.flags.writeable = False  # one order serves every trial that draws it
+        if sum(map(len, _ORDERS.values())) + n > _ORDERS_BOUND:
+            _ORDERS.clear()
+        _ORDERS[seed, epoch, n] = order
+    return order
 
 
 def train_epochs(
@@ -162,10 +166,11 @@ def train_epochs(
 
     Batch order is shuffled once per epoch by the portable generator seeded
     with derive_seed(seed, epoch); the last partial batch is kept.
-    `evaluate(w, X_check, X_batch)` returns, from one simulation that books
-    nothing, the output for every row of X_check and the (B, P) gradients of
-    X_batch's rows, summed per sample in shuffled order. A check books N calls;
-    a batch books 2*P*B when its gradients are used.
+    `evaluate(w, check, batch)` gets row indices of X and returns, from one
+    simulation that books nothing, the output for every row in `check` (all
+    or none) and the (B, P) gradients of the rows in `batch`, summed per
+    sample in shuffled order. A check books N calls; a batch books 2*P*B when
+    its gradients are used.
     """
     n = len(X)
     if n == 0:
@@ -174,11 +179,12 @@ def train_epochs(
         raise ValueError("batch_size must be >= 1")
     if n_epochs < 0:
         raise ValueError("n_epochs must be >= 0")
+    rows = np.arange(n)
 
     def check(w: np.ndarray, epoch: int):
         """Score at w, simulated with the first batch of `epoch` if that epoch runs."""
         order = _epoch_order(seed, epoch, n if epoch <= n_epochs else 0)
-        values, grads = evaluate(w, X, X[order[:batch_size]])
+        values, grads = evaluate(w, rows, order[:batch_size])
         ledger.scoring.increment(n)
         return order, values, grads, score_fn(values, targets)
 
@@ -194,7 +200,7 @@ def train_epochs(
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
             if start:
-                _, grads = evaluate(w, X[:0], X[batch])
+                _, grads = evaluate(w, rows[:0], batch)
             ledger.training_gradients.increment(2 * w.size * len(batch))
             # added in row order (numpy's pairwise sum would round differently);
             # + 0.0 makes an all -0.0 sum +0.0

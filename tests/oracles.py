@@ -307,3 +307,40 @@ def two_run_cross_kernel(spec, weights, X1, X2):
     S1 = run_circuit(spec, weights, np.asarray(X1, dtype=float), CallCounter()).amplitudes
     S2 = run_circuit(spec, weights, np.asarray(X2, dtype=float), CallCounter()).amplitudes
     return np.abs(S1.conj() @ S2.T) ** 2
+
+
+# The gate-by-gate loop every simulation ran before circuits ran from a
+# compiled gate plan: spec.build_ops as `Gate` objects, applied in turn. Plan
+# runs, with states embedded once per fit, must equal it bit for bit.
+
+
+def gate_loop_run(spec, weights, x):
+    """Final amplitudes of weights (P,) or (B, P) on rows (F,) or (B, F)."""
+    from qmlfinder.simulator import Gate, Statevector, apply_gate
+
+    w, x = np.asarray(weights, dtype=float), np.asarray(x, dtype=float)
+    state = Statevector.zero(spec.n_wires, np.broadcast_shapes(w.shape[:-1], x.shape[:-1]))
+    for op in spec.build_ops(w.T, x.T):
+        if isinstance(op, Gate):
+            state = apply_gate(state, op)
+        else:  # StatePrep
+            state = Statevector(np.broadcast_to(op.amplitudes, state.amplitudes.shape).copy(),
+                                spec.n_wires)
+    return state.amplitudes
+
+
+def gate_loop_merged(spec, weights, X, check, batch, wire):
+    """<Z_wire> of the rows X[check] and the +-pi/2 parameter-shift gradients
+    of the rows X[batch]: the check rows at the weights, then each batch row's
+    2P shifted circuits (+pi/2 on each weight in turn, then -pi/2), one
+    circuit per row of weights and inputs."""
+    from qmlfinder.simulator import Statevector, expectation_z
+
+    w = np.asarray(weights, dtype=float)
+    p, eye = w.size, np.eye(w.size, dtype=bool)
+    shifted = np.concatenate([np.where(eye, w + math.pi / 2, w), np.where(eye, w - math.pi / 2, w)])
+    circuits = np.concatenate([np.tile(w, (len(check), 1)), np.tile(shifted, (len(batch), 1))])
+    rows = X[np.concatenate([check, np.repeat(batch, 2 * p)]).astype(int)]
+    values = expectation_z(Statevector(gate_loop_run(spec, circuits, rows), spec.n_wires), wire)
+    diff = values[len(check):].reshape(len(batch), 2, p)
+    return values[: len(check)], 0.5 * (diff[:, 0] - diff[:, 1])

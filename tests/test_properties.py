@@ -10,20 +10,40 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qmlfinder.models import BinaryEncoder
-from qmlfinder.registry import AMPLITUDE, ANGLE, BASIC_ENTANGLER, STRONGLY_ENTANGLING, CircuitSpec
+from qmlfinder.registry import (
+    AMPLITUDE,
+    ANGLE,
+    BASIC_ENTANGLER,
+    STRONGLY_ENTANGLING,
+    CircuitSpec,
+    LayerKind,
+)
 from qmlfinder.rng import PortableRng, derive_seed
 from qmlfinder.simulator import (
     CallCounter,
     Gate,
-    expectation_and_gradient,
+    MergedRuns,
+    cnot,
     expectation_z,
     gate_matrix,
+    h,
     parameter_shift_gradient,
+    pauli_z,
+    rot,
     run_circuit,
+    ry,
+    rz,
 )
 from qmlfinder.training import BudgetLedger, OptimizerConfig, _epoch_order, train_epochs
 
-from oracles import loop_gradient_sum, product_rot, ref_train_autoencoder, sliced_gradient
+from oracles import (
+    gate_loop_merged,
+    gate_loop_run,
+    loop_gradient_sum,
+    product_rot,
+    ref_train_autoencoder,
+    sliced_gradient,
+)
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -75,7 +95,8 @@ def merged_runs(draw):
 @given(merged_runs())
 def test_merged_run_equals_the_separate_runs_bit_for_bit(case):
     spec, w, wire, X, rows = case
-    values, grads = expectation_and_gradient(spec, w, X, rows, wire)
+    runs = MergedRuns(spec, np.concatenate([X, rows]), wire)
+    values, grads = runs(w, np.arange(len(X)), len(X) + np.arange(len(rows)))
     # the 1-D weights build the layer gates from 0-d angles; the merged run
     # gives each circuit its own row of weights
     want = expectation_z(run_circuit(spec, w, X, CallCounter()), wire)
@@ -85,6 +106,56 @@ def test_merged_run_equals_the_separate_runs_bit_for_bit(case):
     assert grads.shape == (len(rows), spec.param_count) and grads.tobytes() == want.tobytes()
     assert parameter_shift_gradient(spec, w, rows, wire, wrapped).tobytes() == want.tobytes()
     assert wrapped.total_calls == alone.total_calls == 2 * spec.param_count * len(rows)
+
+
+def _mixed_layer(n_wires, w):
+    """Every gate kind in one layer: RY, H, RZ and ROT on each wire, a PAULI_Z,
+    then a CNOT chain from the last wire back to the first."""
+    gates = []
+    for i in range(n_wires):
+        gates += [ry(i, w[5 * i]), h(i), rz(i, w[5 * i + 1]),
+                  rot(i, w[5 * i + 2], w[5 * i + 3], w[5 * i + 4])]
+    return gates + [pauli_z(0)] + [cnot(i + 1, i) for i in range(n_wires - 1)]
+
+
+MIXED_LAYER = LayerKind("Mixed", lambda n_wires: 5 * n_wires, _mixed_layer)
+
+
+@st.composite
+def fit_runs(draw):
+    """A circuit (ANGLE or AMPLITUDE, 1-4 wires, 1-3 layers, the shipped kinds
+    and one mixing every gate kind), a read-out wire, 1-6 training rows, and
+    1-3 merged runs as one fit makes them: 1-D weights, a check of all rows
+    or none, and a batch of 0-8 row indices with repeats."""
+    n_wires = draw(st.integers(1, 4))
+    embedding = draw(st.sampled_from([ANGLE, AMPLITUDE]))
+    layers = draw(st.lists(st.sampled_from([BASIC_ENTANGLER, STRONGLY_ENTANGLING, MIXED_LAYER]),
+                           min_size=1, max_size=3))
+    spec = CircuitSpec(n_wires, embedding, tuple(layers))
+    n_features = draw(st.integers(1, embedding.max_features(n_wires)))
+    X = draw(hnp.arrays(np.float64, (draw(st.integers(1, 6)), n_features),
+                        elements=st.floats(0.1, 2.0) | st.floats(-2.0, -0.1)))
+    weights = hnp.arrays(np.float64, (spec.param_count,), elements=st.floats(-2 * np.pi, 2 * np.pi))
+    runs = draw(st.lists(st.tuples(weights, st.booleans(),
+                                   st.lists(st.integers(0, len(X) - 1), max_size=8)),
+                         min_size=1, max_size=3))
+    return spec, draw(st.integers(0, n_wires - 1)), X, runs
+
+
+@settings(deadline=None)
+@given(fit_runs())
+def test_plan_runs_equal_the_gate_loop_bit_for_bit(case):
+    spec, wire, X, runs = case
+    merged = MergedRuns(spec, X, wire)  # embeds X once for all of the fit's runs
+    rows = np.arange(len(X))
+    for w, scored, batch in runs:
+        check, batch = (rows if scored else rows[:0]), np.array(batch, dtype=np.intp)
+        got, want = merged(w, check, batch), gate_loop_merged(spec, w, X, check, batch, wire)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        # a cross kernel's one run over both sides' rows, at 1-D weights
+        S = run_circuit(spec, w, X, CallCounter()).amplitudes
+        assert S.tobytes() == gate_loop_run(spec, w, X).tobytes()
 
 
 # signed zeros and small integers make exact cancellations, and all -0.0 sums, common
@@ -110,13 +181,12 @@ def gradient_batches(draw):
           np.zeros(1), 8, 0))
 def test_batch_gradient_sum_equals_the_row_loop_bit_for_bit(case):
     values, targets, grads, w0, batch_size, seed = case
-    X = np.arange(len(values), dtype=float)[:, None]  # each row holds its own index
+    X = np.zeros((len(values), 1))
     batches = []
 
-    def evaluate(w, X_check, X_batch):  # the same outputs and gradients at any weights
-        batch = X_batch[:, 0].astype(int).tolist()
-        batches.extend([batch] if batch else [])
-        return values[X_check[:, 0].astype(int)], grads[batch]
+    def evaluate(w, check, batch):  # the same outputs and gradients at any weights
+        batches.extend([batch.tolist()] if len(batch) else [])
+        return values[check], grads[batch]
 
     opt = OptimizerConfig(learning_rate=1.0)
     result = train_epochs(weights=w0, X=X, targets=targets, evaluate=evaluate,

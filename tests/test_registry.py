@@ -21,7 +21,7 @@ from qmlfinder import (
     register,
     run_circuit,
 )
-from qmlfinder.simulator import StatePrep
+from qmlfinder.simulator import StatePrep, cnot, h, rot, rx, ry
 
 from oracles import ref_run_circuit
 
@@ -139,6 +139,44 @@ def test_param_count_matches_accepted_weights_exhaustively():
                     run_circuit(spec, weights, x, CallCounter())  # accepts exact count
                     with pytest.raises(ValueError):
                         run_circuit(spec, np.append(weights, 0.0), x, CallCounter())
+
+
+def test_gate_plan_reads_each_weight_column_from_the_layers():
+    # weights in another order than the wires, and an angle-free gate between
+    reversed_rx = LayerKind("ReversedRX", lambda n: n,
+                            lambda n, w: [rx(i, w[n - 1 - i]) for i in range(n)] + [h(0)])
+    spec = CircuitSpec(3, ANGLE, (STRONGLY_ENTANGLING, reversed_rx))
+    columns, steps = spec.plan
+    assert columns["ROT"].tolist() == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+    assert columns["RX"].tolist() == [[11], [10], [9]] and columns["H"].shape == (1, 0)
+    assert steps == (("ROT", 0, 0), ("ROT", 1, 1), ("ROT", 2, 2), ("CNOT", 0, 1), ("CNOT", 1, 2),
+                     ("CNOT", 2, 0), ("RX", 0, 0), ("RX", 1, 1), ("RX", 2, 2), ("H", 0, 0))
+    assert spec.plan is spec.plan  # compiled once per circuit
+
+
+@pytest.mark.parametrize("build", [
+    lambda n, w: [rx(i, 2 * w[i]) for i in range(n)],  # a scaled angle
+    lambda n, w: [rx(i, -w[i]) for i in range(n)],  # a negated angle
+    lambda n, w: [rx(i, w[i] + 1.0) for i in range(n)],  # a shifted angle
+    lambda n, w: [rx(i, w[i] ** 2) for i in range(n)],  # a squared angle
+    lambda n, w: [rx(0, w[0]), rx(1, w[0])],  # one weight in two gates, one in none
+    lambda n, w: [rx(0, w[0]), rx(1, w[1]), ry(1, w[1])],  # one weight in two gates
+    lambda n, w: [rot(0, w[0], w[1], w[1])],  # one weight twice in a gate, one in none
+    lambda n, w: [rx(0, w[0]), ry(1, 0.5)],  # a fixed angle, one weight in none
+    lambda n, w: [rx(0, w[0]), rx(1, w[1])] + ([cnot(0, 1)] if w[0] > 2 else []),  # gates vary
+], ids=["scaled", "negated", "shifted", "squared", "reused", "twice", "in-one-gate", "fixed",
+        "varying"])
+def test_gate_plan_refuses_a_weight_that_is_not_exactly_one_rotation_angle(build):
+    spec = CircuitSpec(2, ANGLE, (LayerKind("Odd", lambda n: n, build),))
+    with pytest.raises(ValueError, match="^layer Odd: each weight must be the angle of exactly "
+                                         "one rotation gate$"):
+        spec.plan
+
+
+def test_gate_plan_refuses_a_wire_outside_the_circuit():
+    spec = CircuitSpec(2, ANGLE, (LayerKind("Wide", lambda n: 1, lambda n, w: [rx(n, w[0])]),))
+    with pytest.raises(ValueError, match="layer Wide: wire 2 out of range"):
+        spec.plan
 
 
 # -- registry ------------------------------------------------------------------

@@ -24,9 +24,10 @@ from qmlfinder import (
     suggest_layers,
     suggest_unsupervised_kwargs,
 )
-from qmlfinder import search
+from qmlfinder import ANGLE, LayerKind, search
 from qmlfinder.models import BinaryEncoder, QEKClassifier, QNNClassifier, RBMClusterer
 from qmlfinder.search import _fit_and_score, _suggest_and_build
+from qmlfinder.simulator import rx
 from qmlfinder.store import StudyStore, model_from_spec, model_to_spec
 
 from oracles import RefXorshift
@@ -298,6 +299,21 @@ def test_injected_failures_mark_exactly_k_failed(registry, blobs40):
     assert sum(1 for r in records if r.status == "failed") == expected_failures
     assert all(r.error == "RuntimeError: injected failure"
                for r in records if r.status == "failed")
+
+
+def test_a_layer_scaling_its_weight_fails_its_trials(blobs40):
+    # RX(2w): the +-pi/2 shift would give the gradient at half its value or
+    # worse, so the layer is refused when its circuit is compiled, not trained
+    doubled = LayerKind("DoubledRX", lambda n: n, lambda n, w: [rx(i, 2 * w[i]) for i in range(n)])
+    reg = Registry()
+    reg.register("embedding", ANGLE).register("layer", doubled).register("model", QNNClassifier)
+    X, y = blobs40
+    config = FinderConfig(task=TaskType.CLASSIFICATION, n_seeds=1, n_epochs=1, threshold=0.8)
+    record = run_trial(Trial(0, derive_seed(0, 0)), config, reg, X, y)
+    assert record.status == "failed" and record.sampled["layer_0"] == "DoubledRX"
+    assert record.error == ("ValueError: layer DoubledRX: each weight must be the angle of "
+                            "exactly one rotation gate")
+    assert record.total_calls == 0
 
 
 def test_find_model_infeasible_best_flag(registry, tmp_path):

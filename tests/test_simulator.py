@@ -30,7 +30,7 @@ from qmlfinder import (
 )
 from qmlfinder.simulator import (
     MAX_WIRES,
-    expectation_and_gradient,
+    MergedRuns,
     gate_matrix,
     h as hadamard,
     pauli_z,
@@ -506,34 +506,70 @@ def test_merged_run_slices_cut_between_scoring_and_shifted_circuits():
     spec = CircuitSpec(14, ANGLE, (BASIC_ENTANGLER,))
     w = np.array(rng.uniforms(spec.param_count, -np.pi, np.pi))
     X = np.array([rng.uniforms(14, -np.pi, np.pi) for _ in range(3)])
-    values, grads = expectation_and_gradient(spec, w, X, X[[2, 0, 1]], 0)
+    values, grads = MergedRuns(spec, X, 0)(w, np.arange(3), np.array([2, 0, 1]))
     assert values.tobytes() == expectation_z(run_circuit(spec, w, X, CallCounter()), 0).tobytes()
     assert grads.tobytes() == sliced_gradient(spec, w, X[[2, 0, 1]], 0, CallCounter()).tobytes()
 
 
-def test_merged_run_builds_matrices_per_distinct_row_and_weight_vector(monkeypatch):
-    # N = 5 scoring rows and a batch of B = 3 (one row twice, one not in X)
-    # make N + 2PB = 53 circuits from N + B = 8 input rows and 2P + 1 = 17
-    # weight vectors: each gate's matrices are built over those, not per circuit
+def test_a_fit_too_large_for_one_slice_embeds_its_rows_slice_by_slice(monkeypatch):
+    # at 14 wires a slice holds 64 circuits, so 65 rows are not kept embedded:
+    # each slice embeds the distinct rows its circuits use, within the slice bound
+    import tracemalloc
+
     import qmlfinder.simulator as simulator
 
-    built, gate_matrix_of = [], simulator.gate_matrix
+    embedded, embed = [], simulator._embed
+    monkeypatch.setattr(simulator, "_embed",
+                        lambda spec, x, batch: embedded.append(len(x)) or embed(spec, x, batch))
+    rng = PortableRng(818)
+    spec = CircuitSpec(14, ANGLE, (BASIC_ENTANGLER,))
+    w = np.array(rng.uniforms(spec.param_count, -np.pi, np.pi))
+    X = np.array([rng.uniforms(14, -np.pi, np.pi) for _ in range(65)])
+    tracemalloc.start()
+    try:
+        runs = MergedRuns(spec, X, 0)
+        values, _ = runs(w, np.arange(65), np.arange(0))
+        _, grads = runs(w, np.arange(0), np.array([64, 3, 64]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert runs.states is None and embedded == [64, 1, 2, 1]
+    assert peak < 64 * 2**20
+    assert values.tobytes() == expectation_z(run_circuit(spec, w, X, CallCounter()), 0).tobytes()
+    want = sliced_gradient(spec, w, X[[64, 3, 64]], 0, CallCounter())
+    assert grads.tobytes() == want.tobytes()
 
-    def spy(gate):
-        matrix = gate_matrix_of(gate)
-        built.append((gate.kind, matrix.shape))
-        return matrix
 
-    monkeypatch.setattr(simulator, "gate_matrix", spy)
+def test_merged_run_builds_each_gate_kinds_matrices_in_one_call(monkeypatch):
+    # N = 5 scoring rows and a batch of B = 3 (one row twice, one not in X)
+    # make N + 2PB = 53 circuits from N + B = 8 embedded rows and 2P + 1 = 17
+    # weight vectors: the embedding's RX gates build their matrices over the
+    # rows, and each layer gate kind builds all of its gates' matrices over the
+    # weight vectors in one call, never per circuit
+    import qmlfinder.simulator as simulator
+
+    built = []
+
+    def spy(kind, matrix):
+        def build(*angles):
+            out = matrix(*angles)
+            built.append((kind, out.shape))
+            return out
+
+        return build
+
+    monkeypatch.setattr(simulator, "_GATES", {kind: (count, matrix and spy(kind, matrix))
+                                              for kind, (count, matrix) in simulator._GATES.items()})
     rng = PortableRng(909)
     spec = CircuitSpec(2, ANGLE, (BASIC_ENTANGLER, STRONGLY_ENTANGLING))
     p = spec.param_count
     w = np.array(rng.uniforms(p, -np.pi, np.pi))
     X = np.array([rng.uniforms(2, -np.pi, np.pi) for _ in range(5)])
     rows = np.array([X[3], rng.uniforms(2, -np.pi, np.pi), X[3]])
-    values, grads = expectation_and_gradient(spec, w, X, rows, 0)
-    assert built == [("RX", (5 + 3, 2, 2))] * 2 + [("RX", (2 * p + 1, 2, 2))] * 2 + [
-        ("ROT", (2 * p + 1, 2, 2))] * 2
+    runs = MergedRuns(spec, np.concatenate([X, rows]), 0)
+    values, grads = runs(w, np.arange(5), np.arange(5, 8))
+    assert built == [("RX", (5 + 3, 2, 2))] * 2 + [
+        ("RX", (2, 2 * p + 1, 2, 2)), ("ROT", (2, 2 * p + 1, 2, 2))]
     assert values.shape == (5,) and grads.shape == (3, p)
 
 

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import qmlfinder.simulator
+from qmlfinder import training
 from qmlfinder import (
     ANGLE,
     BASIC_ENTANGLER,
     STRONGLY_ENTANGLING,
     BudgetLedger,
     CircuitSpec,
+    Gate,
     OptimizerConfig,
     PortableRng,
     QNNClassifier,
@@ -18,6 +20,7 @@ from qmlfinder import (
     train_epochs,
 )
 from qmlfinder.rng import derive_seed
+from qmlfinder.training import _epoch_order
 
 from conftest import make_blobs
 from oracles import qnn_fit_cost
@@ -181,6 +184,30 @@ def test_zero_epoch_fit_simulates_the_training_rows_only(monkeypatch):
     assert runs == [12] and ledger.total == 12
 
 
+def test_qnn_fit_embeds_its_rows_once_and_builds_no_layer_gate(monkeypatch):
+    spec = CircuitSpec(2, ANGLE, (BASIC_ENTANGLER, STRONGLY_ENTANGLING))
+    assert spec.plan  # compiled once per circuit, from gates built at probe weights
+    embedded, built = [], []
+    embedding_ops, post_init = CircuitSpec.embedding_ops, Gate.__post_init__
+
+    def spy_embedding(self, x):
+        embedded.append(np.shape(x))
+        return embedding_ops(self, x)
+
+    def spy_gate(self):
+        built.append(self.kind)
+        post_init(self)
+
+    monkeypatch.setattr(CircuitSpec, "embedding_ops", spy_embedding)
+    monkeypatch.setattr(Gate, "__post_init__", spy_gate)
+    X, y = make_blobs(0, 6, [(0.6, 0.6), (-0.6, -0.6)], 1.2)
+    model = QNNClassifier(spec, batch_size=5, n_epochs=3, accuracy_threshold=1.0, seed=0)
+    model.fit(X, y, BudgetLedger())
+    assert model.epochs_run == 3  # 4 checks and 9 batches, in 10 merged runs
+    assert embedded == [(2, 12)]  # feature-major: X's 12 rows, once
+    assert built == ["RX", "RX"]  # the embedding's gates, one per wire
+
+
 def _fit_blobs(n_epochs, threshold):
     # overlapping blobs: accuracy moves between epochs and never reaches 1.0
     X, y = make_blobs(0, 6, [(0.6, 0.6), (-0.6, -0.6)], 1.2)
@@ -241,9 +268,28 @@ def test_batch_order_deterministic_and_epoch_indexed():
     assert order1 != order3
 
 
+def test_epoch_order_cache_keeps_a_study_cycle_of_orders(monkeypatch):
+    # 4 repeat seeds x 40 epochs: each trial of a study draws these 160 orders
+    # in turn, which a 128-entry least-recently-used cache never hits
+    monkeypatch.setattr(training, "_ORDERS", {})
+    keys = [(derive_seed(77, seed), epoch) for seed in range(4) for epoch in range(1, 41)]
+    first = [_epoch_order(seed, epoch, 20) for seed, epoch in keys]
+    assert all(_epoch_order(seed, epoch, 20) is order for (seed, epoch), order in zip(keys, first))
+
+
+def test_epoch_order_cache_empties_itself_at_its_bound(monkeypatch):
+    monkeypatch.setattr(training, "_ORDERS", {})
+    monkeypatch.setattr(training, "_ORDERS_BOUND", 50)  # row indices
+    a, b = _epoch_order(1, 1, 20), _epoch_order(1, 2, 20)
+    assert _epoch_order(1, 1, 20) is a and _epoch_order(1, 2, 20) is b  # 40 held
+    c = _epoch_order(1, 3, 20)  # 60 would pass the bound: the cache empties first
+    assert list(training._ORDERS) == [(1, 3, 20)] and training._ORDERS[1, 3, 20] is c
+    assert _epoch_order(1, 1, 20) is not a and _epoch_order(1, 1, 20).tolist() == a.tolist()
+
+
 def test_train_epochs_threshold_unreachable_runs_all():
-    def evaluate(w, X, rows):
-        return np.full(len(X), float(w[0])), np.ones((len(rows), 1))
+    def evaluate(w, check, batch):
+        return np.full(len(check), float(w[0])), np.ones((len(batch), 1))
 
     ledger = BudgetLedger()
     result = train_epochs(
@@ -275,7 +321,7 @@ def test_train_epochs_stops_when_threshold_met():
         weights=[0.0],
         X=np.zeros((4, 1)),
         targets=np.zeros(4),
-        evaluate=lambda w, X, rows: (np.zeros(len(X)), np.full((len(rows), 1), 0.1)),
+        evaluate=lambda w, check, batch: (np.zeros(len(check)), np.full((len(batch), 1), 0.1)),
         score_fn=score,
         ledger=BudgetLedger(),
         opt_config=OptimizerConfig(),
