@@ -17,6 +17,7 @@ from __future__ import annotations
 from copy import deepcopy
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
 from math import ceil, floor, isfinite, pi, prod, sqrt
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
@@ -407,11 +408,18 @@ class QEKClassifier(CircuitModel):
         return model
 
 
-def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Logistic function of z, written into `out` when given (`out` may be z)."""
-    # exp(min(z, 0)) is 1 where z >= 0 and exp(-|z|) elsewhere; neither overflows
-    e = np.exp(-np.abs(z))
-    return np.divide(np.exp(np.minimum(z, 0.0)), 1.0 + e, out=out)
+def _sigmoid(z: np.ndarray, out=None, pair: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function of z into `out` when given (`out` may be z), as
+    exp(min(z, 0)) / (1 + exp(-|z|)), where neither exp overflows; both exps
+    are one call over `pair`, a (2, *z.shape) scratch buffer (allocated when
+    not given) that may hold z as its first half."""
+    pair = np.empty((2, *np.shape(z))) if pair is None else pair
+    low, high = pair[0, ...], pair[1, ...]  # views, even where z is 0-d
+    np.copysign(z, -1.0, out=high)  # -|z|, bit for bit
+    np.minimum(z, 0.0, out=low)
+    np.exp(pair, out=pair)
+    high += 1.0
+    return np.divide(low, high, out=out)
 
 
 class BinaryEncoder:
@@ -466,22 +474,22 @@ class BinaryEncoder:
         trained alone.
 
         The encoders train as stacks (`_train_stack`): each layer step holds
-        its encoders in one (k, rows, width) array, zero-padded to the widest
-        encoder there, so each matmul and elementwise operation is one numpy
-        call for all k of them. Padding is exact only while every product is a
-        matrix product. numpy sends a product with a vector (a width-1 layer,
-        or X with one row) to BLAS gemv, and padding would turn it into gemm,
-        which rounds differently; numpy also sums a width-1 column pairwise,
-        wider ones row by row. Such an encoder stacks only with encoders of
-        identical widths, unpadded.
+        its encoders in one (k, rows, width) array, so each matmul and
+        elementwise operation is one numpy call for all k of them. A padded
+        stack zero-pads every layer to one width, its widest unit. Padding is
+        exact only while every product is a matrix product. numpy sends a
+        product with a vector (a width-1 layer, or X with one row) to BLAS
+        gemv, and padding would turn it into gemm, which rounds differently;
+        numpy also sums a width-1 column pairwise, wider ones row by row. Such
+        an encoder stacks only with encoders of identical widths, unpadded.
         """
         X = np.asarray(X, dtype=float)
         stacks: dict[tuple | None, list[BinaryEncoder]] = {}
         for encoder in (self, *alongside):
             exact = len(X) < 2 or min(encoder.widths) < 2
             stacks.setdefault(tuple(encoder.widths) if exact else None, []).append(encoder)
-        for encoders in stacks.values():
-            _train_stack(encoders, X, n_epochs, learning_rate)
+        for key, encoders in stacks.items():
+            _train_stack(encoders, X, n_epochs, learning_rate, padded=key is None)
 
 
 def _carve(flat: np.ndarray, shapes: Sequence[tuple]) -> list[np.ndarray]:
@@ -490,24 +498,31 @@ def _carve(flat: np.ndarray, shapes: Sequence[tuple]) -> list[np.ndarray]:
     return [flat[a:b].reshape(shape) for a, b, shape in zip(ends, ends[1:], shapes)]
 
 
+def _split(flat: np.ndarray, steps: Sequence[tuple]) -> tuple[list, list]:
+    """Consecutive views of `flat`: each (k, out, in) of `steps`, then each (k, out)."""
+    views = _carve(flat, [*steps, *((k, w_out) for k, w_out, _ in steps)])
+    return views[:len(steps)], views[len(steps):]
+
+
 def _train_stack(encoders: Sequence[BinaryEncoder], X: np.ndarray, n_epochs: int,
-                 learning_rate: float) -> None:
-    """Train `encoders` on X as one stack. Deepest first and right-aligned, so
-    every output layer falls on the last step: step s holds the first k_s
-    encoders, and boundary j is b_j wide, the widest of its encoders there.
-    Step s reads the (k_s, rows, b_s) activations of boundary s, whose tail
-    holds X for the encoders starting there, and writes the head of boundary
-    s+1's. A padded unit has zero weights and a -inf bias, so its activation,
-    delta and gradients are exact zeros and every padded term of a real sum is
-    an exact zero. All activations are views into one vector, so 1 - a is one
-    call per epoch; all weights and biases are views into another, as are
-    their gradients, so the descent step is two calls per epoch."""
+                 learning_rate: float, padded: bool) -> None:
+    """Train `encoders` on X as one stack, deepest first and right-aligned:
+    step s holds the first k_s encoders, reads the (k_s, rows, width)
+    activations of boundary s (whose tail holds X for encoders starting
+    there) and writes the head of boundary s+1's. A padded stack is its widest
+    unit wide everywhere, X and target zero-padded. Padding has zero weights
+    and biases and a zero learning rate, so they stay zero and every padded
+    term of a real sum is an exact zero (a -inf bias, for zero activations,
+    would send exp down its slow path). Activations, deltas, weights then
+    biases, and gradients are consecutive views, in step order: each run of
+    steps of one shape (a padded stack is one) takes its gradients in one
+    matmul and one reduce, as numpy would per step."""
     layers = sorted(([*zip(e.enc_weights + e.dec_weights, e.enc_biases + e.dec_biases)]
                      for e in encoders), key=len, reverse=True)
     depth, n, features = len(layers[0]), len(X), X.shape[1]
     counts = [sum(len(own) >= depth - j for own in layers) for j in range(depth + 1)]
-    widths = [max(own[j - depth + len(own)][0].shape[1] for own in layers[:counts[j]])
-              for j in range(depth)] + [features]
+    widths = ([max(max(e.widths) for e in encoders)] * (depth + 1) if padded
+              else [W.shape[1] for W, _ in layers[0]] + [features])
     shapes = [(k, n, width) for k, width in zip(counts, widths)]
     all_acts = np.zeros(sum(map(prod, shapes)))
     all_complements = np.empty_like(all_acts)
@@ -515,54 +530,57 @@ def _train_stack(encoders: Sequence[BinaryEncoder], X: np.ndarray, n_epochs: int
     for j, start in enumerate([0, *counts[:depth - 1]]):
         if counts[j] > start:  # encoders start at step j
             acts[j][start:, :, :features] = X
-    shapes = [shape for k, w_in, w_out in zip(counts, widths, widths[1:])
-              for shape in ((k, w_out, w_in), (k, w_out))]  # weights, biases per step
-    params = np.zeros(sum(map(prod, shapes)))
+    steps = [*zip(counts, widths[1:], widths)]  # (k, out width, in width) per step
+    runs = [(sum(k for k, *_ in run), *shape)  # the same per run of one step shape
+            for shape, run in groupby(steps, key=lambda step: step[1:])]
+    params = np.zeros(sum(k * w_out * (w_in + 1) for k, w_out, w_in in steps))
     grads = np.empty_like(params)
-    param_views, grad_views = _carve(params, shapes), _carve(grads, shapes)
-    weights, biases = param_views[::2], param_views[1::2]
-    weight_grads, bias_grads = grad_views[::2], grad_views[1::2]
+    weights, biases = _split(params, steps)
+    all_deltas = np.empty(sum(k * n * w_out for k, w_out, _ in steps))
+    deltas = _carve(all_deltas, [(k, n, w_out) for k, w_out, _ in steps])
+    rates = np.zeros_like(params)  # the learning rate of each real parameter, 0 for padding
     trained = []
-    for s, (step_weights, step_biases) in enumerate(zip(weights, biases)):
-        step_biases[...] = -np.inf
+    for s, (step_weights, step_biases, step_rates, bias_rates) in enumerate(
+            zip(weights, biases, *_split(rates, steps))):
         for i, own in enumerate(layers[:counts[s]]):
             W, b = own[s - depth + len(own)]
             rows, cols = W.shape
             step_weights[i, :rows, :cols], step_biases[i, :rows] = W, b
+            step_rates[i, :rows, :cols] = bias_rates[i, :rows] = learning_rate
             trained += [(W, step_weights[i, :rows, :cols]), (b, step_biases[i, :rows])]
-    forward = [(acts[s], weights[s].transpose(0, 2, 1), biases[s][:, None], acts[s + 1][:k])
-               for s, k in enumerate(counts[:-1])]
-    deltas = [np.empty((k, n, width)) for k, width in zip(counts, widths[1:])]
-    backward = []  # per step, last first: the gradient operands, then back-propagation's
-    for s in reversed(range(depth)):
-        delta, k = deltas[s], counts[s - 1]
-        backward.append((delta.transpose(0, 2, 1), acts[s], weight_grads[s], delta, bias_grads[s],
-                         (delta[:k], weights[s][:k], deltas[s - 1], acts[s][:k],
-                          complements[s][:k]) if s else None))
-    out, last = acts[-1], deltas[-1]
+    pairs = np.empty(2 * max(k * n * w_out for k, w_out, _ in steps))
+    forward = [(acts[s], weights[s].transpose(0, 2, 1), biases[s][:, None], acts[s + 1][:k],
+                pairs[:2 * k * n * w_out].reshape(2, k, n, w_out))
+               for s, (k, w_out, _) in enumerate(steps)]
+    backward = [(deltas[s][:k], weights[s][:k], deltas[s - 1], acts[s][:k], complements[s][:k])
+                for s, k in reversed([*enumerate(counts[:depth - 1], 1)])]
+    run_deltas = _carve(all_deltas, [(k, n, w_out) for k, w_out, _ in runs])
+    gradients = [*zip([delta.transpose(0, 2, 1) for delta in run_deltas],
+                      _carve(all_acts, [(k, n, w_in) for k, _, w_in in runs]),
+                      *_split(grads, runs), run_deltas)]
+    out, last, target = acts[-1], deltas[-1], acts[0][0]  # X, zero-padded
     for _ in range(n_epochs):
-        for inputs, weights_t, step_biases, step_out in forward:
+        for inputs, weights_t, step_biases, step_out, pair in forward:
             np.matmul(inputs, weights_t, out=step_out)
             step_out += step_biases
-            _sigmoid(step_out, out=step_out)
+            _sigmoid(step_out, step_out, pair)
         np.subtract(1.0, all_acts, out=all_complements)
-        np.subtract(out, X, out=last)
+        np.subtract(out, target, out=last)
         last *= 2.0
         last /= n
         last *= out
         last *= complements[-1]
-        for delta_t, inputs, step_weight_grads, delta, step_bias_grads, back in backward:
-            np.matmul(delta_t, inputs, out=step_weight_grads)
-            np.add.reduce(delta, axis=1, out=step_bias_grads)
-            if back:  # through the old weights: the descent comes last
-                head, head_weights, prev, head_acts, head_complements = back
-                np.matmul(head, head_weights, out=prev)
-                prev *= head_acts
-                prev *= head_complements
-        grads *= learning_rate
+        for delta, step_weights, prev, step_acts, step_complements in backward:
+            np.matmul(delta, step_weights, out=prev)
+            prev *= step_acts
+            prev *= step_complements
+        for delta_t, inputs, weight_grads, bias_grads, delta in gradients:
+            np.matmul(delta_t, inputs, out=weight_grads)
+            np.add.reduce(delta, axis=1, out=bias_grads)
+        grads *= rates
         params -= grads
-    for own, padded in trained:
-        own[...] = padded
+    for own, padded_view in trained:
+        own[...] = padded_view
 
 
 class RBM:
@@ -840,8 +858,11 @@ def silhouette_score(X: np.ndarray, labels: np.ndarray) -> float:
         raise ScoreUndefinedError("silhouette undefined: all points share one cluster")
     if np.any(counts == 1):
         raise ScoreUndefinedError("silhouette undefined: singleton cluster present")
-    diffs = X[:, None, :] - X[None, :, :]
-    distances = np.sqrt((diffs**2).sum(axis=-1))
+    distances = np.empty((n, n))
+    block = max(1, (1 << 20) // max(1, n * X.shape[1]))  # rows whose differences fill 8 MB
+    for start in range(0, n, block):
+        diffs = X[start:start + block, None, :] - X[None, :, :]
+        distances[start:start + block] = np.sqrt((diffs**2).sum(axis=-1))
     one_hot = (labels[:, None] == unique[None, :]).astype(float)
     cluster_sums = distances @ one_hot  # n x k: summed distance to each cluster
     own = np.argmax(one_hot, axis=1)

@@ -232,6 +232,30 @@ def brute_silhouette(X, labels):
     return sum(scores) / n
 
 
+def ref_silhouette(X, labels):
+    """Mean silhouette from the full (n, n, features) difference array at once:
+    the formula the row-blocked `silhouette_score` must equal bit for bit."""
+    X, labels = np.asarray(X, dtype=float), np.asarray(labels)
+    unique, counts = np.unique(labels, return_counts=True)
+    diffs = X[:, None, :] - X[None, :, :]
+    distances = np.sqrt((diffs**2).sum(axis=-1))
+    one_hot = (labels[:, None] == unique[None, :]).astype(float)
+    cluster_sums = distances @ one_hot
+    own = np.argmax(one_hot, axis=1)
+    a = cluster_sums[np.arange(len(X)), own] / (counts[own] - 1)
+    mean_other = cluster_sums / counts[None, :]
+    mean_other[np.arange(len(X)), own] = np.inf
+    b = mean_other.min(axis=1)
+    denom = np.maximum(a, b)
+    return float(np.where(denom > 0, (b - a) / np.where(denom > 0, denom, 1.0), 0.0).mean())
+
+
+def ref_sigmoid(z):
+    """The logistic as exp(min(z, 0)) / (1 + exp(-|z|)), one exp call each:
+    the form the one-call pair `_sigmoid` must equal bit for bit."""
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
+
+
 def ref_train_autoencoder(weights, biases, X, n_epochs, learning_rate):
     """One autoencoder's full-batch descent on squared reconstruction error,
     layer by layer on its own arrays: the per-encoder loop the lockstep

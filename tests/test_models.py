@@ -1,5 +1,6 @@
 """Model-family behavior: decision rules, training, kernels, clustering."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -34,6 +35,7 @@ from oracles import (
     brute_silhouette,
     ref_expectation_z,
     ref_run_circuit,
+    ref_silhouette,
     ref_train_autoencoder,
     training_kernel_cost,
     two_run_cross_kernel,
@@ -507,6 +509,22 @@ def test_study_encoder_stack_padding_never_surfaces(cluster_blobs):
             assert got is array and got.shape == shape and np.isfinite(got).all()
 
 
+def test_stack_as_wide_as_the_data_equals_lone_training_bit_for_bit():
+    """At 20 features, padding an inner dimension to 16 or more can change
+    how BLAS rounds, so the stack may differ from the plain per-encoder loop.
+    A lone encoder pads to its widest unit too, the data width, so encoders
+    that start at the data width (every clusterer's) still equal lone training."""
+    X = np.random.default_rng(3).random((30, 20))
+    shapes = [(20, depth, latent, 7 * depth + latent) for depth in (1, 2, 3) for latent in (2, 5, 10)]
+    together = [BinaryEncoder(*shape) for shape in shapes]
+    together[0].train(X, 5, 0.5, alongside=together[1:])
+    for shape, encoder in zip(shapes, together):
+        alone = BinaryEncoder(*shape)
+        alone.train(X, 5, 0.5)
+        for got, want in zip(_parameters(encoder), _parameters(alone)):
+            assert got.tobytes() == want.tobytes()
+
+
 def test_zero_weight_rbm_hidden_probs_are_sigmoid_of_bias():
     rbm = RBM(4, 3, seed=0)
     rbm.weights[:] = 0.0
@@ -696,6 +714,26 @@ def test_silhouette_matches_brute_force_on_random_partitions():
         if len(counts) < 2 or min(counts.values()) == 1:
             continue
         assert abs(silhouette_score(X, labels) - brute_silhouette(X, labels)) < 1e-12
+
+
+def test_silhouette_in_row_blocks_equals_the_full_difference_array_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for n, features in ((30, 4), (6, 1), (400, 16)):  # 400 x 16 takes three blocks
+        X = rng.normal(size=(n, features))
+        labels = np.arange(n) % 3
+        assert repr(silhouette_score(X, labels)) == repr(ref_silhouette(X, labels))
+
+
+def test_silhouette_peak_memory_is_bounded_at_1000_rows():
+    X = np.random.default_rng(6).normal(size=(1000, 16))
+    labels = np.arange(1000) % 3
+    tracemalloc.start()
+    try:
+        silhouette_score(X, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20  # the full (1000, 1000, 16) difference array alone is 128 MB
 
 
 def test_silhouette_error_cases():

@@ -9,7 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qmlfinder.models import BinaryEncoder
+from qmlfinder.models import BinaryEncoder, _sigmoid
 from qmlfinder.registry import (
     AMPLITUDE,
     ANGLE,
@@ -41,6 +41,7 @@ from oracles import (
     gate_loop_run,
     loop_gradient_sum,
     product_rot,
+    ref_sigmoid,
     ref_train_autoencoder,
     sliced_gradient,
 )
@@ -212,14 +213,15 @@ def test_cached_epoch_order_equals_a_fresh_shuffle(seed, epoch, n):
 
 @st.composite
 def encoder_lockstep(draw):
-    """Data, 1-6 encoder shapes (depth 1-3, latent width 1 up to the input
-    width, so width-1 layers occur) with shared or distinct seeds, epochs."""
+    """Data, 1-6 encoder shapes (depth 1-3, latent width 1 up to two past the
+    input width, so width-1 layers and stacks wider than X occur) with shared
+    or distinct seeds, epochs."""
     input_size, rows = draw(st.integers(2, 8)), draw(st.integers(1, 20))
     X = draw(hnp.arrays(np.float64, (rows, input_size), elements=st.floats(0.0, 1.0)))
     shared = draw(st.booleans())
     seed = draw(st.integers(0, 2**32))
     shapes = draw(st.lists(
-        st.tuples(st.integers(1, 3), st.integers(1, input_size),
+        st.tuples(st.integers(1, 3), st.integers(1, input_size + 2),
                   st.just(seed) if shared else st.integers(0, 2**32)),
         min_size=1, max_size=6,
     ))
@@ -243,6 +245,10 @@ MIXED = [(5, 1, 1, 3), (5, 3, 4, 3), (5, 1, 2, 7), (5, 2, 1, 3), (5, 2, 3, 3), (
 @given(encoder_lockstep(), st.sampled_from([0.5, 5.0]))
 @example((_rows(12, 5), MIXED, 3), 5.0)
 @example((_rows(1, 5), MIXED, 3), 0.5)
+# widths 2, 2, 1, 1 mirrored: an exact stack whose steps (1, 1), (1, 1) are one run
+@example((_rows(6, 2), [(2, 3, 1, 5)], 3), 0.5)
+# widths 3, 4, 5: a padded stack five wide over three data columns
+@example((_rows(4, 3), [(3, 2, 5, 9)], 3), 5.0)
 def test_lockstep_training_equals_separate_training_bit_for_bit(case, learning_rate):
     X, shapes, n_epochs = case
     together = [BinaryEncoder(*shape) for shape in shapes]
@@ -256,6 +262,30 @@ def test_lockstep_training_equals_separate_training_bit_for_bit(case, learning_r
         for got, solo, want in zip(_stacks(trained), _stacks(alone), _stacks(reference)):
             for a, b, c in zip(got, solo, want):
                 assert np.array_equal(a, c) and np.array_equal(b, c)
+
+
+def _assert_same_bits(got, want):
+    """Equal shapes, NaN in the same places and every other value bit for bit."""
+    nan = np.isnan(want)
+    assert np.shape(got) == np.shape(want) and np.array_equal(np.isnan(got), nan)
+    assert np.where(nan, 0.0, got).tobytes() == np.where(nan, 0.0, want).tobytes()
+
+
+@settings(deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, max_side=6),
+                  elements=st.floats() | st.sampled_from([np.nan, np.inf, -np.inf, -0.0])))
+@example(np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 709.0, -709.0, 745.2, -745.2]))
+def test_pair_sigmoid_equals_the_two_exp_form_bit_for_bit(z):
+    want = ref_sigmoid(z)
+    _assert_same_bits(_sigmoid(z), want)  # allocating
+    pair, out = np.empty((2, *z.shape)), np.empty_like(z)
+    assert _sigmoid(z, out, pair) is out  # into preallocated buffers
+    _assert_same_bits(out, want)
+    aliased = z.copy()
+    assert _sigmoid(aliased, aliased, pair) is aliased  # `out` is z
+    _assert_same_bits(aliased, want)
+    pair[0] = z
+    _assert_same_bits(_sigmoid(pair[0, ...], pair[0, ...], pair), want)  # z and `out` in `pair`
 
 
 @settings(deadline=None)
