@@ -28,6 +28,7 @@ from .store import (
     model_from_spec,
     read_model_spec,
     write_model_spec,
+    write_text,
 )
 
 EXIT_OK = 0
@@ -173,8 +174,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     )
     text = json.dumps(best.as_dict(), indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        write_text(args.out, text)
     print(text, end="")
     return EXIT_OK
 
@@ -198,11 +198,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         predictions = model.predict(data, counter)
     except ValueError as exc:  # the rows do not fit the model, e.g. an all-zero AMPLITUDE row
         raise DataFormatError(f"{args.data}: cannot apply the model: {exc}") from exc
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("prediction\n")
-        for value in predictions:
-            cell = repr(float(value)) if spec.task == "regression" else str(int(value))
-            fh.write(cell + "\n")
+    cells = [repr(float(v)) if spec.task == "regression" else str(int(v)) for v in predictions]
+    write_text(args.out, "\n".join(["prediction", *cells]) + "\n")
     print(
         f"wrote {len(predictions)} predictions to {args.out} "
         f"({counter.total_calls} device calls)"

@@ -8,14 +8,14 @@ part of the model-file serialization contract.
 
 A model family is its class (models.py states the protocol); the model table
 holds classes, named by their `family`. A layer's `build` must make each
-weight the angle of exactly one rotation gate: a circuit compiles its layers
-into a gate plan (CircuitSpec.plan) once, and refuses any other layer there.
+weight the angle of exactly one rotation gate: the simulator compiles the
+layers into a gate plan once per circuit shape (simulator._plan), and refuses
+any other layer there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from enum import Enum
 from math import ceil, log2
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
@@ -54,7 +54,10 @@ class EmbeddingKind:
 @dataclass(frozen=True)
 class LayerKind:
     """A named trainable layer template; `build` gets weights (count,) or (count, B),
-    each the angle of exactly one of its rotation gates."""
+    each the angle of exactly one of its rotation gates. The simulator keys its
+    gate plans by the layer kinds themselves, so both functions must be
+    hashable (functions, lambdas and `functools.partial`s are); equal kinds
+    share one plan."""
 
     name: str
     params_per_layer: Callable[[int], int]
@@ -197,36 +200,6 @@ class CircuitSpec:
     def build_ops(self, weights: Sequence[float], x: Sequence[float]) -> list[Operation]:
         layers = self.layer_ops(weights)  # a wrong weight count is refused before embedding
         return self.embedding_ops(x) + layers
-
-    @cached_property
-    def plan(self) -> tuple[dict[str, np.ndarray], tuple[tuple[str, int, int], ...]]:
-        """The layers as the simulator runs them: per gate kind, the weight column
-        of each angle of its G gates, (G, angles), and the steps (kind, index in
-        kind, wire) or ("CNOT", control, target). Compiled from each layer's
-        `build` at weights 2, 3, ... and at their squares; a layer is refused
-        unless each weight is the angle of exactly one rotation gate at both."""
-        columns: dict[str, list[list[int]]] = {}
-        steps, offset = [], 0
-        for kind in self.layer_kinds:
-            probe = np.arange(2.0, kind.params_per_layer(self.n_wires) + 2)  # none its own square
-            gates, twins = (build_layer(kind, self.n_wires, w) for w in (probe, probe**2))
-            angles = [(float(a), float(b)) for g, t in zip(gates, twins)
-                      for a, b in zip(g.angles, t.angles)]
-            if ([(g.kind, g.wires) for g in gates] != [(t.kind, t.wires) for t in twins]
-                    or sorted(a if b == a * a else 0.0 for a, b in angles) != probe.tolist()):
-                raise ValueError(f"layer {kind.name}: each weight must be the angle of exactly "
-                                 "one rotation gate")
-            for gate in gates:
-                if max(gate.wires) >= self.n_wires:
-                    raise ValueError(f"layer {kind.name}: wire {max(gate.wires)} out of range")
-                if gate.kind == "CNOT":
-                    steps.append(("CNOT", *gate.wires))
-                else:
-                    of_kind = columns.setdefault(gate.kind, [])
-                    steps.append((gate.kind, len(of_kind), gate.wires[0]))
-                    of_kind.append([offset + int(a) - 2 for a in gate.angles])
-            offset += len(probe)
-        return {k: np.array(v, dtype=np.intp) for k, v in columns.items()}, tuple(steps)
 
 
 class Registry:

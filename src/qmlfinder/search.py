@@ -13,7 +13,7 @@ base_seed * 10007 + k, making repeat k comparable across trials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from math import isnan
 from typing import Any, Callable, Iterable, Sequence
 
@@ -383,38 +383,23 @@ class ModelFinder:
         return find_model(self.config, self.registry, self._X, self._y, self.store)
 
 
+@dataclass(eq=False)
 class HyperparameterTuner:
-    """Convenience wrapper around find_hyperparameters."""
+    """Convenience wrapper around find_hyperparameters; the default registry
+    unless one is given."""
 
-    def __init__(
-        self,
-        X: np.ndarray,
-        y,
-        model_spec: ModelSpec,
-        *,
-        registry: Registry | None = None,
-        store: StudyStore | None = None,
-        n_trials: int = 20,
-        n_seeds: int = 3,
-        base_seed: int = 0,
-    ) -> None:
-        self._X = X
-        self._y = y
-        self.model_spec = model_spec
-        self.registry = registry if registry is not None else default_registry()
-        self.store = store
-        self.n_trials = n_trials
-        self.n_seeds = n_seeds
-        self.base_seed = base_seed
+    X: np.ndarray
+    y: Any
+    model_spec: ModelSpec
+    _: KW_ONLY
+    registry: Registry | None = None
+    store: StudyStore | None = None
+    n_trials: int = 20
+    n_seeds: int = 3
+    base_seed: int = 0
 
     def find_hyperparameters(self) -> OptimizerConfig:
-        return find_hyperparameters(
-            self.model_spec,
-            self._X,
-            self._y,
-            self.registry,
-            n_trials=self.n_trials,
-            n_seeds=self.n_seeds,
-            store=self.store,
-            base_seed=self.base_seed,
-        )
+        registry = self.registry if self.registry is not None else default_registry()
+        return find_hyperparameters(self.model_spec, self.X, self.y, registry,
+                                    n_trials=self.n_trials, n_seeds=self.n_seeds,
+                                    store=self.store, base_seed=self.base_seed)

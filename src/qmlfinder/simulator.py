@@ -9,24 +9,27 @@ Fixed conventions (they are part of the serialization and test contract):
     expectations take a leading batch axis); expectations are exact.
     models.kernel_matrix runs each row once and books 2 calls per kernel pair.
 
-Layers run from the circuit's gate plan (CircuitSpec.plan), each gate kind's
-matrices built in one call. A fit's merged runs (MergedRuns) embed its rows
-once and build each layer gate's matrices once per weight vector, gathered
-onto the circuits with `take` as contiguous (B, 2, 2) arrays, as if built per
-circuit, so every matmul takes the same numpy path and gives the same bits.
+Embeddings run gate by gate; `_simulate` runs the layers on the states it is
+handed, from the gate plan `_plan` compiles once per circuit shape. A fit's
+merged runs (MergedRuns) embed its rows once and build each layer gate's
+matrices once per weight vector, gathered onto the circuits with `take` as
+contiguous (B, 2, 2) arrays, as if built per circuit, so every matmul takes
+the same numpy path and gives the same bits.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from math import pi
-from typing import TYPE_CHECKING, Sequence, Union
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
 import numpy as np
 
 if TYPE_CHECKING:
-    from .registry import CircuitSpec
+    from .registry import CircuitSpec, LayerKind
 
 MAX_WIRES = 16
 
@@ -204,11 +207,16 @@ def _rotate(amps: np.ndarray, n: int, wire: int, matrix: np.ndarray) -> np.ndarr
 
 
 def _cnot(amps: np.ndarray, n: int, control: int, target: int) -> np.ndarray:
-    amps = amps.copy()
-    on = _wire_view(amps, control)[..., 1, :]  # control=1 half: a state of the other n-1 wires
-    half = on.reshape(on.shape[:-2] + (1 << (n - 1),))
-    on[...] = _wire_view(half, target - (target > control))[..., ::-1, :].reshape(on.shape)
-    return amps
+    """A copy of the state whose control=1 half has its target bit flipped, read
+    from views of `amps`, so it allocates no array but the copy."""
+    lo, hi = sorted((control, target))  # their bits on axes -4 and -2 of the view
+    view = amps.reshape(amps.shape[:-1] + (1 << lo, 2, 1 << (hi - lo - 1), 2, 1 << (n - hi - 1)))
+    out = view.copy()
+    if control < target:
+        out[..., 1, :, 0, :], out[..., 1, :, 1, :] = view[..., 1, :, 1, :], view[..., 1, :, 0, :]
+    else:
+        out[..., 0, :, 1, :], out[..., 1, :, 1, :] = view[..., 1, :, 1, :], view[..., 0, :, 1, :]
+    return out.reshape(amps.shape)
 
 
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:
@@ -234,28 +242,60 @@ def _prepare(state: Statevector, op: StatePrep) -> Statevector:
     return Statevector(np.broadcast_to(prepared, amps.shape).copy(), state.n_wires)
 
 
-def _run_ops(state: Statevector, ops: Sequence[Operation]) -> Statevector:
-    for op in ops:
-        state = apply_gate(state, op) if isinstance(op, Gate) else _prepare(state, op)
-    return state
-
-
 def _embed(spec: CircuitSpec, x: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
-    return _run_ops(Statevector.zero(spec.n_wires, batch), spec.embedding_ops(x.T)).amplitudes
+    """The rows x (..., F) embedded as (*batch, 2**n) amplitudes, gate by gate."""
+    state = Statevector.zero(spec.n_wires, batch)
+    for op in spec.embedding_ops(x.T):
+        state = apply_gate(state, op) if isinstance(op, Gate) else _prepare(state, op)
+    return state.amplitudes
 
 
-def _simulate(spec: CircuitSpec, weights: np.ndarray, x: np.ndarray | None,
-              weights_at: np.ndarray | None = None, rows_at: np.ndarray | None = None,
-              states: np.ndarray | None = None) -> Statevector:
-    """The circuits' final states, booking nothing. Without indices: as
-    run_circuit. With both: circuit k runs weight row weights_at[k] of weights
-    (W, P) on row rows_at[k] of `states`, or of the rows x (R, F) embedded."""
-    if states is None:
-        states = _embed(spec, x, x.shape[:-1] if rows_at is not None else
-                        np.broadcast_shapes(weights.shape[:-1], x.shape[:-1]))
+@lru_cache(maxsize=256)
+def _plan(n_wires: int, layer_kinds: tuple[LayerKind, ...]
+          ) -> tuple[Mapping[str, np.ndarray], tuple[tuple[str, int, int], ...]]:
+    """The layers of every circuit of this shape as the simulator runs them: per
+    gate kind, the read-only weight column of each angle of its G gates,
+    (G, angles), and the steps (kind, index in kind, wire) or ("CNOT", control,
+    target). Compiled from each layer's `build` at weights 2, 3, ... and at their
+    squares; a layer is refused unless each weight is the angle of exactly one
+    rotation gate at both."""
+    columns: dict[str, list[list[int]]] = {}
+    steps, offset = [], 0
+    for kind in layer_kinds:
+        probe = np.arange(2.0, kind.params_per_layer(n_wires) + 2)  # none its own square
+        gates, twins = (kind.build(n_wires, w) for w in (probe, probe**2))
+        angles = [(float(a), float(b)) for g, t in zip(gates, twins)
+                  for a, b in zip(g.angles, t.angles)]
+        if ([(g.kind, g.wires) for g in gates] != [(t.kind, t.wires) for t in twins]
+                or sorted(a if b == a * a else 0.0 for a, b in angles) != probe.tolist()):
+            raise ValueError(f"layer {kind.name}: each weight must be the angle of exactly "
+                             "one rotation gate")
+        for gate in gates:
+            if max(gate.wires) >= n_wires:
+                raise ValueError(f"layer {kind.name}: wire {max(gate.wires)} out of range")
+            if gate.kind == "CNOT":
+                steps.append(("CNOT", *gate.wires))
+            else:
+                of_kind = columns.setdefault(gate.kind, [])
+                steps.append((gate.kind, len(of_kind), gate.wires[0]))
+                of_kind.append([offset + int(a) - 2 for a in gate.angles])
+        offset += len(probe)
+    arrays = {k: np.array(v, dtype=np.intp) for k, v in columns.items()}
+    for array in arrays.values():
+        array.flags.writeable = False  # shared by every circuit of this shape
+    return MappingProxyType(arrays), tuple(steps)
+
+
+def _simulate(spec: CircuitSpec, weights: np.ndarray, states: np.ndarray,
+              weights_at: np.ndarray | None = None,
+              rows_at: np.ndarray | None = None) -> Statevector:
+    """The circuits' final states from the embedded `states`, booking nothing.
+    Without indices: weights (P,) or (B, P) run on states broadcast to them.
+    With both: circuit k runs weight row weights_at[k] of weights (W, P) on row
+    rows_at[k] of `states`."""
     amps, n = (states if rows_at is None else states.take(rows_at, axis=0)), spec.n_wires
     del states  # held no longer than a slice's first gate
-    (columns_of, steps), mats = spec.plan, {}
+    (columns_of, steps), mats = _plan(spec.n_wires, spec.layer_kinds), {}
     for kind, columns in columns_of.items():
         m = _GATES[kind][1](*weights.T[columns.T])
         mats[kind] = np.broadcast_to(m, (len(columns), 2, 2)) if m.ndim == 2 else m
@@ -277,7 +317,7 @@ def run_circuit(spec: CircuitSpec, weights: Sequence[float], x: Sequence[float],
     w, x = np.asarray(weights, dtype=float), np.asarray(x, dtype=float)
     if w.shape[-1] != spec.param_count:  # refused before embedding
         raise ValueError(f"expected {spec.param_count} weights, got {w.shape[-1]}")
-    state = _simulate(spec, w, x)
+    state = _simulate(spec, w, _embed(spec, x, np.broadcast_shapes(w.shape[:-1], x.shape[:-1])))
     counter.increment(int(np.prod(state.amplitudes.shape[:-1])))
     return state
 
@@ -330,7 +370,8 @@ class MergedRuns:
                 distinct, used = np.unique(used, return_inverse=True)
                 x = self.X[distinct]
             values.append(expectation_z(  # unbound: a slice's states go before the next's
-                _simulate(self.spec, table, x, weights_at[k : k + self.size], used, self.states),
+                _simulate(self.spec, table, self.states if x is None else
+                          _embed(self.spec, x, x.shape[:-1]), weights_at[k : k + self.size], used),
                 self.wire))
         values = np.concatenate(values)
         shifted = values[n_check:].reshape(len(batch), 2, p)
@@ -341,8 +382,10 @@ def parameter_shift_gradient(spec: CircuitSpec, weights: Sequence[float], x: Seq
                              wire: int, counter: CallCounter) -> np.ndarray:
     """Exact gradient of <Z_wire> via +-pi/2 shifts: rows (B, F) give (B, P) and
     cost B * 2 * param_count calls; one row (F,) gives (P,)."""
-    x = np.asarray(x, dtype=float)
+    w, x = np.asarray(weights, dtype=float), np.asarray(x, dtype=float)
+    if len(w) != spec.param_count:  # refused before embedding
+        raise ValueError(f"expected {spec.param_count} weights, got {len(w)}")
     rows = np.atleast_2d(x)
-    _, grads = MergedRuns(spec, rows, wire)(weights, np.arange(0), np.arange(len(rows)))
+    _, grads = MergedRuns(spec, rows, wire)(w, np.arange(0), np.arange(len(rows)))
     counter.increment(2 * grads.size)
     return grads.reshape(x.shape[:-1] + grads.shape[1:])

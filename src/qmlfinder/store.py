@@ -9,11 +9,12 @@ floats), which makes serialize -> parse -> serialize byte-identical.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .records import StudyFailureError, TrialRecord, select_best
@@ -83,36 +84,14 @@ class ModelSpec:
     format_version: int = FORMAT_VERSION
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "format_version": self.format_version,
-            "task": self.task,
-            "model_family": self.model_family,
-            "n_features": self.n_features,
-            "n_wires": self.n_wires,
-            "embedding": self.embedding,
-            "layers": self.layers,
-            "weights": self.weights,
-            "extras": self.extras,
-            "metadata": self.metadata,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "ModelSpec":
-        return cls(
-            task=doc["task"],
-            model_family=doc["model_family"],
-            n_features=doc["n_features"],
-            n_wires=doc["n_wires"],
-            embedding=doc["embedding"],
-            layers=doc["layers"],
-            weights=doc["weights"],
-            extras=doc["extras"],
-            metadata=doc["metadata"],
-            format_version=doc["format_version"],
-        )
+        return cls(**{f.name: doc[f.name] for f in fields(cls)})
 
     @classmethod
     def from_json(cls, text: str) -> "ModelSpec":
@@ -127,9 +106,25 @@ def _finite(text: str) -> float:
     return value
 
 
+def write_text(path: str | os.PathLike, text: str) -> None:
+    """Write `text` to `path` through a new file beside it, moved into place with
+    os.replace, so a failed write leaves any previous file whole. The file gets
+    the mode a plain `open` gives: an existing file's, else 0o666 less the umask."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        if os.path.exists(path):
+            os.chmod(tmp, os.stat(path).st_mode & 0o7777)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_model_spec(spec: ModelSpec, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(spec.to_json())
+    write_text(path, spec.to_json())  # serialized first: a refused value writes nothing
 
 
 def read_model_spec(path: str | os.PathLike) -> ModelSpec:
@@ -178,14 +173,15 @@ def export_report(store: StudyStore, out_path: str | os.PathLike) -> str:
     for record in records:
         sampled_names.update(record.sampled)
     sampled_columns = sorted(sampled_names)
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(REPORT_FIXED_COLUMNS) + sampled_columns)
-        for record in records:
-            doc = record.as_dict()
-            row = [_format_cell(doc[c]) for c in REPORT_FIXED_COLUMNS]
-            row += [_format_cell(record.sampled.get(name)) for name in sampled_columns]
-            writer.writerow(row)
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(list(REPORT_FIXED_COLUMNS) + sampled_columns)
+    for record in records:
+        doc = record.as_dict()
+        row = [_format_cell(doc[c]) for c in REPORT_FIXED_COLUMNS]
+        row += [_format_cell(record.sampled.get(name)) for name in sampled_columns]
+        writer.writerow(row)
+    write_text(out_path, text.getvalue())
     if not records:
         return "warning: study store is empty; wrote header-only report"
     try:

@@ -390,6 +390,25 @@ def test_infinite_thresholds_keep_their_meaning(tmp_path, blobs_csv, text, tag, 
     assert f"({tag})" in capsys.readouterr().out
 
 
+def test_a_model_file_the_study_cannot_write_leaves_the_previous_one(tmp_path, capsys):
+    # a QNN regressor stores the study threshold, and JSON has no inf: the study
+    # runs, then exits 3 without touching the model file already there
+    xs = np.linspace(-np.pi, np.pi, 12)
+    data = tmp_path / "sine.csv"
+    write_csv(data, ["f0", "y"], zip(xs, np.sin(xs)))
+    model = tmp_path / "model.json"
+    model.write_bytes(b'{"previous":1}')
+    code = cli_main(
+        ["find-model", "--task", "regression", "--data", str(data), "--target", "y",
+         *FAST_FLAGS, "--threshold=inf", "--store", str(tmp_path / "s.jsonl"),
+         "--out", str(model)]
+    )
+    assert code == EXIT_STUDY
+    assert "Out of range float values are not JSON compliant" in capsys.readouterr().err
+    assert model.read_bytes() == b'{"previous":1}'
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "s.jsonl", "sine.csv"]
+
+
 @pytest.mark.parametrize("text", ["-inf", "-1e3"])
 def test_a_negative_threshold_may_follow_its_flag_after_a_space(tmp_path, blobs_csv, text,
                                                                 capsys):

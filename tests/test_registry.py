@@ -8,11 +8,13 @@ from qmlfinder import (
     ANGLE,
     BASIC_ENTANGLER,
     STRONGLY_ENTANGLING,
+    BudgetLedger,
     CallCounter,
     CircuitSpec,
     EmbeddingKind,
     LayerKind,
     PortableRng,
+    QNNClassifier,
     Registry,
     TaskType,
     base_registry,
@@ -21,9 +23,9 @@ from qmlfinder import (
     register,
     run_circuit,
 )
-from qmlfinder.simulator import StatePrep, cnot, h, rot, rx, ry
+from qmlfinder.simulator import StatePrep, _plan, cnot, h, rot, rx, ry
 
-from oracles import ref_run_circuit
+from oracles import gate_loop_run, ref_run_circuit
 
 
 # -- embeddings ----------------------------------------------------------------
@@ -146,12 +148,65 @@ def test_gate_plan_reads_each_weight_column_from_the_layers():
     reversed_rx = LayerKind("ReversedRX", lambda n: n,
                             lambda n, w: [rx(i, w[n - 1 - i]) for i in range(n)] + [h(0)])
     spec = CircuitSpec(3, ANGLE, (STRONGLY_ENTANGLING, reversed_rx))
-    columns, steps = spec.plan
+    columns, steps = _plan(spec.n_wires, spec.layer_kinds)
     assert columns["ROT"].tolist() == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
     assert columns["RX"].tolist() == [[11], [10], [9]] and columns["H"].shape == (1, 0)
     assert steps == (("ROT", 0, 0), ("ROT", 1, 1), ("ROT", 2, 2), ("CNOT", 0, 1), ("CNOT", 1, 2),
                      ("CNOT", 2, 0), ("RX", 0, 0), ("RX", 1, 1), ("RX", 2, 2), ("H", 0, 0))
-    assert spec.plan is spec.plan  # compiled once per circuit
+    # compiled once per circuit shape, whatever the embedding
+    assert _plan(3, (STRONGLY_ENTANGLING, reversed_rx)) is _plan(3, spec.layer_kinds)
+
+
+def test_gate_plan_arrays_cannot_be_written():
+    columns, _ = _plan(2, (STRONGLY_ENTANGLING, BASIC_ENTANGLER))
+    for array in columns.values():
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0
+    with pytest.raises(TypeError):
+        columns["RX"] = columns["ROT"]
+
+
+def _counted_layer(name, builds, rotation=rx):
+    """A BasicEntangler-shaped layer of `rotation` gates whose `build` calls are
+    appended to `builds`."""
+
+    def build(n, w):
+        builds.append(name)
+        return [rotation(i, w[i]) for i in range(n)] + [cnot(0, 1)]
+
+    return LayerKind(name, lambda n: n, build)
+
+
+def test_equal_circuits_built_apart_and_fitted_apart_compile_one_plan(blobs40):
+    builds = []
+    kind = _counted_layer("Counted", builds)
+    specs = [CircuitSpec(2, embedding, (LayerKind(kind.name, kind.params_per_layer, kind.build),))
+             for embedding in (ANGLE, ANGLE, AMPLITUDE)]  # equal kinds, separate objects
+    assert specs[0] == specs[1] and specs[0] is not specs[1]
+    misses = _plan.cache_info().misses
+    X, y = blobs40
+    for spec in specs[:2]:
+        QNNClassifier(spec, batch_size=8, n_epochs=1, accuracy_threshold=1.0, seed=0).fit(
+            X, y, BudgetLedger())
+    run_circuit(specs[2], [0.1, 0.2], [0.3, 0.4], CallCounter())
+    assert builds == ["Counted", "Counted"]  # the probe and its squares, once
+    assert _plan.cache_info().misses == misses + 1
+
+
+def test_layers_of_one_name_with_different_builds_get_different_plans():
+    builds = []
+    as_rx, as_ry = _counted_layer("Same", builds, rx), _counted_layer("Same", builds, ry)
+    assert as_rx != as_ry
+    (rx_columns, rx_steps), (ry_columns, ry_steps) = _plan(2, (as_rx,)), _plan(2, (as_ry,))
+    assert list(rx_columns) == ["RX"] and list(ry_columns) == ["RY"]
+    assert rx_steps[0] == ("RX", 0, 0) and ry_steps[0] == ("RY", 0, 0)
+    w, x = [0.3, -1.1], [0.5, 0.7]
+    runs = []
+    for kind in (as_rx, as_ry):
+        spec = CircuitSpec(2, ANGLE, (kind,))
+        runs.append(run_circuit(spec, w, x, CallCounter()).amplitudes)
+        assert runs[-1].tobytes() == gate_loop_run(spec, w, x).tobytes()
+    assert not np.allclose(*runs)
 
 
 @pytest.mark.parametrize("build", [
@@ -167,16 +222,14 @@ def test_gate_plan_reads_each_weight_column_from_the_layers():
 ], ids=["scaled", "negated", "shifted", "squared", "reused", "twice", "in-one-gate", "fixed",
         "varying"])
 def test_gate_plan_refuses_a_weight_that_is_not_exactly_one_rotation_angle(build):
-    spec = CircuitSpec(2, ANGLE, (LayerKind("Odd", lambda n: n, build),))
     with pytest.raises(ValueError, match="^layer Odd: each weight must be the angle of exactly "
                                          "one rotation gate$"):
-        spec.plan
+        _plan(2, (LayerKind("Odd", lambda n: n, build),))
 
 
 def test_gate_plan_refuses_a_wire_outside_the_circuit():
-    spec = CircuitSpec(2, ANGLE, (LayerKind("Wide", lambda n: 1, lambda n, w: [rx(n, w[0])]),))
     with pytest.raises(ValueError, match="layer Wide: wire 2 out of range"):
-        spec.plan
+        _plan(2, (LayerKind("Wide", lambda n: 1, lambda n, w: [rx(n, w[0])]),))
 
 
 # -- registry ------------------------------------------------------------------

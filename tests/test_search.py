@@ -6,6 +6,7 @@ import pytest
 
 from qmlfinder import (
     FinderConfig,
+    HyperparameterTuner,
     PortableRng,
     Registry,
     StudyFailureError,
@@ -14,6 +15,7 @@ from qmlfinder import (
     TrialRecord,
     UnsupportedModelError,
     base_registry,
+    default_registry,
     derive_seed,
     find_hyperparameters,
     find_model,
@@ -314,6 +316,27 @@ def test_a_layer_scaling_its_weight_fails_its_trials(blobs40):
     assert record.error == ("ValueError: layer DoubledRX: each weight must be the angle of "
                             "exactly one rotation gate")
     assert record.total_calls == 0
+
+
+def test_a_refused_layer_is_refused_on_every_use(blobs40):
+    # compile errors are not cached: each trial that draws the layer compiles
+    # it again and records the same error, with nothing booked
+    builds = []
+
+    def doubled(n, w):
+        builds.append(n)
+        return [rx(i, 2 * w[i]) for i in range(n)]
+
+    reg = Registry().register("embedding", ANGLE).register("model", QNNClassifier)
+    reg.register("layer", LayerKind("DoubledRX", lambda n: n, doubled))
+    X, y = blobs40
+    config = FinderConfig(task=TaskType.CLASSIFICATION, n_seeds=1, n_epochs=1, threshold=0.8)
+    records = [run_trial(Trial(0, derive_seed(0, 0)), config, reg, X, y) for _ in range(2)]
+    assert records[0].as_dict() == records[1].as_dict()
+    assert records[0].error == ("ValueError: layer DoubledRX: each weight must be the angle "
+                                "of exactly one rotation gate")
+    assert records[0].total_calls == 0
+    assert builds == [2] * 4  # the probe and its squares, at each use
 
 
 def test_find_model_infeasible_best_flag(registry, tmp_path):
@@ -872,6 +895,39 @@ def test_tuner_returns_config_within_bounds(registry, blobs40, tmp_path):
         assert 1e-3 <= record.sampled["learning_rate"] <= 0.5
         if record.sampled["optimizer"] == "momentum_gd":
             assert 0.0 <= record.sampled["momentum"] <= 0.99
+
+
+def test_tuner_wrapper_equals_find_hyperparameters(registry, blobs40, tmp_path):
+    spec, reg = _trained_qnn_spec(registry, blobs40, tmp_path)
+    X, y = blobs40
+    runs = []
+    for name, tune in [
+        ("plain", lambda store: find_hyperparameters(spec, X, y, reg, n_trials=3, n_seeds=2,
+                                                     store=store, base_seed=4)),
+        ("wrapper", lambda store: HyperparameterTuner(X, y, spec, registry=reg, store=store,
+                                                      n_trials=3, n_seeds=2,
+                                                      base_seed=4).find_hyperparameters()),
+    ]:
+        path = tmp_path / f"{name}.jsonl"
+        runs.append((tune(StudyStore(path)), path.read_bytes()))
+    assert runs[0] == runs[1]
+
+
+def test_readme_python_quick_start_runs_as_written(blobs40, capsys):
+    # the README's block, run on blobs40 with the default registry, picks the
+    # model find_model picks under the same configuration
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Quick start (Python)", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    X, y = blobs40
+    namespace = {"X": X, "y": y}
+    exec(block, namespace)
+    config = FinderConfig(task=TaskType.CLASSIFICATION, n_trials=20, n_seeds=3, n_epochs=10,
+                          threshold=0.8)
+    assert namespace["spec"].to_json() == find_model(config, default_registry(), X, y).to_json()
+    assert capsys.readouterr().out.startswith(namespace["spec"].model_family + " {")
 
 
 def test_tuner_lr_bounds_over_many_draws():

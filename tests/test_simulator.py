@@ -344,6 +344,18 @@ def test_weight_length_mismatch():
         run_circuit(spec, [0.1], [0.0, 0.0], CallCounter())
 
 
+@pytest.mark.parametrize("weights", [[0.5], [0.5, 0.1, 0.2]], ids=["fewer", "more"])
+def test_gradient_refuses_a_wrong_weight_count_before_embedding_or_booking(weights, monkeypatch):
+    import qmlfinder.simulator as simulator
+
+    embedded = []
+    monkeypatch.setattr(simulator, "_embed", lambda *args: embedded.append(args))
+    spec, counter = CircuitSpec(2, ANGLE, (BASIC_ENTANGLER,)), CallCounter()
+    with pytest.raises(ValueError, match=f"^expected 2 weights, got {len(weights)}$"):
+        parameter_shift_gradient(spec, weights, [[0.1, 0.2], [0.3, 0.4]], 0, counter)
+    assert embedded == [] and counter.total_calls == 0
+
+
 def test_run_circuit_matches_matrix_oracle():
     rng = PortableRng(101)
     for _ in range(60):

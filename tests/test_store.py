@@ -32,6 +32,7 @@ from qmlfinder.store import (
     model_to_spec,
     read_model_spec,
     write_model_spec,
+    write_text,
 )
 
 
@@ -218,6 +219,36 @@ def test_model_file_refuses_non_finite_numbers(literal):
     spec.weights[0] = float(literal)
     with pytest.raises(ValueError):
         spec.to_json()
+
+
+def test_written_files_get_the_mode_a_plain_open_gives(tmp_path):
+    import os
+
+    path = tmp_path / "new.txt"
+    write_text(path, "one\n")
+    with open(tmp_path / "plain.txt", "w") as fh:
+        fh.write("one\n")
+    assert path.stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
+    os.chmod(path, 0o600)  # an existing file keeps its own mode
+    write_text(path, "two\n")
+    assert path.read_text() == "two\n" and path.stat().st_mode & 0o777 == 0o600
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["new.txt", "plain.txt"]
+
+
+def test_a_model_that_cannot_be_serialized_leaves_the_file_there_whole(tmp_path):
+    model = QNNClassifier(
+        CircuitSpec(2, ANGLE, (BASIC_ENTANGLER,)), batch_size=4, n_epochs=1,
+        accuracy_threshold=0.8, seed=0,
+    )
+    spec = model_to_spec(model, 2, METADATA)
+    path = tmp_path / "model.json"
+    write_model_spec(spec, path)
+    before = path.read_bytes()
+    spec.weights[0] = float("inf")
+    with pytest.raises(ValueError):
+        write_model_spec(spec, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
 # -- report ------------------------------------------------------------------------

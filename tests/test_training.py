@@ -186,7 +186,8 @@ def test_zero_epoch_fit_simulates_the_training_rows_only(monkeypatch):
 
 def test_qnn_fit_embeds_its_rows_once_and_builds_no_layer_gate(monkeypatch):
     spec = CircuitSpec(2, ANGLE, (BASIC_ENTANGLER, STRONGLY_ENTANGLING))
-    assert spec.plan  # compiled once per circuit, from gates built at probe weights
+    # compiled once per circuit shape, from gates built at probe weights
+    assert qmlfinder.simulator._plan(spec.n_wires, spec.layer_kinds)
     embedded, built = [], []
     embedding_ops, post_init = CircuitSpec.embedding_ops, Gate.__post_init__
 
