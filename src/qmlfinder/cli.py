@@ -229,50 +229,81 @@ def _count(minimum: int):
     return _checked(int, f">= {minimum}", lambda value: value >= minimum)
 
 
+def _find_model_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--task", required=True, choices=[t.value for t in TaskType])
+    parser.add_argument("--data", required=True, help="CSV file with header row")
+    parser.add_argument("--target", default=None, help="target column (ignored for clustering)")
+    parser.add_argument("--trials", type=_count(1), default=20)
+    parser.add_argument("--seeds", type=_count(1), default=3)
+    parser.add_argument("--epochs", type=_count(0), default=10)
+    parser.add_argument("--threshold", default=0.8,
+                        type=_checked(float, "a number", lambda value: not math.isnan(value)))
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--store", default="study.jsonl")
+    parser.add_argument("--out", default="model.json")
+    parser.set_defaults(func=_cmd_find_model)
+
+
+def _tune_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--model", required=True)
+    parser.add_argument("--data", required=True)
+    parser.add_argument("--target", default=None)
+    parser.add_argument("--trials", type=_count(1), default=20)
+    parser.add_argument("--seeds", type=_count(1), default=3)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--store", default="tuning.jsonl")
+    parser.add_argument("--out", default=None)
+    parser.set_defaults(func=_cmd_tune)
+
+
+def _report_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--store", required=True)
+    parser.add_argument("--out", default="report.csv")
+    parser.set_defaults(func=_cmd_report)
+
+
+def _predict_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--model", required=True)
+    parser.add_argument("--data", required=True)
+    parser.add_argument("--out", default="predictions.csv")
+    parser.set_defaults(func=_cmd_predict)
+
+
+# command name -> (its line in the top-level help, the function adding its options)
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
+    "find-model": ("search for the best model on a dataset", _find_model_options),
+    "tune": ("compare optimizers on a trained model's architecture", _tune_options),
+    "report": ("export a study store as CSV", _report_options),
+    "predict": ("apply a saved model to new data", _predict_options),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command: the only one that prints the top-level help
+    and the top-level errors."""
     parser = argparse.ArgumentParser(
         prog="qmlfinder",
         description="Search, train, and serialize quantum ML models from CSV data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    find = sub.add_parser("find-model", help="search for the best model on a dataset")
-    find.add_argument("--task", required=True, choices=[t.value for t in TaskType])
-    find.add_argument("--data", required=True, help="CSV file with header row")
-    find.add_argument("--target", default=None, help="target column (ignored for clustering)")
-    find.add_argument("--trials", type=_count(1), default=20)
-    find.add_argument("--seeds", type=_count(1), default=3)
-    find.add_argument("--epochs", type=_count(0), default=10)
-    find.add_argument("--threshold", default=0.8,
-                      type=_checked(float, "a number", lambda value: not math.isnan(value)))
-    find.add_argument("--seed", type=int, default=0)
-    find.add_argument("--store", default="study.jsonl")
-    find.add_argument("--out", default="model.json")
-    find.set_defaults(func=_cmd_find_model)
-
-    tune = sub.add_parser("tune", help="compare optimizers on a trained model's architecture")
-    tune.add_argument("--model", required=True)
-    tune.add_argument("--data", required=True)
-    tune.add_argument("--target", default=None)
-    tune.add_argument("--trials", type=_count(1), default=20)
-    tune.add_argument("--seeds", type=_count(1), default=3)
-    tune.add_argument("--seed", type=int, default=0)
-    tune.add_argument("--store", default="tuning.jsonl")
-    tune.add_argument("--out", default=None)
-    tune.set_defaults(func=_cmd_tune)
-
-    report = sub.add_parser("report", help="export a study store as CSV")
-    report.add_argument("--store", required=True)
-    report.add_argument("--out", default="report.csv")
-    report.set_defaults(func=_cmd_report)
-
-    predict = sub.add_parser("predict", help="apply a saved model to new data")
-    predict.add_argument("--model", required=True)
-    predict.add_argument("--data", required=True)
-    predict.add_argument("--out", default="predictions.csv")
-    predict.set_defaults(func=_cmd_predict)
-
+    for name, (summary, add_options) in _COMMANDS.items():
+        add_options(sub.add_parser(name, help=summary))
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by its command's parser alone, which prints what that
+    command's subparser in the full parser prints. argv naming no command, or
+    holding arguments its command does not know (argparse reports those from
+    the top level), goes to the full parser."""
+    if argv and argv[0] in _COMMANDS:
+        _, add_options = _COMMANDS[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"qmlfinder {argv[0]}")
+        add_options(parser)
+        args, unknown = parser.parse_known_args(argv[1:])
+        if not unknown:
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def _is_float(text: str) -> bool:
@@ -297,9 +328,8 @@ def _join_float_values(argv: list[str]) -> list[str]:
 
 
 def cli_main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_join_float_values(sys.argv[1:] if argv is None else argv))
+        args = _parse(_join_float_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:

@@ -253,6 +253,10 @@ class QNNRegressor(QNN):
     def __init__(self, circuit: CircuitSpec, *, batch_size: int, n_epochs: int,
                  r2_threshold: float, seed: int = 0, weights: Sequence[float] | None = None,
                  target_min: float | None = None, target_max: float | None = None) -> None:
+        for name, bound in (("target_min", target_min), ("target_max", target_max)):
+            if bound is not None and not (isinstance(bound, (int, float))
+                                          and not isinstance(bound, bool) and isfinite(bound)):
+                raise ValueError(f"{name} must be null or a finite number, got {bound!r}")
         super().__init__(circuit, batch_size=batch_size, n_epochs=n_epochs, seed=seed,
                          weights=weights)
         self.r2_threshold = r2_threshold

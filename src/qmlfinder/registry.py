@@ -89,9 +89,12 @@ def _build_amplitude(x: Sequence[float], n_wires: int) -> list[Operation]:
         )
     rows = np.zeros(features.shape[1:] + (dim,))  # contiguous rows: each norm below is
     rows[..., : len(features)] = features.T  # the same ddot as np.linalg.norm of one row
-    norm = np.sqrt((rows[..., None, :] @ rows[..., :, None])[..., 0, 0])
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        norm = np.sqrt((rows[..., None, :] @ rows[..., :, None])[..., 0, 0])
     if np.any(norm == 0.0):
         raise ValueError("AMPLITUDE embedding of an all-zero vector is undefined")
+    if not np.all(np.isfinite(norm)):
+        raise ValueError("AMPLITUDE embedding of a vector whose norm overflows is undefined")
     return [StatePrep((rows / norm[..., None]).astype(complex))]
 
 

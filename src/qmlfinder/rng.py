@@ -15,10 +15,11 @@ Generators:
 Jump table: the xorshift state update is linear over GF(2) (Vigna,
 arXiv:1402.6246), so the state j + 1 steps after s is the XOR, over the set
 bits i of s, of the state j + 1 steps after the single bit i. `uniforms` reads
-those states from a table of 64 x 128 `uint64` (64 KiB): entry [i, j] is the
-state j + 1 steps after bit i. One table pass yields up to 128 successive
-states; longer draws chain passes from the last state. The table is built on
-the first `uniforms` call, never at import, and is the same for every stream.
+those states, for draws of _TABLE_MIN_DRAWS or more, from a table of
+64 x 128 `uint64` (64 KiB): entry [i, j] is the state j + 1 steps after bit i.
+One table pass yields up to 128 successive states; longer draws chain passes
+from the last state. The table is built on the first such draw, never at
+import, and is the same for every stream.
 All of its arithmetic uses explicit `np.uint64` operands, so numpy's integer
 promotion rules (which changed in numpy 2) cannot change a bit.
 """
@@ -39,6 +40,9 @@ _SPLITMIX_MUL2 = 0x94D049BB133111EB
 _XORSHIFT_MUL = 0x2545F4914F6CDD1D
 
 _JUMP_STEPS = 128  # successive states per jump-table pass
+# Fewer draws than this take the scalar chain: one table pass costs about as
+# much as 20 `uniform` calls (measured with CPython 3.11 and numpy 2).
+_TABLE_MIN_DRAWS = 20
 _UNIT_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 #: Stride for deriving per-repeat training seeds: seed_k = base_seed * SEED_STRIDE + k.
@@ -138,8 +142,11 @@ class PortableRng:
 
     def uniforms(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """n successive `uniform(low, high)` draws as a float64 array, bit for bit,
-        with the stream left where n `uniform` calls leave it. The states come
-        from the jump table (module docstring), up to _JUMP_STEPS per pass."""
+        with the stream left where n `uniform` calls leave it. Below
+        _TABLE_MIN_DRAWS they are those calls; from there the states come from
+        the jump table (module docstring), up to _JUMP_STEPS per pass."""
+        if n < _TABLE_MIN_DRAWS:
+            return np.array([self.uniform(low, high) for _ in range(n)], dtype=np.float64)
         table, states, x = _jump_table(), np.empty(n, dtype=np.uint64), self._state
         for start in range(0, n, _JUMP_STEPS):
             block = states[start:start + _JUMP_STEPS]

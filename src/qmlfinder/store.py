@@ -13,12 +13,13 @@ import io
 import json
 import math
 import os
+import reprlib
 import threading
 from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .records import StudyFailureError, TrialRecord, select_best
-from .registry import Registry
+from .registry import Registry, TaskType
 
 FORMAT_VERSION = 1
 
@@ -91,12 +92,46 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "ModelSpec":
-        return cls(**{f.name: doc[f.name] for f in fields(cls)})
+        """The spec of a parsed model file; a field of the wrong type raises
+        ValueError naming it."""
+        spec = cls(**{f.name: doc[f.name] for f in fields(cls)})
+        for name, rule, ok in _FIELD_RULES:
+            value = getattr(spec, name)
+            if not ok(value):
+                raise ValueError(f"{name} must be {rule}, got {reprlib.repr(value)}")
+        return spec
 
     @classmethod
     def from_json(cls, text: str) -> "ModelSpec":
         """Parse a model file; NaN, Infinity and overflowing numbers raise ValueError."""
         return cls.from_dict(json.loads(text, parse_float=_finite, parse_constant=_finite))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_TASKS = frozenset(task.value for task in TaskType)
+
+# (field, what it must be, test) for the fields every model file has
+_FIELD_RULES = (
+    ("task", f"one of {sorted(_TASKS)}", lambda v: isinstance(v, str) and v in _TASKS),
+    ("n_features", "an integer", _is_int),
+    ("n_wires", "an integer", _is_int),
+    ("format_version", "an integer", _is_int),
+    ("embedding", "null or an object with a string name and an object fixed_options",
+     lambda v: v is None or (isinstance(v, dict) and isinstance(v.get("name"), str)
+                             and isinstance(v.get("fixed_options"), dict))),
+    ("layers", "a list of names",
+     lambda v: isinstance(v, list) and all(isinstance(name, str) for name in v)),
+    ("weights", "a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
+    ("extras", "an object", lambda v: isinstance(v, dict)),
+    ("metadata", "an object", lambda v: isinstance(v, dict)),
+)
 
 
 def _finite(text: str) -> float:
@@ -151,7 +186,11 @@ def model_from_spec(spec: ModelSpec, registry: Registry):
         raise ValueError(f"unsupported model format_version {spec.format_version}")
     if spec.model_family not in registry.model_names:
         raise ValueError(f"unknown model family {spec.model_family!r}")
-    return registry.model(spec.model_family).from_spec(spec, registry)
+    family = registry.model(spec.model_family)
+    if spec.task != family.task.value:
+        raise ValueError(f"task {spec.task!r} is not the {family.task.value!r} of a "
+                         f"{spec.model_family} model")
+    return family.from_spec(spec, registry)
 
 
 def _format_cell(value) -> str:

@@ -1,5 +1,7 @@
 """CLI surface: subcommands, exit codes, and invocation determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -582,3 +584,169 @@ def test_tune_on_one_class_target_is_data_error(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "'y'" in err[0] and "only class 0" in err[0]
     assert not (tmp_path / "t.jsonl").exists()
+
+
+# -- model files of the wrong type, rows whose norm overflows -------------------
+
+
+def _regressor_model_doc():
+    from qmlfinder import ANGLE, BASIC_ENTANGLER, BudgetLedger, CircuitSpec, QNNRegressor
+    from qmlfinder.store import model_to_spec
+
+    model = QNNRegressor(CircuitSpec(1, ANGLE, (BASIC_ENTANGLER,)), batch_size=2, n_epochs=1,
+                         r2_threshold=0.8, seed=0)  # one weight
+    xs = np.linspace(-1.0, 1.0, 6)
+    model.fit(xs[:, None], np.sin(xs), BudgetLedger())
+    return model_to_spec(model, 1, {}).as_dict()
+
+
+WRONG_TYPE_MODEL_EDITS = {
+    # case: (model doc, edit, the field named)
+    **{f"{bound}_{kind}": (_regressor_model_doc,
+                           lambda doc, bound=bound, value=value: doc["extras"].update(
+                               {bound: value}), bound)
+       for bound in ("target_min", "target_max")
+       for kind, value in (("text", "1.0"), ("list", [1.0]), ("object", {"a": 1.0}),
+                           ("empty_list", []))},
+    **{f"weights_{kind}": (_regressor_model_doc,
+                           lambda doc, value=value: doc.update(weights=value), "weights")
+       for kind, value in (("number", 0.5), ("true", True), ("null", None))},
+    "weights_holding_a_bool": (_qnn_model_doc, lambda doc: doc["weights"].__setitem__(0, True),
+                               "weights"),
+    "n_wires_true": (_regressor_model_doc, lambda doc: doc.update(n_wires=True), "n_wires"),
+    "n_features_float": (_qnn_model_doc, lambda doc: doc.update(n_features=2.0), "n_features"),
+    "format_version_true": (_qnn_model_doc, lambda doc: doc.update(format_version=True),
+                            "format_version"),
+    "unknown_task": (_qnn_model_doc, lambda doc: doc.update(task="x"), "task"),
+    "foreign_task": (_regressor_model_doc, lambda doc: doc.update(task="classification"),
+                     "task"),
+    "embedding_text": (_qnn_model_doc, lambda doc: doc.update(embedding="ANGLE"), "embedding"),
+    "embedding_without_options": (_qnn_model_doc,
+                                  lambda doc: doc["embedding"].pop("fixed_options"),
+                                  "embedding"),
+    "layers_of_numbers": (_qnn_model_doc, lambda doc: doc.update(layers=[1]), "layers"),
+    "extras_list": (_qnn_model_doc, lambda doc: doc.update(extras=[]), "extras"),
+    "metadata_number": (_qnn_model_doc, lambda doc: doc.update(metadata=5), "metadata"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPE_MODEL_EDITS))
+def test_model_file_field_of_the_wrong_type_is_data_error(tmp_path, capsys, case):
+    make_doc, edit, field = WRONG_TYPE_MODEL_EDITS[case]
+    doc = make_doc()
+    edit(doc)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc))
+    features = tmp_path / "features.csv"
+    n_features = 1 if make_doc is _regressor_model_doc else 2
+    write_csv(features, [f"f{i}" for i in range(n_features)], [[0.2] * n_features] * 2)
+    code = cli_main(["predict", "--model", str(model_path), "--data", str(features),
+                     "--out", str(tmp_path / "pred.csv")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {model_path}: ") and field in err[0]
+    assert not (tmp_path / "pred.csv").exists()
+
+
+def test_rows_whose_norm_overflows_fail_every_amplitude_trial(tmp_path, capsys):
+    data = tmp_path / "huge.csv"
+    write_csv(data, ["f0", "f1", "y"],
+              [(sign * 1e308, -sign * 1e308, i % 2)
+               for i, sign in enumerate([1.0, -1.0] * 6)])
+    store = tmp_path / "s.jsonl"
+    code = cli_main(["find-model", "--task", "classification", "--data", str(data),
+                     "--target", "y", "--trials", "8", "--seeds", "1", "--epochs", "2",
+                     "--store", str(store),
+                     "--out", str(tmp_path / "m.json")])
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == ""
+    records = [json.loads(line) for line in store.read_text().splitlines()]
+    amplitude = [r for r in records if r["sampled"]["embedding"] == "AMPLITUDE"]
+    assert amplitude and len(amplitude) < len(records)
+    for record in amplitude:
+        assert record["status"] == "failed"
+        assert "AMPLITUDE embedding of a vector whose norm overflows" in record["error"]
+
+
+def test_predict_on_row_whose_norm_overflows_is_data_error(tmp_path, capsys):
+    from qmlfinder import AMPLITUDE, BASIC_ENTANGLER, CircuitSpec, QNNClassifier
+    from qmlfinder.store import model_to_spec
+
+    model = QNNClassifier(CircuitSpec(1, AMPLITUDE, (BASIC_ENTANGLER,)), batch_size=2,
+                          n_epochs=1, accuracy_threshold=0.8, seed=0)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model_to_spec(model, 2, {}).as_dict()))
+    features = tmp_path / "features.csv"
+    write_csv(features, ["f0", "f1"], [(1.0, 0.5), (1e308, -1e308)])
+    code = cli_main(["predict", "--model", str(model_path), "--data", str(features),
+                     "--out", str(tmp_path / "pred.csv")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {features}: ") and "overflows" in err[0]
+    assert not (tmp_path / "pred.csv").exists()
+
+
+# -- the invoked command's parser against the full parser ----------------------
+
+COMMANDS = ["find-model", "tune", "report", "predict"]
+PARSER_ARGVS = {
+    "no_argv": [],
+    "help": ["--help"],
+    "help_before_command": ["-h", "predict"],
+    "unknown_command": ["bogus"],
+    **{f"{command}_help": [command, "--help"] for command in COMMANDS},
+    **{f"{command}_missing_required": [command] for command in COMMANDS},
+    "unknown_task": ["find-model", "--task", "nope", "--data", "missing.csv"],
+    "zero_trials": ["find-model", "--task", "classification", "--data", "missing.csv",
+                    "--trials", "0"],
+    "nan_threshold": ["find-model", "--task", "classification", "--data", "missing.csv",
+                      "--threshold", "nan"],
+    "negative_infinite_threshold": ["find-model", "--task", "classification", "--data",
+                                    "missing.csv", "--target", "y", "--threshold", "-inf"],
+    "negative_infinite_threshold_joined": ["find-model", "--task", "classification",
+                                           "--data", "missing.csv", "--target", "y",
+                                           "--threshold=-inf"],
+    "abbreviated_option": ["predict", "--mod", "missing.json", "--data", "missing.csv"],
+    "unknown_option": ["predict", "--model", "missing.json", "--data", "missing.csv",
+                       "--bogus"],
+    "extra_positional": ["predict", "--model", "missing.json", "--data", "missing.csv",
+                         "extra"],
+}
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(PARSER_ARGVS))
+def test_the_command_parser_prints_what_the_full_parser_prints(monkeypatch, tmp_path, case):
+    from qmlfinder import cli
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = PARSER_ARGVS[case]
+    got = _outcome(argv)
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli._build_parser().parse_args(argv))
+    assert got == _outcome(argv)
+    assert got[0] in (EXIT_OK, EXIT_USAGE, EXIT_DATA)
+
+
+@pytest.mark.parametrize("argv", [[command, "--help"] for command in COMMANDS]
+                         + [["predict", "--model", "missing.json", "--data", "missing.csv"]])
+def test_a_command_builds_only_its_own_parser(monkeypatch, tmp_path, argv, capsys):
+    from qmlfinder import cli
+
+    def refuse():
+        raise AssertionError("built the parser of every command")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    code = cli_main(argv)
+    if argv[1] == "--help":
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.startswith(f"usage: qmlfinder {argv[0]} ")
+    else:
+        assert code == EXIT_DATA  # parsed, then the model file is missing

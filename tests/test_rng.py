@@ -89,10 +89,14 @@ def test_uniform_range():
 
 
 def test_jump_table_is_built_on_the_first_draw_not_at_import():
+    # draws below the crossover take the scalar chain and build no table
     code = (
         "from qmlfinder import rng; built = rng._jump_table.cache_info().currsize; "
-        "rng.PortableRng(0).uniforms(1); table = rng._jump_table(); "
-        "print(built, rng._jump_table.cache_info().currsize, table.nbytes, table.flags.writeable)"
+        "rng.PortableRng(0).uniforms(rng._TABLE_MIN_DRAWS - 1); "
+        "chain = rng._jump_table.cache_info().currsize; "
+        "rng.PortableRng(0).uniforms(rng._TABLE_MIN_DRAWS); table = rng._jump_table(); "
+        "print(built, chain, rng._jump_table.cache_info().currsize, table.nbytes, "
+        "table.flags.writeable)"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["0", "1", "65536", "False"]
+    assert out.stdout.split() == ["0", "0", "1", "65536", "False"]
