@@ -18,7 +18,7 @@ import numpy as np
 from .models import default_registry
 from .records import StudyFailureError
 from .registry import TaskType
-from .search import FinderConfig, UnsupportedModelError, find_hyperparameters, find_model
+from .search import FinderConfig, HyperparameterTuner, UnsupportedModelError, find_model
 from .simulator import CallCounter
 from .store import (
     ModelSpec,
@@ -80,12 +80,16 @@ def _task_data(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Features and targets of `task`, refusing data on which no trial could be
     scored before the study starts: a single-column clustering table, a
-    one-class classification target, or a constant regression target."""
+    one-class classification target, a constant regression target, or a
+    clustering column or regression target whose range (max - min) overflows
+    the float range, which no min-max scaling holds."""
     if task == TaskType.CLUSTERING:
         if data.shape[1] < 2:
             raise DataFormatError(
                 f"clustering needs at least 2 feature columns, found only {header[0]!r}"
             )
+        for name, column in zip(header, data.T):
+            _check_range(name, column)
         return data, None
     if target not in header:
         raise DataFormatError(f"target column {target!r} not found; columns are {header}")
@@ -104,6 +108,7 @@ def _task_data(
                 f"regression target {target!r} is constant ({float(y[0])!r}): "
                 "R^2 is undefined, so no trial could complete"
             )
+        _check_range(target, y)
         return X, y
     values = [float(v) for v in np.unique(y)]
     if not set(values) <= {0.0, 1.0}:
@@ -116,6 +121,14 @@ def _task_data(
             "both 0 and 1 are needed"
         )
     return X, y.astype(int)
+
+
+def _check_range(name: str, values: np.ndarray) -> None:
+    low, high = float(values.min()), float(values.max())
+    if not math.isfinite(high - low):  # float subtraction overflows to inf silently
+        raise DataFormatError(
+            f"column {name!r} ranges from {low!r} to {high!r}: max - min overflows the float range"
+        )
 
 
 def _load_model(path: str) -> tuple[ModelSpec, object]:
@@ -162,16 +175,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     if args.target is None:
         raise _Usage("--target is required for tune")
     X, y = _task_data(model.task, header, data, args.target)
-    best = find_hyperparameters(
-        spec,
-        X,
-        y,
-        default_registry(),
-        n_trials=args.trials,
-        n_seeds=args.seeds,
-        store=StudyStore(args.store),
-        base_seed=args.seed,
-    )
+    best = HyperparameterTuner(X, y, spec, store=StudyStore(args.store), n_trials=args.trials,
+                               n_seeds=args.seeds, base_seed=args.seed).find_hyperparameters()
     text = json.dumps(best.as_dict(), indent=2, sort_keys=True) + "\n"
     if args.out:
         write_text(args.out, text)
@@ -233,12 +238,12 @@ def _find_model_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--task", required=True, choices=[t.value for t in TaskType])
     parser.add_argument("--data", required=True, help="CSV file with header row")
     parser.add_argument("--target", default=None, help="target column (ignored for clustering)")
-    parser.add_argument("--trials", type=_count(1), default=20)
-    parser.add_argument("--seeds", type=_count(1), default=3)
-    parser.add_argument("--epochs", type=_count(0), default=10)
-    parser.add_argument("--threshold", default=0.8,
+    parser.add_argument("--trials", type=_count(1), default=FinderConfig.n_trials)
+    parser.add_argument("--seeds", type=_count(1), default=FinderConfig.n_seeds)
+    parser.add_argument("--epochs", type=_count(0), default=FinderConfig.n_epochs)
+    parser.add_argument("--threshold", default=FinderConfig.threshold,
                         type=_checked(float, "a number", lambda value: not math.isnan(value)))
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=FinderConfig.base_seed)
     parser.add_argument("--store", default="study.jsonl")
     parser.add_argument("--out", default="model.json")
     parser.set_defaults(func=_cmd_find_model)
@@ -248,9 +253,9 @@ def _tune_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", required=True)
     parser.add_argument("--data", required=True)
     parser.add_argument("--target", default=None)
-    parser.add_argument("--trials", type=_count(1), default=20)
-    parser.add_argument("--seeds", type=_count(1), default=3)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--trials", type=_count(1), default=HyperparameterTuner.n_trials)
+    parser.add_argument("--seeds", type=_count(1), default=HyperparameterTuner.n_seeds)
+    parser.add_argument("--seed", type=int, default=HyperparameterTuner.base_seed)
     parser.add_argument("--store", default="tuning.jsonl")
     parser.add_argument("--out", default=None)
     parser.set_defaults(func=_cmd_tune)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
 from math import ceil, floor, isfinite, pi, prod, sqrt
+from numbers import Integral, Real
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -84,6 +85,19 @@ def _rows(X) -> np.ndarray:
     raise ValueError(f"X must be a 2-D array of rows, got shape {X.shape}")
 
 
+def _require_range(low, high, name: str) -> None:
+    """Refuse bounds whose range high - low overflows the float range. `low`
+    and `high` are numbers, or arrays holding one bound per feature."""
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(np.subtract(high, low))
+    if not finite.all():
+        if finite.ndim:  # name the first feature whose range overflows
+            j = int(np.argmin(finite))
+            name, low, high = f"{name} {j}", low[j], high[j]
+        raise ValueError(f"{name} range {float(low)!r} to {float(high)!r} "
+                         "overflows the float range")
+
+
 def _check_binary_labels(y: np.ndarray) -> None:
     classes = set(np.unique(y))
     if not classes <= {0, 1}:
@@ -147,18 +161,24 @@ class QNN(CircuitModel):
     Subclasses map labels to targets, pick the training score, name their
     model-file extras in `extras_keys`: constructor keywords that are also
     attributes, and name the one taking the study threshold in `threshold_key`.
+    A batch size must be an integer >= 1, an epoch count an integer >= 0 and
+    the threshold a number; bools are neither.
     """
 
     extras_keys: tuple[str, ...] = ()
     threshold_key: str
 
-    def __init__(self, circuit: CircuitSpec, *, batch_size: int, n_epochs: int, seed: int,
-                 weights: Sequence[float] | None) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+    def __init__(self, circuit: CircuitSpec, *, batch_size: int, n_epochs: int,
+                 threshold: float, seed: int, weights: Sequence[float] | None) -> None:
+        for name, value, minimum in (("batch_size", batch_size, 1), ("n_epochs", n_epochs, 0)):
+            if isinstance(value, bool) or not (isinstance(value, Integral) and value >= minimum):
+                raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        if isinstance(threshold, bool) or not isinstance(threshold, Real):
+            raise ValueError(f"{self.threshold_key} must be a number, got {threshold!r}")
         super().__init__(circuit, seed, weights)
         self.batch_size = batch_size
         self.n_epochs = n_epochs
+        setattr(self, self.threshold_key, threshold)
         self.epochs_run = 0
 
     @classmethod
@@ -217,11 +237,10 @@ class QNNClassifier(QNN):
     def __init__(self, circuit: CircuitSpec, *, batch_size: int, n_epochs: int,
                  accuracy_threshold: float, seed: int = 0,
                  weights: Sequence[float] | None = None) -> None:
+        super().__init__(circuit, batch_size=batch_size, n_epochs=n_epochs,
+                         threshold=accuracy_threshold, seed=seed, weights=weights)
         if not 0.0 <= accuracy_threshold <= 1.0:
             raise ValueError("accuracy_threshold must be in [0, 1]")
-        super().__init__(circuit, batch_size=batch_size, n_epochs=n_epochs, seed=seed,
-                         weights=weights)
-        self.accuracy_threshold = accuracy_threshold
 
     def predict(self, X: np.ndarray, counter: CallCounter) -> np.ndarray:
         return (self.expectations(X, counter) <= 0).astype(int)
@@ -257,14 +276,16 @@ class QNNRegressor(QNN):
             if bound is not None and not (isinstance(bound, (int, float))
                                           and not isinstance(bound, bool) and isfinite(bound)):
                 raise ValueError(f"{name} must be null or a finite number, got {bound!r}")
-        super().__init__(circuit, batch_size=batch_size, n_epochs=n_epochs, seed=seed,
-                         weights=weights)
-        self.r2_threshold = r2_threshold
+        if target_min is not None and target_max is not None:
+            _require_range(target_min, target_max, "target")
+        super().__init__(circuit, batch_size=batch_size, n_epochs=n_epochs,
+                         threshold=r2_threshold, seed=seed, weights=weights)
         self.target_min = target_min
         self.target_max = target_max
 
     def _rescale(self, y: np.ndarray) -> np.ndarray:
-        return 2.0 * (y - self.target_min) / (self.target_max - self.target_min) - 1.0
+        # 2(y - min) / span, without doubling a span above half the float range
+        return (y - self.target_min) / ((self.target_max - self.target_min) / 2.0) - 1.0
 
     def _inverse(self, values: np.ndarray) -> np.ndarray:
         return (values + 1.0) / 2.0 * (self.target_max - self.target_min) + self.target_min
@@ -284,6 +305,7 @@ class QNNRegressor(QNN):
         self.target_max = float(y.max())
         if self.target_min == self.target_max:
             raise ValueError("constant targets: rescaling to [-1, 1] is undefined")
+        _require_range(self.target_min, self.target_max, "target")
         targets = self._rescale(y)
         score = partial(_r_squared, ss_tot=_ss_tot(targets))  # one total per fit
         return self._train(X, targets, score, self.r2_threshold, ledger, optimizer)
@@ -652,6 +674,9 @@ class RBMClusterer:
     encoder_epochs = 800
     encoder_learning_rate = 5.0
     rbm_learning_rate = 1.0
+    # model-file extras that are constructor keywords and attributes
+    extras_keys = ("input_size", "encoder_layers", "latent_size", "n_hidden",
+                   "firing_threshold", "n_epochs")
 
     def __init__(
         self,
@@ -734,9 +759,12 @@ class RBMClusterer:
 
     def _fit_scaling(self, X: np.ndarray) -> np.ndarray:
         """Fit the feature scaling to X; return the scaled data."""
-        self.feature_min = X.min(axis=0)
-        self.feature_max = X.max(axis=0)
+        self._set_scaling(X.min(axis=0), X.max(axis=0))
         return self._scale(X)
+
+    def _set_scaling(self, feature_min: np.ndarray, feature_max: np.ndarray) -> None:
+        _require_range(feature_min, feature_max, "feature")
+        self.feature_min, self.feature_max = feature_min, feature_max
 
     @staticmethod
     def prepare(models: Sequence["RBMClusterer"], X: np.ndarray) -> None:
@@ -748,6 +776,10 @@ class RBMClusterer:
         share one class, hence one encoder budget and one RBM learning rate."""
         X = np.asarray(X, dtype=float)
         if not models or X.size == 0:  # no data: each fit fails on it and records that
+            return
+        try:
+            _require_range(X.min(axis=0), X.max(axis=0), "feature")
+        except ValueError:  # unscalable data: each fit fails on it and records that
             return
         encoders = _groups(models, lambda m: (tuple(m.encoder.widths), m.seed))
         first, *others = [lead for lead, *_ in encoders]
@@ -791,31 +823,16 @@ class RBMClusterer:
         packed.extend(_floats(self.rbm.weights))
         packed.extend(_floats(self.rbm.visible_bias))
         packed.extend(_floats(self.rbm.hidden_bias))
-        extras = {
-            "input_size": self.input_size,
-            "encoder_layers": self.encoder_layers,
-            "encoder_widths": list(self.encoder.widths),
-            "latent_size": self.latent_size,
-            "n_hidden": self.n_hidden,
-            "firing_threshold": self.firing_threshold,
-            "n_epochs": self.n_epochs,
-            "feature_min": _floats(self.feature_min),
-            "feature_max": _floats(self.feature_max),
-        }
+        extras = {key: getattr(self, key) for key in self.extras_keys}
+        extras.update(encoder_widths=list(self.encoder.widths),
+                      feature_min=_floats(self.feature_min), feature_max=_floats(self.feature_max))
         return {"n_wires": 0, "embedding": None, "layers": [], "weights": packed, "extras": extras}
 
     @classmethod
     def from_spec(cls, spec, registry: Registry) -> "RBMClusterer":
         """Rebuild a ready-to-predict clusterer from a ModelSpec written by `spec_fields`."""
         extras = spec.extras
-        model = cls(
-            input_size=extras["input_size"],
-            encoder_layers=extras["encoder_layers"],
-            latent_size=extras["latent_size"],
-            n_hidden=extras["n_hidden"],
-            firing_threshold=extras["firing_threshold"],
-            n_epochs=extras["n_epochs"],
-        )
+        model = cls(**{key: extras[key] for key in cls.extras_keys})
         widths = model.encoder.widths
         if extras["encoder_widths"] != widths:
             raise ValueError(f"encoder_widths {extras['encoder_widths']} differ from the "
@@ -829,12 +846,13 @@ class RBMClusterer:
         rbm = model.rbm
         *encoder, rbm.weights, rbm.visible_bias, rbm.hidden_bias = _carve(flat, shapes)
         model.encoder.enc_weights, model.encoder.enc_biases = encoder[::2], encoder[1::2]
-        for name in ("feature_min", "feature_max"):
-            bound = np.asarray(extras[name], dtype=float)
+        bounds = {name: np.asarray(extras[name], dtype=float)
+                  for name in ("feature_min", "feature_max")}
+        for name, bound in bounds.items():
             if bound.shape != (model.input_size,):
                 raise ValueError(f"{name} has shape {bound.shape}, expected "
                                  f"({model.input_size},)")
-            setattr(model, name, bound)
+        model._set_scaling(*bounds.values())
         return model
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from typing import Any
 
 
@@ -12,47 +12,29 @@ class StudyFailureError(RuntimeError):
 
 @dataclass
 class TrialRecord:
-    """Outcome of one search trial."""
+    """Outcome of one search trial. Its fields, in order, are the keys of its
+    line in the study store."""
 
     trial_id: int
-    seed: int
-    sampled: dict[str, Any]
-    per_seed_scores: list[float]
+    status: str  # complete | failed
+    feasible: bool
     mean_score: float | None
+    per_seed_scores: list[float]
     total_calls: int
     subtotals: dict[str, int]
-    feasible: bool
-    status: str  # complete | failed
-    error: str | None = field(default=None)
+    seed: int
+    sampled: dict[str, Any]
+    error: str | None = None
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "trial_id": self.trial_id,
-            "status": self.status,
-            "feasible": self.feasible,
-            "mean_score": self.mean_score,
-            "per_seed_scores": self.per_seed_scores,
-            "total_calls": self.total_calls,
-            "subtotals": self.subtotals,
-            "seed": self.seed,
-            "sampled": self.sampled,
-            "error": self.error,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "TrialRecord":
-        return cls(
-            trial_id=doc["trial_id"],
-            seed=doc["seed"],
-            sampled=doc["sampled"],
-            per_seed_scores=doc["per_seed_scores"],
-            mean_score=doc["mean_score"],
-            total_calls=doc["total_calls"],
-            subtotals=doc["subtotals"],
-            feasible=doc["feasible"],
-            status=doc["status"],
-            error=doc.get("error"),
-        )
+        """The record of a parsed store line; a missing field other than
+        `error` raises KeyError."""
+        return cls(**{f.name: doc[f.name] for f in fields(cls)
+                      if f.name in doc or f.default is MISSING})
 
 
 def rank_key(record: TrialRecord) -> tuple:

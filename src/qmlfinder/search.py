@@ -24,9 +24,8 @@ from .records import StudyFailureError, TrialRecord, rank_key
 from .registry import Registry, TaskType
 from .rng import PortableRng, derive_seed, repeat_seed
 from .store import ModelSpec, StudyStore, model_from_spec, model_to_spec
-from .training import BudgetLedger, OptimizerConfig
+from .training import OPTIMIZER_KINDS, BudgetLedger, OptimizerConfig
 
-TUNER_OPTIMIZER_KINDS = ("vanilla_gd", "momentum_gd", "adam")
 TUNER_LEARNING_RATE_RANGE = (1e-3, 0.5)
 TUNER_MOMENTUM_RANGE = (0.0, 0.99)
 
@@ -143,19 +142,18 @@ def evaluate_config(
         status = "failed"
         feasible = False
         error = f"{type(exc).__name__}: {exc}"
-    record = TrialRecord(
+    return TrialRecord(
         trial_id=trial.trial_id,
-        seed=trial.seed,
-        sampled=dict(trial.sampled),
-        per_seed_scores=scores,
+        status=status,
+        feasible=feasible,
         mean_score=mean_score,
+        per_seed_scores=scores,
         total_calls=ledger.total,
         subtotals=ledger.as_dict(),
-        feasible=feasible,
-        status=status,
+        seed=trial.seed,
+        sampled=dict(trial.sampled),
         error=error,
     )
-    return record
 
 
 def _plan_repeats(trial: Trial, config: FinderConfig, registry: Registry, X: np.ndarray) -> list:
@@ -290,103 +288,13 @@ def find_model(
     return model_to_spec(model, X.shape[1], metadata)
 
 
-def find_hyperparameters(
-    model_spec: ModelSpec,
-    X: np.ndarray,
-    y,
-    registry: Registry,
-    *,
-    n_trials: int = 20,
-    n_seeds: int = 3,
-    store: StudyStore | None = None,
-    base_seed: int = 0,
-) -> OptimizerConfig:
-    """Compare optimizer configurations on a fixed architecture, retraining it
-    from scratch per seed; the best mean final score wins, ties broken by
-    fewer device calls then lower trial id. Non-finite X or y, or n_trials or
-    n_seeds below 1, raise a ValueError naming which before the first trial."""
-    for name, count in (("n_trials", n_trials), ("n_seeds", n_seeds)):
-        if count < 1:
-            raise ValueError(f"{name} must be >= 1")
-    model = model_from_spec(model_spec, registry)
-    if not isinstance(model, QNN):
-        raise UnsupportedModelError(
-            f"{model_spec.model_family} is not gradient-trained; nothing to tune"
-        )
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
-    _require_finite(X, y)
-
-    optimizers: dict[int, OptimizerConfig] = {}
-
-    def evaluate(trial: Trial) -> TrialRecord:
-        kind = trial.suggest_categorical("optimizer", list(TUNER_OPTIMIZER_KINDS))
-        learning_rate = trial.suggest_float(
-            "learning_rate", *TUNER_LEARNING_RATE_RANGE, log=True
-        )
-        momentum = (
-            trial.suggest_float("momentum", *TUNER_MOMENTUM_RANGE)
-            if kind == "momentum_gd"
-            else 0.0
-        )
-        opt = OptimizerConfig(kind=kind, learning_rate=learning_rate, momentum=momentum)
-        optimizers[trial.trial_id] = opt
-
-        def fit_repeat(seed: int, ledger: BudgetLedger) -> float:
-            return float(model.reseeded(seed).fit(X, y, ledger, optimizer=opt).train_score)
-
-        return evaluate_config(trial, fit_repeat, n_seeds, base_seed, None)
-
-    trials = (Trial(t, derive_seed(base_seed, t)) for t in range(n_trials))
-    records = _run_trials(trials, evaluate, store)
-    complete = [r for r in records if r.status == "complete"]
-    if not complete:
-        raise StudyFailureError("no tuner trial completed")
-    best = min(complete, key=lambda r: (-r.mean_score, r.total_calls, r.trial_id))
-    return optimizers[best.trial_id]
-
-
-class ModelFinder:
-    """Convenience wrapper: hold data and config, then call find_model().
-    n_cores must be >= 1 but parallelizes nothing: trials run serially in id order."""
-
-    def __init__(
-        self,
-        task: TaskType | str,
-        X: np.ndarray,
-        y=None,
-        *,
-        registry: Registry | None = None,
-        store: StudyStore | None = None,
-        n_trials: int = 20,
-        n_seeds: int = 3,
-        n_epochs: int = 10,
-        n_cores: int = 1,
-        threshold: float = 0.8,
-        base_seed: int = 0,
-    ) -> None:
-        self.config = FinderConfig(
-            task=TaskType(task),
-            n_trials=n_trials,
-            n_seeds=n_seeds,
-            n_epochs=n_epochs,
-            n_cores=n_cores,
-            threshold=threshold,
-            base_seed=base_seed,
-        )
-        self.registry = registry if registry is not None else default_registry()
-        self.store = store
-        self._X = X
-        self._y = y
-
-    def find_model(self) -> ModelSpec:
-        return find_model(self.config, self.registry, self._X, self._y, self.store)
-
-
 @dataclass(eq=False)
 class HyperparameterTuner:
-    """Convenience wrapper around find_hyperparameters; the default registry
-    unless one is given."""
+    """Compare optimizer configurations on a fixed architecture, retraining it
+    from scratch per seed; the best mean final score wins, ties broken by
+    fewer device calls then lower trial id. The default registry unless one
+    is given. Non-finite X or y, or n_trials or n_seeds below 1, raise a
+    ValueError naming which before the first trial."""
 
     X: np.ndarray
     y: Any
@@ -399,7 +307,71 @@ class HyperparameterTuner:
     base_seed: int = 0
 
     def find_hyperparameters(self) -> OptimizerConfig:
+        for name in ("n_trials", "n_seeds"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         registry = self.registry if self.registry is not None else default_registry()
-        return find_hyperparameters(self.model_spec, self.X, self.y, registry,
-                                    n_trials=self.n_trials, n_seeds=self.n_seeds,
-                                    store=self.store, base_seed=self.base_seed)
+        model = model_from_spec(self.model_spec, registry)
+        if not isinstance(model, QNN):
+            raise UnsupportedModelError(
+                f"{self.model_spec.model_family} is not gradient-trained; nothing to tune"
+            )
+        X = np.asarray(self.X, dtype=float)
+        y = np.asarray(self.y)
+        _require_finite(X, y)
+
+        optimizers: dict[int, OptimizerConfig] = {}
+
+        def evaluate(trial: Trial) -> TrialRecord:
+            kind = trial.suggest_categorical("optimizer", list(OPTIMIZER_KINDS))
+            learning_rate = trial.suggest_float(
+                "learning_rate", *TUNER_LEARNING_RATE_RANGE, log=True
+            )
+            momentum = (
+                trial.suggest_float("momentum", *TUNER_MOMENTUM_RANGE)
+                if kind == "momentum_gd"
+                else 0.0
+            )
+            opt = OptimizerConfig(kind=kind, learning_rate=learning_rate, momentum=momentum)
+            optimizers[trial.trial_id] = opt
+
+            def fit_repeat(seed: int, ledger: BudgetLedger) -> float:
+                return float(model.reseeded(seed).fit(X, y, ledger, optimizer=opt).train_score)
+
+            return evaluate_config(trial, fit_repeat, self.n_seeds, self.base_seed, None)
+
+        trials = (Trial(t, derive_seed(self.base_seed, t)) for t in range(self.n_trials))
+        records = _run_trials(trials, evaluate, self.store)
+        complete = [r for r in records if r.status == "complete"]
+        if not complete:
+            raise StudyFailureError("no tuner trial completed")
+        best = min(complete, key=lambda r: (-r.mean_score, r.total_calls, r.trial_id))
+        return optimizers[best.trial_id]
+
+
+def find_hyperparameters(
+    model_spec: ModelSpec, X: np.ndarray, y, registry: Registry, **options
+) -> OptimizerConfig:
+    """`HyperparameterTuner`'s study on `registry`; the keyword options
+    (`store`, `n_trials`, `n_seeds`, `base_seed`) are its fields, with its
+    defaults."""
+    return HyperparameterTuner(X, y, model_spec, registry=registry,
+                               **options).find_hyperparameters()
+
+
+class ModelFinder:
+    """Convenience wrapper: hold data and config, then call find_model(). The
+    keyword options are `FinderConfig`'s fields, with its defaults. n_cores
+    must be >= 1 but parallelizes nothing: trials run serially in id order."""
+
+    def __init__(self, task: TaskType | str, X: np.ndarray, y=None, *,
+                 registry: Registry | None = None, store: StudyStore | None = None,
+                 **options) -> None:
+        self.config = FinderConfig(task=TaskType(task), **options)
+        self.registry = registry if registry is not None else default_registry()
+        self.store = store
+        self._X = X
+        self._y = y
+
+    def find_model(self) -> ModelSpec:
+        return find_model(self.config, self.registry, self._X, self._y, self.store)

@@ -627,6 +627,8 @@ WRONG_TYPE_MODEL_EDITS = {
     "layers_of_numbers": (_qnn_model_doc, lambda doc: doc.update(layers=[1]), "layers"),
     "extras_list": (_qnn_model_doc, lambda doc: doc.update(extras=[]), "extras"),
     "metadata_number": (_qnn_model_doc, lambda doc: doc.update(metadata=5), "metadata"),
+    "r2_threshold_text": (_regressor_model_doc,
+                          lambda doc: doc["extras"].update(r2_threshold="0.8"), "r2_threshold"),
 }
 
 
@@ -645,6 +647,74 @@ def test_model_file_field_of_the_wrong_type_is_data_error(tmp_path, capsys, case
     assert code == EXIT_DATA
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {model_path}: ") and field in err[0]
+    assert not (tmp_path / "pred.csv").exists()
+
+
+MALFORMED_QNN_EXTRAS = {
+    # case: (extras field, value)
+    **{f"n_epochs_{kind}": ("n_epochs", value)
+       for kind, value in (("text", "x"), ("huge", 1e308), ("fraction", 2.5), ("negative", -1))},
+    "batch_size_true": ("batch_size", True),
+    "batch_size_zero": ("batch_size", 0),
+    "batch_size_fraction": ("batch_size", 2.5),
+    "accuracy_threshold_text": ("accuracy_threshold", "0.8"),
+    "accuracy_threshold_true": ("accuracy_threshold", True),
+}
+
+
+@pytest.mark.parametrize("command", ["tune", "predict"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_QNN_EXTRAS))
+def test_malformed_qnn_extras_are_data_errors(tmp_path, blobs_csv, capsys, command, case):
+    # tune would otherwise run its whole study on them (or tune a batch size of true)
+    field, value = MALFORMED_QNN_EXTRAS[case]
+    doc = _qnn_model_doc()
+    doc["extras"][field] = value
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc))
+    out = tmp_path / ("t.jsonl" if command == "tune" else "pred.csv")
+    if command == "tune":
+        argv = ["tune", "--model", str(model_path), "--data", str(blobs_csv), "--target", "y",
+                "--trials", "2", "--seeds", "1", "--store", str(out)]
+    else:
+        features = tmp_path / "features.csv"
+        write_csv(features, ["f0", "f1"], [(1.0, 1.0), (-1.0, -1.0)])
+        argv = ["predict", "--model", str(model_path), "--data", str(features),
+                "--out", str(out)]
+    assert cli_main(argv) == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {model_path}: ") and field in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task", ["clustering", "regression"])
+def test_a_column_whose_range_overflows_is_data_error(tmp_path, capsys, task):
+    # min-max scaling would overflow: the study used to warn and fail every trial
+    data = tmp_path / "huge.csv"
+    write_csv(data, ["f0", "f1", "y"],
+              [(0.1 * i, 0.2 * i, sign * 1e308) for i, sign in enumerate([1.0, -1.0] * 4)])
+    target = [] if task == "clustering" else ["--target", "y"]
+    code = cli_main(["find-model", "--task", task, "--data", str(data), *target, *FAST_FLAGS,
+                     "--store", str(tmp_path / "s.jsonl"), "--out", str(tmp_path / "m.json")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: column 'y' ") and "overflows" in err[0]
+    assert not (tmp_path / "s.jsonl").exists()
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_a_regressor_whose_target_range_overflows_is_data_error(tmp_path, capsys):
+    doc = _regressor_model_doc()
+    doc["extras"].update(target_min=-1e308, target_max=1e308)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc))
+    features = tmp_path / "features.csv"
+    write_csv(features, ["f0"], [[0.2], [0.4]])
+    code = cli_main(["predict", "--model", str(model_path), "--data", str(features),
+                     "--out", str(tmp_path / "pred.csv")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {model_path}: ")
+    assert "target range" in err[0] and "overflows" in err[0]
     assert not (tmp_path / "pred.csv").exists()
 
 

@@ -143,6 +143,41 @@ def test_regressor_constant_targets_rejected():
         model.fit(np.array([[0.1], [0.2]]), np.array([3.0, 3.0]), BudgetLedger())
 
 
+def test_regressor_refuses_a_target_range_past_the_float_range():
+    circuit = CircuitSpec(1, ANGLE, (BASIC_ENTANGLER,))
+    model = QNNRegressor(circuit, batch_size=4, n_epochs=1, r2_threshold=0.9)
+    with pytest.raises(ValueError, match="^target range -1e\\+308 to 1e\\+308 overflows"):
+        model.fit(np.array([[0.1], [0.2]]), np.array([-1e308, 1e308]), BudgetLedger())
+    with pytest.raises(ValueError, match="^target range"):
+        QNNRegressor(circuit, batch_size=4, n_epochs=1, r2_threshold=0.9, target_min=-1e308,
+                     target_max=1e308)
+
+
+def test_regressor_rescales_a_range_above_half_the_float_range():
+    # 2 * (y - min) would overflow; the rescaled targets still span [-1, 1]
+    model = QNNRegressor(CircuitSpec(1, ANGLE, ()), batch_size=4, n_epochs=0, r2_threshold=0.9,
+                         target_min=0.0, target_max=1.5e308)
+    assert model._rescale(np.array([0.0, 0.75e308, 1.5e308])).tolist() == [-1.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("extras", [{"batch_size": 0}, {"batch_size": True},
+                                    {"batch_size": 2.0}, {"n_epochs": -1},
+                                    {"n_epochs": 1.5}, {"n_epochs": "1"},
+                                    {"accuracy_threshold": "0.5"},
+                                    {"accuracy_threshold": False}])
+def test_qnn_refuses_options_of_the_wrong_type(extras):
+    options = {"batch_size": 2, "n_epochs": 1, "accuracy_threshold": 0.5, **extras}
+    (name,) = extras
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        QNNClassifier(CircuitSpec(1, ANGLE, ()), **options)
+
+
+def test_qnn_accepts_numpy_integer_options():
+    model = QNNClassifier(CircuitSpec(1, ANGLE, ()), batch_size=np.int64(2),
+                          n_epochs=np.int32(0), accuracy_threshold=np.float64(0.5))
+    assert (model.batch_size, model.n_epochs, model.accuracy_threshold) == (2, 0, 0.5)
+
+
 def test_regressor_inverse_map_midpoint():
     model = QNNRegressor(
         CircuitSpec(1, ANGLE, ()),
@@ -673,6 +708,19 @@ def test_rbm_degenerate_fit_returns_and_its_train_score_raises(cluster_blobs):
     seed_1 = _small_clusterer(seed=1).fit(cluster_blobs, None, BudgetLedger())  # one firing code
     with pytest.raises(ScoreUndefinedError, match="silhouette undefined"):
         seed_1.train_score
+
+
+def test_rbm_refuses_a_feature_range_past_the_float_range(cluster_blobs):
+    model = RBMClusterer(input_size=4, encoder_layers=1, latent_size=2, n_hidden=1,
+                         firing_threshold=0.5, n_epochs=1, seed=0)
+    X = cluster_blobs.copy()
+    X[:2, 1] = [1e308, -1e308]
+    with pytest.raises(ValueError, match="^feature 1 range -1e\\+308 to 1e\\+308 overflows"):
+        model.fit(X, None, BudgetLedger())
+    spec = model_to_spec(model.fit(cluster_blobs), 4, {})
+    spec.extras["feature_min"][3], spec.extras["feature_max"][3] = -1e308, 1e308
+    with pytest.raises(ValueError, match="^feature 3 range"):
+        model_from_spec(spec, default_registry())
 
 
 def test_rbm_validation():

@@ -7,6 +7,7 @@ import pytest
 from qmlfinder import (
     FinderConfig,
     HyperparameterTuner,
+    ModelFinder,
     PortableRng,
     Registry,
     StudyFailureError,
@@ -131,6 +132,29 @@ def test_finder_config_refuses_a_nan_threshold():
         FinderConfig(task=TaskType.CLASSIFICATION, threshold=float("nan"))
     for threshold in (float("inf"), float("-inf")):  # nothing, or every complete trial, passes
         assert FinderConfig(task=TaskType.CLASSIFICATION, threshold=threshold).threshold == threshold
+
+
+def test_model_finder_options_are_the_finder_config_fields(blobs40):
+    X, y = blobs40
+    finder = ModelFinder("classification", X, y, n_trials=2, threshold=0.5)
+    assert finder.config == FinderConfig(task=TaskType.CLASSIFICATION, n_trials=2, threshold=0.5)
+    assert ModelFinder(TaskType.CLASSIFICATION, X, y).config == FinderConfig(
+        task=TaskType.CLASSIFICATION)
+    with pytest.raises(TypeError):
+        ModelFinder("classification", X, y, n_trial=2)
+
+
+def test_command_defaults_are_the_api_defaults():
+    from qmlfinder.cli import _parse
+
+    find = _parse(["find-model", "--task", "classification", "--data", "d.csv"])
+    config = FinderConfig(task=TaskType.CLASSIFICATION)
+    assert (find.trials, find.seeds, find.epochs, find.threshold, find.seed) == (
+        config.n_trials, config.n_seeds, config.n_epochs, config.threshold, config.base_seed)
+    tune = _parse(["tune", "--model", "m.json", "--data", "d.csv"])
+    tuner = HyperparameterTuner(None, None, None)
+    assert (tune.trials, tune.seeds, tune.seed) == (tuner.n_trials, tuner.n_seeds,
+                                                    tuner.base_seed)
 
 
 def test_supervised_kwargs_bounds(registry):
@@ -977,6 +1001,26 @@ def test_tuner_refuses_counts_below_one_before_any_trial(registry, blobs40, tmp_
     with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
         find_hyperparameters(model_to_spec(qnn, 2, {}), X, y, registry, store=store, **counts)
     assert store.load() == []
+
+
+@pytest.mark.parametrize("task", [TaskType.CLUSTERING, TaskType.REGRESSION])
+def test_a_range_past_the_float_range_fails_each_trial(tmp_path, task):
+    # the min-max scaling is refused, not computed with an overflow warning
+    X = np.column_stack([np.linspace(0.0, 1.0, 8), np.linspace(1.0, 2.0, 8)])
+    huge = np.array([1e308, -1e308] * 4)
+    if task == TaskType.CLUSTERING:
+        X, y, name = np.column_stack([X, huge]), None, "feature 2 range"
+    else:
+        X, y, name = X[:, :1], huge, "target range"
+    store = StudyStore(tmp_path / "s.jsonl")
+    config = FinderConfig(task=task, n_trials=3, n_seeds=1, n_epochs=1)
+    with pytest.raises(StudyFailureError):
+        find_model(config, default_registry(), X, y, store)
+    records = store.load()
+    assert len(records) == 3
+    for record in records:
+        assert record.status == "failed"
+        assert record.error == f"ValueError: {name} -1e+308 to 1e+308 overflows the float range"
 
 
 def test_tuner_reruns_are_byte_identical(registry, blobs40, tmp_path):

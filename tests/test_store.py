@@ -63,6 +63,32 @@ def test_append_then_load_preserves_order(tmp_path):
     assert [r.as_dict() for r in loaded] == [r.as_dict() for r in originals]
 
 
+def test_a_store_line_is_the_record_fields_in_order(tmp_path):
+    path = tmp_path / "s.jsonl"
+    record = TrialRecord(
+        error="ValueError: boom", sampled={"model_type": "QNN", "batch_size": 16}, seed=11,
+        subtotals={"scoring": 3, "total": 7}, total_calls=7, per_seed_scores=[0.25, 0.75],
+        mean_score=0.5, feasible=False, status="failed", trial_id=3,
+    )
+    StudyStore(path).append_trial(record)
+    assert path.read_text(encoding="utf-8") == (
+        '{"trial_id": 3, "status": "failed", "feasible": false, "mean_score": 0.5, '
+        '"per_seed_scores": [0.25, 0.75], "total_calls": 7, '
+        '"subtotals": {"scoring": 3, "total": 7}, "seed": 11, '
+        '"sampled": {"model_type": "QNN", "batch_size": 16}, "error": "ValueError: boom"}\n'
+    )
+    assert StudyStore(path).load() == [record]
+
+
+def test_a_store_line_without_error_loads_with_error_none(tmp_path):
+    path = tmp_path / "s.jsonl"
+    path.write_text('{"trial_id": 0, "status": "complete", "feasible": true, "mean_score": 1.0, '
+                    '"per_seed_scores": [1.0], "total_calls": 2, "subtotals": {"total": 2}, '
+                    '"seed": 5, "sampled": {}}\n', encoding="utf-8")
+    (record,) = StudyStore(path).load()
+    assert record.error is None and record.trial_id == 0 and record.seed == 5
+
+
 def test_load_missing_file_is_empty(tmp_path):
     assert StudyStore(tmp_path / "nope.jsonl").load() == []
 
