@@ -54,25 +54,36 @@ def _read_table(path: str) -> tuple[list[str], np.ndarray]:
     header = rows[0]
     if not header or any(not name for name in header):
         raise DataFormatError(f"{path}: header row has empty column names")
-    data = np.empty((len(rows) - 1, len(header)))
+    values = []
     for i, row in enumerate(rows[1:], start=1):
         if len(row) != len(header):
             raise DataFormatError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
-        for j, cell in enumerate(row):
-            try:
-                value = float(cell)
-            except ValueError as exc:
-                raise DataFormatError(
-                    f"{path}: non-numeric value {cell!r} in column {header[j]!r} (row {i})"
-                ) from exc
-            if not math.isfinite(value):
-                raise DataFormatError(
-                    f"{path}: non-finite value {cell!r} in column {header[j]!r} (row {i})"
-                )
-            data[i - 1, j] = value
-    if data.shape[0] == 0:
+        values.append(_row_values(path, header, i, row))
+    if not values:
         raise DataFormatError(f"{path}: no data rows")
-    return header, data
+    return header, np.array(values)
+
+
+def _row_values(path: str, header: list[str], i: int, row: list[str]) -> list[float]:
+    """Row i's cells as floats, or the DataFormatError of its first
+    non-numeric or non-finite cell."""
+    try:
+        numbers = [*map(float, row)]
+        if all(map(math.isfinite, numbers)):
+            return numbers
+    except ValueError:
+        pass
+    for name, cell in zip(header, row):
+        try:
+            value = float(cell)
+        except ValueError as exc:
+            raise DataFormatError(
+                f"{path}: non-numeric value {cell!r} in column {name!r} (row {i})"
+            ) from exc
+        if not math.isfinite(value):
+            raise DataFormatError(
+                f"{path}: non-finite value {cell!r} in column {name!r} (row {i})"
+            )
 
 
 def _task_data(

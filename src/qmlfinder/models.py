@@ -98,6 +98,21 @@ def _require_range(low, high, name: str) -> None:
                          "overflows the float range")
 
 
+def _require_integer(name: str, value, minimum: int | None = None) -> None:
+    """Refuse a value that is not an integer (a bool is not; a numpy integer
+    is) or is below `minimum`."""
+    if (isinstance(value, bool) or not isinstance(value, Integral)
+            or minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def _require_number(name: str, value) -> None:
+    """Refuse a value that is not a real number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def _check_binary_labels(y: np.ndarray) -> None:
     classes = set(np.unique(y))
     if not classes <= {0, 1}:
@@ -170,11 +185,9 @@ class QNN(CircuitModel):
 
     def __init__(self, circuit: CircuitSpec, *, batch_size: int, n_epochs: int,
                  threshold: float, seed: int, weights: Sequence[float] | None) -> None:
-        for name, value, minimum in (("batch_size", batch_size, 1), ("n_epochs", n_epochs, 0)):
-            if isinstance(value, bool) or not (isinstance(value, Integral) and value >= minimum):
-                raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-        if isinstance(threshold, bool) or not isinstance(threshold, Real):
-            raise ValueError(f"{self.threshold_key} must be a number, got {threshold!r}")
+        _require_integer("batch_size", batch_size, 1)
+        _require_integer("n_epochs", n_epochs, 0)
+        _require_number(self.threshold_key, threshold)
         super().__init__(circuit, seed, weights)
         self.batch_size = batch_size
         self.n_epochs = n_epochs
@@ -364,8 +377,9 @@ class QEKClassifier(CircuitModel):
         seed: int = 0,
         weights: Sequence[float] | None = None,
     ) -> None:
-        if ridge_lambda <= 0:
-            raise ValueError("ridge_lambda must be > 0")
+        _require_number("ridge_lambda", ridge_lambda)
+        if not (isfinite(ridge_lambda) and ridge_lambda > 0):
+            raise ValueError(f"ridge_lambda must be finite and > 0, got {ridge_lambda!r}")
         super().__init__(circuit, seed, weights)
         self.ridge_lambda = ridge_lambda
         self.support_data: np.ndarray | None = None
@@ -541,8 +555,12 @@ def _train_stack(encoders: Sequence[BinaryEncoder], X: np.ndarray, n_epochs: int
     term of a real sum is an exact zero (a -inf bias, for zero activations,
     would send exp down its slow path). Activations, deltas, weights then
     biases, and gradients are consecutive views, in step order: each run of
-    steps of one shape (a padded stack is one) takes its gradients in one
-    matmul and one reduce, as numpy would per step."""
+    steps of one shape (a padded stack is one) repeats its biases over the
+    rows in one gather, into bias planes that make each bias add contiguous,
+    and takes its gradients in one matmul and one row sum, as numpy would per
+    step. A run wider than 1 sums its rows by einsum, in row order as
+    `np.add.reduce` does but without its per-row inner loop; numpy sums a
+    width-1 column pairwise, so such a run keeps the reduce."""
     layers = sorted(([*zip(e.enc_weights + e.dec_weights, e.enc_biases + e.dec_biases)]
                      for e in encoders), key=len, reverse=True)
     depth, n, features = len(layers[0]), len(X), X.shape[1]
@@ -575,20 +593,30 @@ def _train_stack(encoders: Sequence[BinaryEncoder], X: np.ndarray, n_epochs: int
             step_rates[i, :rows, :cols] = bias_rates[i, :rows] = learning_rate
             trained += [(W, step_weights[i, :rows, :cols]), (b, step_biases[i, :rows])]
     pairs = np.empty(2 * max(k * n * w_out for k, w_out, _ in steps))
-    forward = [(acts[s], weights[s].transpose(0, 2, 1), biases[s][:, None], acts[s + 1][:k],
+    # the bias planes borrow the complements' buffer, which the forward pass
+    # does not read: step s's plane fits in boundary s+1's, as counts never fall
+    all_planes = all_complements[:all_deltas.size]
+    planes = _carve(all_planes, [(k, n, w_out) for k, w_out, _ in steps])
+    forward = [(acts[s], weights[s].transpose(0, 2, 1), planes[s], acts[s + 1][:k],
                 pairs[:2 * k * n * w_out].reshape(2, k, n, w_out))
                for s, (k, w_out, _) in enumerate(steps)]
+    fills = [*zip(_split(params, runs)[1], [np.repeat(np.arange(k), n) for k, *_ in runs],
+                  _carve(all_planes, [(k * n, w_out) for k, w_out, _ in runs]))]
     backward = [(deltas[s][:k], weights[s][:k], deltas[s - 1], acts[s][:k], complements[s][:k])
                 for s, k in reversed([*enumerate(counts[:depth - 1], 1)])]
     run_deltas = _carve(all_deltas, [(k, n, w_out) for k, w_out, _ in runs])
     gradients = [*zip([delta.transpose(0, 2, 1) for delta in run_deltas],
                       _carve(all_acts, [(k, n, w_in) for k, _, w_in in runs]),
-                      *_split(grads, runs), run_deltas)]
+                      *_split(grads, runs), run_deltas,
+                      [partial(np.einsum, "knw->kw") if w_out > 1 else
+                       partial(np.add.reduce, axis=1) for _, w_out, _ in runs])]
     out, last, target = acts[-1], deltas[-1], acts[0][0]  # X, zero-padded
     for _ in range(n_epochs):
-        for inputs, weights_t, step_biases, step_out, pair in forward:
+        for run_biases, repeat, plane in fills:  # in range: "clip" only skips a buffer
+            run_biases.take(repeat, axis=0, out=plane, mode="clip")
+        for inputs, weights_t, plane, step_out, pair in forward:
             np.matmul(inputs, weights_t, out=step_out)
-            step_out += step_biases
+            step_out += plane
             _sigmoid(step_out, step_out, pair)
         np.subtract(1.0, all_acts, out=all_complements)
         np.subtract(out, target, out=last)
@@ -600,9 +628,9 @@ def _train_stack(encoders: Sequence[BinaryEncoder], X: np.ndarray, n_epochs: int
             np.matmul(delta, step_weights, out=prev)
             prev *= step_acts
             prev *= step_complements
-        for delta_t, inputs, weight_grads, bias_grads, delta in gradients:
+        for delta_t, inputs, weight_grads, bias_grads, delta, row_sum in gradients:
             np.matmul(delta_t, inputs, out=weight_grads)
-            np.add.reduce(delta, axis=1, out=bias_grads)
+            row_sum(delta, out=bias_grads)
         grads *= rates
         params -= grads
     for own, padded_view in trained:
@@ -611,7 +639,11 @@ def _train_stack(encoders: Sequence[BinaryEncoder], X: np.ndarray, n_epochs: int
 
 class RBM:
     """Bernoulli restricted Boltzmann machine trained by one-step contrastive
-    divergence; sampling uses the portable generator for determinism."""
+    divergence; sampling uses the portable generator for determinism.
+
+    `stacked` holds several machines along a leading axis of every array, so
+    one `cd1_epoch` trains them all, each bit for bit as if alone; `unstack`
+    writes them back."""
 
     # O(1) init spreads hidden activations enough for firing thresholds to bite
     init_scale = 1.0
@@ -627,25 +659,51 @@ class RBM:
         self.hidden_bias = np.zeros(n_hidden)
         self._sample_rng = PortableRng(derive_seed(seed, 2))
 
+    @classmethod
+    def stacked(cls, rbms: Sequence["RBM"]) -> "RBM":
+        """One machine holding `rbms` along a leading axis: weights (k, visible,
+        hidden), biases (k, 1, width) to broadcast over rows. The machines must
+        share their sample stream's state: the stack draws each Bernoulli
+        step's uniforms once, for all of them."""
+        stack = cls.__new__(cls)
+        stack.weights = np.stack([rbm.weights for rbm in rbms])
+        stack.visible_bias = np.stack([rbm.visible_bias for rbm in rbms])[:, None]
+        stack.hidden_bias = np.stack([rbm.hidden_bias for rbm in rbms])[:, None]
+        stack._sample_rng = deepcopy(rbms[0]._sample_rng)
+        return stack
+
+    def unstack(self, rbms: Sequence["RBM"]) -> None:
+        """Write this stack's machines back into `rbms`, sample stream included."""
+        for rbm, weights, visible_bias, hidden_bias in zip(
+                rbms, self.weights, self.visible_bias[:, 0], self.hidden_bias[:, 0]):
+            rbm.weights, rbm.visible_bias, rbm.hidden_bias = (
+                weights.copy(), visible_bias.copy(), hidden_bias.copy())
+            rbm._sample_rng = deepcopy(self._sample_rng)
+
     def hidden_probabilities(self, visible: np.ndarray) -> np.ndarray:
         return _sigmoid(visible @ self.weights + self.hidden_bias)
 
     def visible_probabilities(self, hidden: np.ndarray) -> np.ndarray:
-        return _sigmoid(hidden @ self.weights.T + self.visible_bias)
+        return _sigmoid(hidden @ self.weights.swapaxes(-1, -2) + self.visible_bias)
 
     def _bernoulli(self, probs: np.ndarray) -> np.ndarray:
-        draws = self._sample_rng.uniforms(probs.size).reshape(probs.shape)
+        """Samples of `probs`; a stack's machines share one (rows, width) draw."""
+        shape = probs.shape[-2:]
+        draws = self._sample_rng.uniforms(prod(shape)).reshape(shape)
         return (draws < probs).astype(float)
 
     def cd1_epoch(self, V: np.ndarray, learning_rate: float = 0.1) -> None:
+        """One CD-1 step on the rows of V: (rows, visible), or (k, rows, visible)
+        for a stack of k machines."""
         p_h = self.hidden_probabilities(V)
         h_sample = self._bernoulli(p_h)
         v_model = self._bernoulli(self.visible_probabilities(h_sample))
         p_h_model = self.hidden_probabilities(v_model)
-        n = len(V)
-        self.weights += learning_rate * (V.T @ p_h - v_model.T @ p_h_model) / n
-        self.visible_bias += learning_rate * (V - v_model).mean(axis=0)
-        self.hidden_bias += learning_rate * (p_h - p_h_model).mean(axis=0)
+        n = V.shape[-2]
+        self.weights += learning_rate * (V.swapaxes(-1, -2) @ p_h
+                                         - v_model.swapaxes(-1, -2) @ p_h_model) / n
+        for bias, diff in ((self.visible_bias, V - v_model), (self.hidden_bias, p_h - p_h_model)):
+            bias += (learning_rate * diff.mean(axis=-2)).reshape(bias.shape)
 
     def reconstruction_error(self, V: np.ndarray) -> float:
         recon = self.visible_probabilities(self.hidden_probabilities(V))
@@ -689,14 +747,14 @@ class RBMClusterer:
         n_epochs: int,
         seed: int = 0,
     ) -> None:
-        if input_size < 2:
-            raise ValueError("input size must be >= 2")
-        if latent_size < 1:
-            raise ValueError("latent_size must be >= 1")
-        if n_hidden < 1:
-            raise ValueError("n_hidden must be >= 1")
+        for name, value, minimum in (("input_size", input_size, 2),
+                                     ("encoder_layers", encoder_layers, 1),
+                                     ("latent_size", latent_size, 1), ("n_hidden", n_hidden, 1),
+                                     ("n_epochs", n_epochs, 0)):
+            _require_integer(name, value, minimum)
+        _require_number("firing_threshold", firing_threshold)
         if not 0.0 < firing_threshold < 1.0:
-            raise ValueError("firing_threshold must be in (0, 1)")
+            raise ValueError(f"firing_threshold must be in (0, 1), got {firing_threshold!r}")
         self.input_size = input_size
         self.encoder_layers = encoder_layers
         self.latent_size = latent_size
@@ -751,11 +809,18 @@ class RBMClusterer:
         a degenerate clustering raises ScoreUndefinedError here, not in `fit`."""
         return self.score(self._trained_on) if self._fitted else None
 
-    def _train_rbm(self, X: np.ndarray) -> None:
-        """CD-1 on the latent bits of X, under the scaling fitted to X."""
-        latents = self._latent_bits(X)
-        for _ in range(self.n_epochs):
-            self.rbm.cd1_epoch(latents, self.rbm_learning_rate)
+    @staticmethod
+    def _train_rbms(models: Sequence["RBMClusterer"], X: np.ndarray) -> None:
+        """CD-1 on each model's latent bits of X, under the scaling fitted to X,
+        all in one stacked RBM. The models share one class, the RBM shape, the
+        epoch count and the sample stream's state."""
+        for model in models:
+            model._fit_scaling(X)
+        stack = RBM.stacked([model.rbm for model in models])
+        latents = np.stack([model._latent_bits(X) for model in models])
+        for _ in range(models[0].n_epochs):
+            stack.cd1_epoch(latents, models[0].rbm_learning_rate)
+        stack.unstack([model.rbm for model in models])
 
     def _fit_scaling(self, X: np.ndarray) -> np.ndarray:
         """Fit the feature scaling to X; return the scaled data."""
@@ -772,8 +837,10 @@ class RBMClusterer:
         so a later `fit` on X trains nothing. Each distinct encoder, keyed by
         (widths, seed), trains once, all of them in one lockstep; each distinct
         RBM, keyed by (widths, seed, n_hidden, n_epochs), trains once on its
-        encoder's latent bits. Models sharing a key get copies. The models
-        share one class, hence one encoder budget and one RBM learning rate."""
+        encoder's latent bits, in stacks of one (latent_size, n_hidden,
+        n_epochs) and sample-stream state (a fresh RBM's follows its seed).
+        Models sharing a key get copies. The models share one class, hence one
+        encoder budget and one RBM learning rate."""
         X = np.asarray(X, dtype=float)
         if not models or X.size == 0:  # no data: each fit fails on it and records that
             return
@@ -789,10 +856,12 @@ class RBMClusterer:
         for lead, *copies in encoders:
             for model in copies:
                 model.encoder = deepcopy(lead.encoder)
-        for lead, *copies in _groups(models, lambda m: (tuple(m.encoder.widths), m.seed,
-                                                        m.n_hidden, m.n_epochs)):
-            lead._fit_scaling(X)
-            lead._train_rbm(X)
+        rbms = _groups(models, lambda m: (tuple(m.encoder.widths), m.seed, m.n_hidden,
+                                          m.n_epochs))
+        for stack in _groups([lead for lead, *_ in rbms], lambda m: (
+                m.latent_size, m.n_hidden, m.n_epochs, m.rbm._sample_rng._state)):
+            first._train_rbms(stack, X)
+        for lead, *copies in rbms:
             for model in copies:
                 model.rbm = deepcopy(lead.rbm)
         data = X.copy()

@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .models import QNN, Score, default_registry
+from .models import QNN, Score, _require_integer, _require_number, default_registry
 from .records import StudyFailureError, TrialRecord, rank_key
 from .registry import Registry, TaskType
 from .rng import PortableRng, derive_seed, repeat_seed
@@ -72,14 +72,10 @@ class FinderConfig:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
-        if self.n_seeds < 1:
-            raise ValueError("n_seeds must be >= 1")
-        if self.n_cores < 1:
-            raise ValueError("n_cores must be >= 1")
-        if self.n_epochs < 0:
-            raise ValueError("n_epochs must be >= 0")
+        for name, minimum in (("n_trials", 1), ("n_seeds", 1), ("n_epochs", 0), ("n_cores", 1),
+                              ("base_seed", None)):
+            _require_integer(name, getattr(self, name), minimum)
+        _require_number("threshold", self.threshold)
         if isnan(self.threshold):
             raise ValueError("threshold must be a number, got nan")
 

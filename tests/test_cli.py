@@ -255,6 +255,35 @@ def test_non_finite_cells_are_data_errors(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("cells, message", [
+    (("nan", "x"), "non-finite value 'nan' in column 'f0' (row 2)"),
+    (("x", "nan"), "non-numeric value 'x' in column 'f0' (row 2)"),
+    (("0.5", "-inf"), "non-finite value '-inf' in column 'f1' (row 2)"),
+    ((" 1", "1e999"), "non-finite value '1e999' in column 'f1' (row 2)"),
+])
+def test_a_table_names_its_first_bad_cell_in_row_order(tmp_path, cells, message):
+    from qmlfinder.cli import DataFormatError, _read_table
+
+    path = tmp_path / "bad.csv"
+    path.write_text(f"f0,f1\n0.1,0.2\n{','.join(cells)}\nx,x\n")
+    with pytest.raises(DataFormatError) as raised:
+        _read_table(str(path))
+    assert str(raised.value) == f"{path}: {message}"
+
+
+def test_a_table_holds_each_cell_as_float_reads_it(tmp_path):
+    from qmlfinder.cli import _read_table
+
+    cells = [["-0.0", "5e-324", "1.7976931348623157e308"], [" 0.1", "1_000", "-3"],
+             ["0.125", "1e-308", "2.5e-310"]]
+    path = tmp_path / "values.csv"
+    path.write_text("a,b,c\n" + "".join(",".join(row) + "\n" for row in cells))
+    header, data = _read_table(str(path))
+    want = np.array([[float(cell) for cell in row] for row in cells])
+    assert header == ["a", "b", "c"] and data.dtype == np.float64
+    assert data.shape == (3, 3) and data.tobytes() == want.tobytes()
+
+
 def test_predict_on_infinite_row_is_data_error(tmp_path, blobs_csv, capsys):
     assert run_find(tmp_path, blobs_csv) == EXIT_OK
     features = tmp_path / "features.csv"
@@ -684,6 +713,37 @@ def test_malformed_qnn_extras_are_data_errors(tmp_path, blobs_csv, capsys, comma
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {model_path}: ") and field in err[0]
     assert not out.exists()
+
+
+MALFORMED_CLUSTERER_AND_QEK_EXTRAS = {
+    # case: (model doc, extras field, value)
+    **{f"{field}_{kind}": (_rbm_model_doc, field, value)
+       for field in ("input_size", "encoder_layers", "latent_size", "n_hidden", "n_epochs")
+       for kind, value in (("text", "x"), ("list", [1, 2]), ("true", True), ("fraction", 2.5))},
+    "firing_threshold_text": (_rbm_model_doc, "firing_threshold", "0.5"),
+    "firing_threshold_true": (_rbm_model_doc, "firing_threshold", True),
+    "ridge_lambda_text": (_qek_model_doc, "ridge_lambda", "x"),
+    "ridge_lambda_true": (_qek_model_doc, "ridge_lambda", True),
+    "ridge_lambda_list": (_qek_model_doc, "ridge_lambda", [1e-3]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CLUSTERER_AND_QEK_EXTRAS))
+def test_malformed_clusterer_and_qek_extras_are_data_errors(tmp_path, capsys, case):
+    make_doc, field, value = MALFORMED_CLUSTERER_AND_QEK_EXTRAS[case]
+    doc = make_doc()
+    doc["extras"][field] = value
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc))
+    features = tmp_path / "features.csv"
+    n_features = 3 if make_doc is _rbm_model_doc else 2
+    write_csv(features, [f"f{i}" for i in range(n_features)], [[0.2] * n_features] * 2)
+    code = cli_main(["predict", "--model", str(model_path), "--data", str(features),
+                     "--out", str(tmp_path / "pred.csv")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {model_path}: ") and field in err[0]
+    assert not (tmp_path / "pred.csv").exists()
 
 
 @pytest.mark.parametrize("task", ["clustering", "regression"])

@@ -1,6 +1,8 @@
 """A one-field model-file fuzz through `cli_main predict`: a real model file
 with one top-level or `extras` field replaced by a value of the wrong kind
-either predicts (exit 0) or ends in one `error:` line, never a traceback."""
+either predicts (exit 0) or ends in one `error:` line, never a traceback. A
+clusterer option or the kernel ridge set to anything but a number is a data
+error (exit 2) that names the field."""
 
 import contextlib
 import io
@@ -65,6 +67,9 @@ def model_docs() -> dict[str, dict]:
 BAD_VALUES = ('"x"', "[1, 2]", '{"a": 1}', "true", "null", "NaN", "1e999", "1e308", "-1e308",
               "[]")
 PLACEHOLDER = "__replaced__"
+# extras their constructor type-checks, and the replacements that are no number
+TYPED_EXTRAS = {"RBM": RBMClusterer.extras_keys, "QEK": ("ridge_lambda",)}
+NOT_NUMBERS = ('"x"', "[1, 2]", '{"a": 1}', "true", "null", "[]")
 
 
 @st.composite
@@ -100,6 +105,8 @@ def test_a_model_file_with_one_bad_field_predicts_or_ends_in_one_error_line(work
         code = cli_main(["predict", "--model", str(model_path), "--data", str(data_path),
                          "--out", str(workdir / "predictions.csv")])
     lines = err.getvalue().splitlines()
+    if parents == ["extras"] and key in TYPED_EXTRAS.get(family, ()) and value in NOT_NUMBERS:
+        assert code == 2 and len(lines) == 1 and key in lines[0], lines
     if code != 0:
         assert code in (1, 2, 3)
         assert len(lines) == 1 and lines[0].startswith("error: "), lines

@@ -178,6 +178,37 @@ def test_qnn_accepts_numpy_integer_options():
     assert (model.batch_size, model.n_epochs, model.accuracy_threshold) == (2, 0, 0.5)
 
 
+CLUSTERER_OPTIONS = {"input_size": 3, "encoder_layers": 1, "latent_size": 2, "n_hidden": 1,
+                     "firing_threshold": 0.5, "n_epochs": 2}
+
+
+@pytest.mark.parametrize("extras", [
+    *({name: value} for name in ("input_size", "encoder_layers", "latent_size", "n_hidden",
+                                 "n_epochs")
+      for value in ("x", [1, 2], True, 2.0, None)),
+    {"input_size": 1}, {"encoder_layers": 0}, {"latent_size": 0}, {"n_hidden": 0},
+    {"n_epochs": -1}, {"firing_threshold": "0.5"}, {"firing_threshold": True},
+    {"firing_threshold": 1.0},
+])
+def test_clusterer_refuses_options_of_the_wrong_type(extras):
+    (name,) = extras
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        RBMClusterer(**{**CLUSTERER_OPTIONS, **extras})
+
+
+def test_clusterer_accepts_numpy_options():
+    options = {name: np.int64(value) for name, value in CLUSTERER_OPTIONS.items()}
+    model = RBMClusterer(**{**options, "firing_threshold": np.float64(0.5)})
+    assert [getattr(model, name) for name in CLUSTERER_OPTIONS] == [*CLUSTERER_OPTIONS.values()]
+
+
+@pytest.mark.parametrize("ridge_lambda", ["x", True, None, [1e-3], 0.0, -1.0, float("nan"),
+                                          float("inf")])
+def test_qek_refuses_a_ridge_lambda_that_is_not_a_positive_number(ridge_lambda):
+    with pytest.raises(ValueError, match="^ridge_lambda must be"):
+        QEKClassifier(CircuitSpec(1, ANGLE, ()), ridge_lambda=ridge_lambda)
+
+
 def test_regressor_inverse_map_midpoint():
     model = QNNRegressor(
         CircuitSpec(1, ANGLE, ()),

@@ -1,5 +1,5 @@
-"""Property tests (hypothesis): simulator, gradient training, encoder training
-and generator invariants over generated inputs."""
+"""Property tests (hypothesis): simulator, gradient training, encoder and RBM
+training and generator invariants over generated inputs."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qmlfinder.models import BinaryEncoder, _sigmoid
+from qmlfinder.models import RBM, BinaryEncoder, _sigmoid
 from qmlfinder.registry import (
     AMPLITUDE,
     ANGLE,
@@ -213,10 +213,11 @@ def test_cached_epoch_order_equals_a_fresh_shuffle(seed, epoch, n):
 
 @st.composite
 def encoder_lockstep(draw):
-    """Data, 1-6 encoder shapes (depth 1-3, latent width 1 up to two past the
-    input width, so width-1 layers and stacks wider than X occur) with shared
-    or distinct seeds, epochs."""
-    input_size, rows = draw(st.integers(2, 8)), draw(st.integers(1, 20))
+    """Data of 1-80 rows (past numpy's pairwise blocks of 8 rows, and past 32,
+    where BLAS kernels change), 1-6 encoder shapes (depth 1-3, latent width 1
+    up to two past the input width, so width-1 layers and stacks wider than X
+    occur) with shared or distinct seeds, epochs."""
+    input_size, rows = draw(st.integers(2, 8)), draw(st.integers(1, 80))
     X = draw(hnp.arrays(np.float64, (rows, input_size), elements=st.floats(0.0, 1.0)))
     shared = draw(st.booleans())
     seed = draw(st.integers(0, 2**32))
@@ -262,6 +263,50 @@ def test_lockstep_training_equals_separate_training_bit_for_bit(case, learning_r
         for got, solo, want in zip(_stacks(trained), _stacks(alone), _stacks(reference)):
             for a, b, c in zip(got, solo, want):
                 assert np.array_equal(a, c) and np.array_equal(b, c)
+
+
+@st.composite
+def rbm_stack(draw):
+    """1-5 machines of one seed and of latent and hidden widths 1-6, fresh or
+    with drawn parameters, each with its own 1-45 rows of data, binary or in
+    [0, 1]; epochs."""
+    latent, hidden = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = draw(st.integers(1, 45))
+    k, seed = draw(st.integers(1, 5)), draw(st.integers(0, 2**32))
+    unit = st.sampled_from([0.0, 1.0]) if draw(st.booleans()) else st.floats(0.0, 1.0)
+    data = draw(hnp.arrays(np.float64, (k, rows, latent), elements=unit))
+    params = [None] * k
+    if draw(st.booleans()):
+        params = [[draw(hnp.arrays(np.float64, shape, elements=st.floats(-3.0, 3.0)))
+                   for shape in ((latent, hidden), (latent,), (hidden,))] for _ in range(k)]
+    return (latent, hidden, seed), data, params, draw(st.integers(0, 4))
+
+
+def _rbm(shape, params):
+    rbm = RBM(*shape)
+    if params is not None:
+        rbm.weights, rbm.visible_bias, rbm.hidden_bias = (p.copy() for p in params)
+    return rbm
+
+
+@settings(deadline=None)
+@given(rbm_stack(), st.sampled_from([0.1, 1.0]))
+def test_stacked_rbms_equal_rbms_trained_alone_bit_for_bit(case, learning_rate):
+    shape, data, params, n_epochs = case
+    together = [_rbm(shape, own) for own in params]
+    stack = RBM.stacked(together)
+    for _ in range(n_epochs):
+        stack.cd1_epoch(data, learning_rate)
+    stack.unstack(together)
+    for trained, V, own in zip(together, data, params):
+        alone = _rbm(shape, own)
+        for _ in range(n_epochs):
+            alone.cd1_epoch(V, learning_rate)
+        for got, want in ((trained.weights, alone.weights),
+                          (trained.visible_bias, alone.visible_bias),
+                          (trained.hidden_bias, alone.hidden_bias)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert trained._sample_rng._state == alone._sample_rng._state
 
 
 def _assert_same_bits(got, want):

@@ -134,6 +134,24 @@ def test_finder_config_refuses_a_nan_threshold():
         assert FinderConfig(task=TaskType.CLASSIFICATION, threshold=threshold).threshold == threshold
 
 
+@pytest.mark.parametrize("options", [
+    *({name: value} for name in ("n_trials", "n_seeds", "n_epochs", "n_cores", "base_seed")
+      for value in (1.5, 1.0, True, "2", None)),
+    {"threshold": "0.5"}, {"threshold": True}, {"threshold": None},
+])
+def test_finder_config_refuses_options_of_the_wrong_type(options):
+    (name,) = options
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        FinderConfig(task=TaskType.CLASSIFICATION, **options)
+
+
+def test_finder_config_accepts_numpy_options():
+    config = FinderConfig(task=TaskType.CLASSIFICATION, n_trials=np.int64(2), n_seeds=np.int32(1),
+                          n_epochs=np.int64(0), n_cores=np.int8(1), base_seed=np.uint64(7),
+                          threshold=np.float32(0.5))
+    assert (config.n_trials, config.n_seeds, config.base_seed, config.threshold) == (2, 1, 7, 0.5)
+
+
 def test_model_finder_options_are_the_finder_config_fields(blobs40):
     X, y = blobs40
     finder = ModelFinder("classification", X, y, n_trials=2, threshold=0.5)
@@ -765,20 +783,21 @@ def test_a_clusterer_prepared_on_other_data_trains_afresh(cluster_blobs):
 
 
 def _record_rbm_trainings(monkeypatch):
-    """The models handed to RBMClusterer.prepare, and each model whose RBM trains."""
+    """The models handed to RBMClusterer.prepare, and each model whose RBM
+    trains: the members of each trained stack, in order."""
     prepared, trainings = [], []
-    prepare, train_rbm = RBMClusterer.prepare, RBMClusterer._train_rbm
+    prepare, train_rbms = RBMClusterer.prepare, RBMClusterer._train_rbms
 
     def recording_prepare(models, X):
         prepared.extend(models)
         prepare(models, X)
 
-    def recording_train_rbm(self, X):
-        trainings.append(self)
-        train_rbm(self, X)
+    def recording_train_rbms(models, X):
+        trainings.extend(models)
+        train_rbms(models, X)
 
     monkeypatch.setattr(RBMClusterer, "prepare", staticmethod(recording_prepare))
-    monkeypatch.setattr(RBMClusterer, "_train_rbm", recording_train_rbm)
+    monkeypatch.setattr(RBMClusterer, "_train_rbms", staticmethod(recording_train_rbms))
     return prepared, trainings
 
 
