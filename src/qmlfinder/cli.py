@@ -58,32 +58,23 @@ def _read_table(path: str) -> tuple[list[str], np.ndarray]:
     for i, row in enumerate(rows[1:], start=1):
         if len(row) != len(header):
             raise DataFormatError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
-        values.append(_row_values(path, header, i, row))
+        row_values = []
+        for name, cell in zip(header, row):
+            try:
+                value = float(cell)
+            except ValueError as exc:
+                raise DataFormatError(
+                    f"{path}: non-numeric value {cell!r} in column {name!r} (row {i})"
+                ) from exc
+            if not math.isfinite(value):
+                raise DataFormatError(
+                    f"{path}: non-finite value {cell!r} in column {name!r} (row {i})"
+                )
+            row_values.append(value)
+        values.append(row_values)
     if not values:
         raise DataFormatError(f"{path}: no data rows")
     return header, np.array(values)
-
-
-def _row_values(path: str, header: list[str], i: int, row: list[str]) -> list[float]:
-    """Row i's cells as floats, or the DataFormatError of its first
-    non-numeric or non-finite cell."""
-    try:
-        numbers = [*map(float, row)]
-        if all(map(math.isfinite, numbers)):
-            return numbers
-    except ValueError:
-        pass
-    for name, cell in zip(header, row):
-        try:
-            value = float(cell)
-        except ValueError as exc:
-            raise DataFormatError(
-                f"{path}: non-numeric value {cell!r} in column {name!r} (row {i})"
-            ) from exc
-        if not math.isfinite(value):
-            raise DataFormatError(
-                f"{path}: non-finite value {cell!r} in column {name!r} (row {i})"
-            )
 
 
 def _task_data(

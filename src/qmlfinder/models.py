@@ -593,8 +593,9 @@ def _train_stack(encoders: Sequence[BinaryEncoder], X: np.ndarray, n_epochs: int
             step_rates[i, :rows, :cols] = bias_rates[i, :rows] = learning_rate
             trained += [(W, step_weights[i, :rows, :cols]), (b, step_biases[i, :rows])]
     pairs = np.empty(2 * max(k * n * w_out for k, w_out, _ in steps))
-    # the bias planes borrow the complements' buffer, which the forward pass
-    # does not read: step s's plane fits in boundary s+1's, as counts never fall
+    # the bias planes borrow the complements' buffer: they need all_deltas.size
+    # of its elements, and no complement is read between the fills below and
+    # the np.subtract(1.0, all_acts, ...) that rewrites every one of them
     all_planes = all_complements[:all_deltas.size]
     planes = _carve(all_planes, [(k, n, w_out) for k, w_out, _ in steps])
     forward = [(acts[s], weights[s].transpose(0, 2, 1), planes[s], acts[s + 1][:k],
@@ -670,6 +671,8 @@ class RBM:
         stack.visible_bias = np.stack([rbm.visible_bias for rbm in rbms])[:, None]
         stack.hidden_bias = np.stack([rbm.hidden_bias for rbm in rbms])[:, None]
         stack._sample_rng = deepcopy(rbms[0]._sample_rng)
+        if any(rbm._sample_rng._state != stack._sample_rng._state for rbm in rbms):
+            raise ValueError("stacked RBMs must share their sample stream's state")
         return stack
 
     def unstack(self, rbms: Sequence["RBM"]) -> None:
@@ -837,8 +840,8 @@ class RBMClusterer:
         so a later `fit` on X trains nothing. Each distinct encoder, keyed by
         (widths, seed), trains once, all of them in one lockstep; each distinct
         RBM, keyed by (widths, seed, n_hidden, n_epochs), trains once on its
-        encoder's latent bits, in stacks of one (latent_size, n_hidden,
-        n_epochs) and sample-stream state (a fresh RBM's follows its seed).
+        encoder's latent bits, in stacks of one (latent_size, n_hidden, seed,
+        n_epochs): the RBMs here are fresh, so their sample streams follow the seed.
         Models sharing a key get copies. The models share one class, hence one
         encoder budget and one RBM learning rate."""
         X = np.asarray(X, dtype=float)
@@ -858,8 +861,8 @@ class RBMClusterer:
                 model.encoder = deepcopy(lead.encoder)
         rbms = _groups(models, lambda m: (tuple(m.encoder.widths), m.seed, m.n_hidden,
                                           m.n_epochs))
-        for stack in _groups([lead for lead, *_ in rbms], lambda m: (
-                m.latent_size, m.n_hidden, m.n_epochs, m.rbm._sample_rng._state)):
+        for stack in _groups([lead for lead, *_ in rbms],
+                             lambda m: (m.latent_size, m.n_hidden, m.seed, m.n_epochs)):
             first._train_rbms(stack, X)
         for lead, *copies in rbms:
             for model in copies:

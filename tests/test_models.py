@@ -607,6 +607,16 @@ def test_cd1_reduces_reconstruction_error_on_bars_stripes(bars_stripes):
     assert rbm.reconstruction_error(bars_stripes) < initial
 
 
+def test_rbms_whose_sample_streams_differ_do_not_stack(bars_stripes):
+    moved, fresh = RBM(16, 8, seed=0), RBM(16, 8, seed=0)
+    RBM.stacked([moved, fresh])
+    moved.cd1_epoch(bars_stripes)
+    with pytest.raises(ValueError, match="sample stream"):
+        RBM.stacked([moved, fresh])
+    with pytest.raises(ValueError, match="sample stream"):
+        RBM.stacked([RBM(16, 8, seed=0), RBM(16, 8, seed=1)])
+
+
 def test_cluster_assignment_bit_encoding():
     model = RBMClusterer(
         input_size=2,
