@@ -15,7 +15,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .models import default_registry
+from .models import _require_range, default_registry
 from .records import StudyFailureError
 from .registry import TaskType
 from .search import FinderConfig, HyperparameterTuner, UnsupportedModelError, find_model
@@ -42,8 +42,9 @@ class DataFormatError(ValueError):
 
 
 def _read_table(path: str) -> tuple[list[str], np.ndarray]:
-    """Numeric CSV with a mandatory header row; a leading UTF-8 byte-order mark
-    (as spreadsheet programs write) is not part of the first column name."""
+    """Numeric CSV with a mandatory header row of distinct, non-empty column
+    names; a leading UTF-8 byte-order mark (as spreadsheet programs write) is
+    not part of the first column name."""
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -54,6 +55,9 @@ def _read_table(path: str) -> tuple[list[str], np.ndarray]:
     header = rows[0]
     if not header or any(not name for name in header):
         raise DataFormatError(f"{path}: header row has empty column names")
+    repeated = next((name for i, name in enumerate(header) if name in header[:i]), None)
+    if repeated is not None:
+        raise DataFormatError(f"{path}: header row repeats column name {repeated!r}")
     values = []
     for i, row in enumerate(rows[1:], start=1):
         if len(row) != len(header):
@@ -126,11 +130,10 @@ def _task_data(
 
 
 def _check_range(name: str, values: np.ndarray) -> None:
-    low, high = float(values.min()), float(values.max())
-    if not math.isfinite(high - low):  # float subtraction overflows to inf silently
-        raise DataFormatError(
-            f"column {name!r} ranges from {low!r} to {high!r}: max - min overflows the float range"
-        )
+    try:
+        _require_range(values.min(), values.max(), f"column {name!r}")
+    except ValueError as exc:
+        raise DataFormatError(str(exc)) from exc
 
 
 def _load_model(path: str) -> tuple[ModelSpec, object]:

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
 from math import ceil, floor, isfinite, pi, prod, sqrt
-from numbers import Integral, Real
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
+from .records import _require_integer, _require_number
 from .registry import CircuitSpec, Registry, TaskType, base_registry, suggest_circuit
 from .rng import PortableRng, derive_seed
 from .simulator import CallCounter, MergedRuns, expectation_z, run_circuit
@@ -98,27 +98,22 @@ def _require_range(low, high, name: str) -> None:
                          "overflows the float range")
 
 
-def _require_integer(name: str, value, minimum: int | None = None) -> None:
-    """Refuse a value that is not an integer (a bool is not; a numpy integer
-    is) or is below `minimum`."""
-    if (isinstance(value, bool) or not isinstance(value, Integral)
-            or minimum is not None and value < minimum):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
-
-
-def _require_number(name: str, value) -> None:
-    """Refuse a value that is not a real number (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-
-
-def _check_binary_labels(y: np.ndarray) -> None:
+def _training_data(X, y, labels: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The supervised fits' input rule: X as float rows, at least 2 of them,
+    and y as floats; with `labels`, y must be binary labels holding both
+    classes, returned as targets class 0 -> +1, class 1 -> -1."""
+    X = _rows(X)
+    if len(X) < 2:
+        raise ValueError("need at least 2 training samples")
+    y = np.asarray(y)
+    if not labels:
+        return X, y.astype(float)
     classes = set(np.unique(y))
     if not classes <= {0, 1}:
         raise ValueError("labels must be binary {0, 1}")
     if len(classes) < 2:
         raise ValueError("training data must contain both classes")
+    return X, 1.0 - 2.0 * y.astype(float)
 
 
 class CircuitModel:
@@ -260,16 +255,11 @@ class QNNClassifier(QNN):
 
     def fit(self, X: np.ndarray, y: np.ndarray, ledger: BudgetLedger,
             optimizer: OptimizerConfig | None = None) -> "QNNClassifier":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y)
-        if len(X) < 2:
-            raise ValueError("need at least 2 training samples")
-        _check_binary_labels(y)
-        targets = 1.0 - 2.0 * y.astype(float)
+        X, targets = _training_data(X, y, labels=True)
         return self._train(X, targets, _accuracy, self.accuracy_threshold, ledger, optimizer)
 
     def score(self, X: np.ndarray, y: np.ndarray, counter: CallCounter) -> float:
-        return _accuracy(self.expectations(X, counter), 1.0 - 2.0 * np.asarray(y, dtype=float))
+        return float(np.mean(self.predict(X, counter) == np.asarray(y)))
 
 
 class QNNRegressor(QNN):
@@ -286,9 +276,8 @@ class QNNRegressor(QNN):
                  r2_threshold: float, seed: int = 0, weights: Sequence[float] | None = None,
                  target_min: float | None = None, target_max: float | None = None) -> None:
         for name, bound in (("target_min", target_min), ("target_max", target_max)):
-            if bound is not None and not (isinstance(bound, (int, float))
-                                          and not isinstance(bound, bool) and isfinite(bound)):
-                raise ValueError(f"{name} must be null or a finite number, got {bound!r}")
+            if bound is not None:
+                _require_number(name, bound, "null or a finite number", isfinite)
         if target_min is not None and target_max is not None:
             _require_range(target_min, target_max, "target")
         super().__init__(circuit, batch_size=batch_size, n_epochs=n_epochs,
@@ -310,10 +299,7 @@ class QNNRegressor(QNN):
 
     def fit(self, X: np.ndarray, y: np.ndarray, ledger: BudgetLedger,
             optimizer: OptimizerConfig | None = None) -> "QNNRegressor":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if len(X) < 2:
-            raise ValueError("need at least 2 training samples")
+        X, y = _training_data(X, y, labels=False)
         self.target_min = float(y.min())
         self.target_max = float(y.max())
         if self.target_min == self.target_max:
@@ -377,14 +363,12 @@ class QEKClassifier(CircuitModel):
         seed: int = 0,
         weights: Sequence[float] | None = None,
     ) -> None:
-        _require_number("ridge_lambda", ridge_lambda)
-        if not (isfinite(ridge_lambda) and ridge_lambda > 0):
-            raise ValueError(f"ridge_lambda must be finite and > 0, got {ridge_lambda!r}")
+        _require_number("ridge_lambda", ridge_lambda, "a finite number > 0",
+                        lambda value: isfinite(value) and value > 0)
         super().__init__(circuit, seed, weights)
         self.ridge_lambda = ridge_lambda
         self.support_data: np.ndarray | None = None
         self.dual_coeffs: np.ndarray | None = None
-        self._train_kernel: np.ndarray | None = None
 
     @classmethod
     def build(cls, trial: "Trial", X: np.ndarray, config: "FinderConfig", registry: Registry,
@@ -393,29 +377,21 @@ class QEKClassifier(CircuitModel):
         return cls(suggest_circuit(trial, registry, X, (3, 5)), seed=seed)
 
     def fit(self, X: np.ndarray, y: np.ndarray, ledger: BudgetLedger) -> "QEKClassifier":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y)
-        if len(X) < 2:
-            raise ValueError("need at least 2 training samples")
-        _check_binary_labels(y)
-        targets = 1.0 - 2.0 * y.astype(float)
+        X, targets = _training_data(X, y, labels=True)
         K = kernel_matrix(self.circuit, self.weights, X, X, ledger.kernel)
         self.dual_coeffs = np.linalg.solve(K + self.ridge_lambda * np.eye(len(X)), targets)
         self.support_data = X
-        self._train_kernel = K
-        # training accuracy comes from the kernel already built: no extra calls
-        decisions = self.dual_coeffs @ K
-        self.train_score = float(np.mean((decisions < 0) == (targets < 0)))
+        # training accuracy from the kernel just built: no extra calls
+        self.train_score = float(np.mean((self.dual_coeffs @ K < 0) == (targets < 0)))
         return self
 
     def decision_values(self, X: np.ndarray, counter: CallCounter) -> np.ndarray:
+        """sum_i alpha_i k(x_i, x) per row of X, through `kernel_matrix`: rows
+        equal to the support rows book N*(N-1) calls, others 2*N*M."""
         if self.dual_coeffs is None:
             raise ValueError("classifier must be fit before predicting")
-        X = _rows(X)
-        if self._train_kernel is not None and np.array_equal(X, self.support_data):
-            return self.dual_coeffs @ self._train_kernel
-        K = kernel_matrix(self.circuit, self.weights, self.support_data, X, counter)
-        return self.dual_coeffs @ K
+        return self.dual_coeffs @ kernel_matrix(self.circuit, self.weights, self.support_data,
+                                                _rows(X), counter)
 
     def predict(self, X: np.ndarray, counter: CallCounter) -> np.ndarray:
         return (self.decision_values(X, counter) < 0).astype(int)
@@ -755,9 +731,8 @@ class RBMClusterer:
                                      ("latent_size", latent_size, 1), ("n_hidden", n_hidden, 1),
                                      ("n_epochs", n_epochs, 0)):
             _require_integer(name, value, minimum)
-        _require_number("firing_threshold", firing_threshold)
-        if not 0.0 < firing_threshold < 1.0:
-            raise ValueError(f"firing_threshold must be in (0, 1), got {firing_threshold!r}")
+        _require_number("firing_threshold", firing_threshold, "a number in (0, 1)",
+                        lambda value: 0.0 < value < 1.0)
         self.input_size = input_size
         self.encoder_layers = encoder_layers
         self.latent_size = latent_size
@@ -878,7 +853,12 @@ class RBMClusterer:
         X = _rows(X)
         if len(X) == 0:
             return np.zeros(0, dtype=np.int64)
-        probs = self.rbm.hidden_probabilities(self._latent_bits(X))
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                bits = self._latent_bits(X)
+        except FloatingPointError as exc:  # a row far outside the fitted feature range
+            raise ValueError(f"a row's scaled features overflow the encoder ({exc})") from exc
+        probs = self.rbm.hidden_probabilities(bits)
         # ids of 64 or more hidden units outgrow int64, so they stay Python ints
         units = np.arange(self.n_hidden, dtype=np.int64 if self.n_hidden < 64 else object)
         return (probs >= self.firing_threshold) @ (1 << units)

@@ -19,8 +19,8 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .models import QNN, Score, _require_integer, _require_number, default_registry
-from .records import StudyFailureError, TrialRecord, rank_key
+from .models import QNN, Score, default_registry
+from .records import StudyFailureError, TrialRecord, _require_integer, _require_number, rank_key
 from .registry import Registry, TaskType
 from .rng import PortableRng, derive_seed, repeat_seed
 from .store import ModelSpec, StudyStore, model_from_spec, model_to_spec
@@ -75,9 +75,7 @@ class FinderConfig:
         for name, minimum in (("n_trials", 1), ("n_seeds", 1), ("n_epochs", 0), ("n_cores", 1),
                               ("base_seed", None)):
             _require_integer(name, getattr(self, name), minimum)
-        _require_number("threshold", self.threshold)
-        if isnan(self.threshold):
-            raise ValueError("threshold must be a number, got nan")
+        _require_number("threshold", self.threshold, "a number", lambda value: not isnan(value))
 
 
 def _suggest_and_build(
@@ -289,8 +287,9 @@ class HyperparameterTuner:
     """Compare optimizer configurations on a fixed architecture, retraining it
     from scratch per seed; the best mean final score wins, ties broken by
     fewer device calls then lower trial id. The default registry unless one
-    is given. Non-finite X or y, or n_trials or n_seeds below 1, raise a
-    ValueError naming which before the first trial."""
+    is given. Non-finite X or y, n_trials or n_seeds not an integer >= 1, or
+    base_seed not an integer, raise a ValueError naming which before the
+    first trial."""
 
     X: np.ndarray
     y: Any
@@ -303,9 +302,8 @@ class HyperparameterTuner:
     base_seed: int = 0
 
     def find_hyperparameters(self) -> OptimizerConfig:
-        for name in ("n_trials", "n_seeds"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for name, minimum in (("n_trials", 1), ("n_seeds", 1), ("base_seed", None)):
+            _require_integer(name, getattr(self, name), minimum)
         registry = self.registry if self.registry is not None else default_registry()
         model = model_from_spec(self.model_spec, registry)
         if not isinstance(model, QNN):

@@ -13,12 +13,12 @@ import io
 import json
 import math
 import os
-import reprlib
 import threading
 from dataclasses import dataclass, field, fields
 from typing import Any
 
-from .records import StudyFailureError, TrialRecord, select_best
+from .records import (StudyFailureError, TrialRecord, _is_integer, _is_real, _require_fields,
+                      select_best)
 from .registry import Registry, TaskType
 
 FORMAT_VERSION = 1
@@ -49,6 +49,8 @@ class StudyStore:
                 fh.flush()
 
     def load(self) -> list[TrialRecord]:
+        """The stored records; a line that is not JSON, misses a field or holds
+        one of the wrong type raises StoreCorruptionError naming its index."""
         if not os.path.exists(self.path):
             return []
         with open(self.path, "r", encoding="utf-8") as fh:
@@ -63,7 +65,7 @@ class StudyStore:
             try:
                 doc = json.loads(line)
                 records.append(TrialRecord.from_dict(doc))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:  # JSON errors are ValueErrors
                 raise StoreCorruptionError(index, str(exc)) from exc
         return records
 
@@ -95,10 +97,7 @@ class ModelSpec:
         """The spec of a parsed model file; a field of the wrong type raises
         ValueError naming it."""
         spec = cls(**{f.name: doc[f.name] for f in fields(cls)})
-        for name, rule, ok in _FIELD_RULES:
-            value = getattr(spec, name)
-            if not ok(value):
-                raise ValueError(f"{name} must be {rule}, got {reprlib.repr(value)}")
+        _require_fields(spec, _FIELD_RULES)
         return spec
 
     @classmethod
@@ -107,31 +106,23 @@ class ModelSpec:
         return cls.from_dict(json.loads(text, parse_float=_finite, parse_constant=_finite))
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 _TASKS = frozenset(task.value for task in TaskType)
 
-# (field, what it must be, test) for the fields every model file has
-_FIELD_RULES = (
-    ("task", f"one of {sorted(_TASKS)}", lambda v: isinstance(v, str) and v in _TASKS),
-    ("n_features", "an integer", _is_int),
-    ("n_wires", "an integer", _is_int),
-    ("format_version", "an integer", _is_int),
-    ("embedding", "null or an object with a string name and an object fixed_options",
-     lambda v: v is None or (isinstance(v, dict) and isinstance(v.get("name"), str)
-                             and isinstance(v.get("fixed_options"), dict))),
-    ("layers", "a list of names",
-     lambda v: isinstance(v, list) and all(isinstance(name, str) for name in v)),
-    ("weights", "a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
-    ("extras", "an object", lambda v: isinstance(v, dict)),
-    ("metadata", "an object", lambda v: isinstance(v, dict)),
-)
+# field: (what it must be, test) for the fields every model file has
+_FIELD_RULES = {
+    "task": (f"one of {sorted(_TASKS)}", lambda v: isinstance(v, str) and v in _TASKS),
+    "n_features": ("an integer", _is_integer),
+    "n_wires": ("an integer", _is_integer),
+    "format_version": ("an integer", _is_integer),
+    "embedding": ("null or an object with a string name and an object fixed_options",
+                  lambda v: v is None or (isinstance(v, dict) and isinstance(v.get("name"), str)
+                                          and isinstance(v.get("fixed_options"), dict))),
+    "layers": ("a list of names",
+               lambda v: isinstance(v, list) and all(isinstance(name, str) for name in v)),
+    "weights": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_real, v))),
+    "extras": ("an object", lambda v: isinstance(v, dict)),
+    "metadata": ("an object", lambda v: isinstance(v, dict)),
+}
 
 
 def _finite(text: str) -> float:

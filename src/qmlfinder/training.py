@@ -14,10 +14,12 @@ simulated but never booked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .records import _require_integer, _require_number
 from .rng import PortableRng, derive_seed
 from .simulator import CallCounter
 
@@ -27,6 +29,10 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """An optimizer: its kind, a learning rate that is a finite number > 0 and
+    a momentum (read by momentum_gd only) that is a number in [0, 1); bools
+    are not numbers."""
+
     kind: str = "vanilla_gd"
     learning_rate: float = 0.1
     momentum: float = 0.0
@@ -34,10 +40,10 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.kind not in OPTIMIZER_KINDS:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
+        _require_number("learning_rate", self.learning_rate, "a finite number > 0",
+                        lambda value: isfinite(value) and value > 0)
+        _require_number("momentum", self.momentum, "a number in [0, 1)",
+                        lambda value: 0.0 <= value < 1.0)
 
     def as_dict(self) -> dict:
         out = {"kind": self.kind, "learning_rate": self.learning_rate}
@@ -175,10 +181,8 @@ def train_epochs(
     n = len(X)
     if n == 0:
         raise ValueError("empty training data")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    if n_epochs < 0:
-        raise ValueError("n_epochs must be >= 0")
+    _require_integer("batch_size", batch_size, 1)
+    _require_integer("n_epochs", n_epochs, 0)
     rows = np.arange(n)
 
     def check(w: np.ndarray, epoch: int):

@@ -111,6 +111,22 @@ def test_byte_order_mark_is_not_part_of_the_first_column_name(tmp_path, blobs_cs
     assert json.loads((tmp_path / "model.json").read_text())["n_features"] == 2
 
 
+@pytest.mark.parametrize("header, target", [(["y", "f0", "y"], "y"), (["f0", "f0", "y"], "y"),
+                                            (["y", "f0", "f0"], "y")])
+def test_a_header_that_repeats_a_column_name_is_data_error(tmp_path, capsys, header, target):
+    # with "y,f0,y" the second y would otherwise be a feature holding the label
+    path = tmp_path / "repeated.csv"
+    write_csv(path, header, [(i % 2, 0.1 * i, i % 2) for i in range(8)])
+    store = tmp_path / "s.jsonl"
+    code = cli_main(["find-model", "--task", "classification", "--data", str(path),
+                     "--target", target, *FAST_FLAGS, "--store", str(store),
+                     "--out", str(tmp_path / "m.json")])
+    repeated = next(name for i, name in enumerate(header) if name in header[:i])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_DATA and not store.exists()
+    assert err == [f"error: {path}: header row repeats column name {repeated!r}"]
+
+
 def test_non_binary_target_is_data_error(tmp_path, capsys):
     path = tmp_path / "multi.csv"
     write_csv(path, ["f0", "y"], [(0.1, 0), (0.2, 1), (0.3, 2)])
@@ -814,6 +830,31 @@ def test_predict_on_row_whose_norm_overflows_is_data_error(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {features}: ") and "overflows" in err[0]
     assert not (tmp_path / "pred.csv").exists()
+
+
+@pytest.mark.parametrize("row", [(1e308, 0.5, 0.5), (0.5, -1e308, 0.5)])
+def test_clusterer_predict_on_row_whose_scaled_features_overflow_is_data_error(tmp_path, capsys,
+                                                                                row):
+    # far outside the fitted range [0.1, 0.8], the scaled row or its encoder
+    # pre-activations overflow; in range, the same model predicts
+    from qmlfinder import RBMClusterer
+    from qmlfinder.store import model_to_spec
+
+    X = np.array([[0.1 * (i + 1), 0.8 - 0.1 * i, 0.1 * (i % 3)] for i in range(8)])
+    model = RBMClusterer(input_size=3, encoder_layers=1, latent_size=2, n_hidden=2,
+                         firing_threshold=0.5, n_epochs=1).fit(X)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model_to_spec(model, 3, {}).as_dict()))
+    features = tmp_path / "features.csv"
+    write_csv(features, ["f0", "f1", "f2"], [(0.2, 0.3, 0.1), row])
+    argv = ["predict", "--model", str(model_path), "--data", str(features),
+            "--out", str(tmp_path / "pred.csv")]
+    assert cli_main(argv) == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {features}: ") and "overflow" in err[0]
+    assert not (tmp_path / "pred.csv").exists()
+    write_csv(features, ["f0", "f1", "f2"], [(0.2, 0.3, 0.1), (1e3, -1e3, 0.5)])
+    assert cli_main(argv) == EXIT_OK
 
 
 # -- the invoked command's parser against the full parser ----------------------

@@ -1017,8 +1017,27 @@ def test_tuner_refuses_counts_below_one_before_any_trial(registry, blobs40, tmp_
                         accuracy_threshold=0.8, seed=0)
     store = StudyStore(tmp_path / "tune.jsonl")
     counts = {"n_trials": 2, "n_seeds": 2, name: 0}
-    with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got 0$"):
         find_hyperparameters(model_to_spec(qnn, 2, {}), X, y, registry, store=store, **counts)
+    assert store.load() == []
+
+
+@pytest.mark.parametrize("options", [{"n_trials": 2.5}, {"n_trials": True}, {"n_seeds": 1.5},
+                                     {"n_seeds": True}, {"n_seeds": "2"}, {"base_seed": 0.5},
+                                     {"base_seed": None}])
+def test_tuner_refuses_counts_of_the_wrong_type_before_any_trial(registry, blobs40, tmp_path,
+                                                                 options):
+    from qmlfinder import ANGLE, BASIC_ENTANGLER, CircuitSpec, QNNClassifier
+    from qmlfinder.store import model_to_spec
+
+    X, y = blobs40
+    qnn = QNNClassifier(CircuitSpec(2, ANGLE, (BASIC_ENTANGLER,)), batch_size=4, n_epochs=1,
+                        accuracy_threshold=0.8, seed=0)
+    store = StudyStore(tmp_path / "tune.jsonl")
+    (name,) = options
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        find_hyperparameters(model_to_spec(qnn, 2, {}), X, y, registry, store=store,
+                             **{"n_trials": 1, "n_seeds": 1, **options})
     assert store.load() == []
 
 

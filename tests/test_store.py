@@ -132,6 +132,53 @@ def test_corrupt_middle_line_reports_index(tmp_path):
     assert info.value.index == 1
 
 
+STORE_FIELD_EDITS = {
+    "trial_id": ["1.5", "true", '"0"', "null"],
+    "status": ["1", "null"],
+    "feasible": ["1", '"true"', "null"],
+    "mean_score": ['"0.5"', "true", "[0.5]", "{}"],
+    "per_seed_scores": ['"x"', '["0.5"]', "[true]", "null"],
+    "total_calls": ["10.0", '"10"', "false"],
+    "subtotals": ["[]", '{"total": "10"}', "null"],
+    "seed": ["0.5", "true", "null"],
+    "sampled": ['"x"', "[1, 2]", "null", "1e308"],
+    "error": ["1", "{}", "false"],
+}
+
+
+@pytest.mark.parametrize("field, text",
+                         [(field, text) for field, texts in STORE_FIELD_EDITS.items()
+                          for text in texts])
+def test_a_store_field_of_the_wrong_type_is_corruption_naming_index_and_field(tmp_path, field,
+                                                                            text):
+    store = StudyStore(tmp_path / "s.jsonl")
+    store.append_trial(_record(0))
+    doc = _record(1).as_dict()
+    doc[field] = "__replaced__"
+    with open(store.path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc).replace('"__replaced__"', text) + "\n")
+    store.append_trial(_record(2))
+    with pytest.raises(StoreCorruptionError, match=f"^corrupt record at index 1: {field} must be"):
+        store.load()
+
+
+def test_a_complete_trial_without_a_mean_score_is_corruption(tmp_path):
+    path = tmp_path / "s.jsonl"
+    doc = _record(0).as_dict()
+    doc["mean_score"] = None
+    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    with pytest.raises(StoreCorruptionError, match="index 0: mean_score of a complete trial"):
+        StudyStore(path).load()
+
+
+def test_a_failed_trial_without_a_mean_score_loads_as_written(tmp_path):
+    store = StudyStore(tmp_path / "s.jsonl")
+    failed = _record(0, mean_score=None, status="failed")
+    failed.error = "ValueError: boom"
+    store.append_trial(failed)
+    assert store.load() == [failed]
+
+
 # -- model specs -----------------------------------------------------------------
 
 

@@ -83,6 +83,24 @@ def test_optimizer_config_validation():
         OptimizerConfig(kind="sgd_magic")
 
 
+@pytest.mark.parametrize("options", [
+    *({"learning_rate": value} for value in (float("nan"), float("inf"), True, "0.1", None,
+                                             -0.1, 0.0, [0.1])),
+    *({"momentum": value} for value in (float("nan"), float("inf"), True, "0.5", None, -0.1,
+                                        1.0)),
+])
+def test_optimizer_config_refuses_values_that_are_not_its_numbers(options):
+    (name,) = options
+    with pytest.raises(ValueError, match=f"^{name} must be a"):
+        OptimizerConfig(kind="momentum_gd", **options)
+
+
+def test_optimizer_config_accepts_numpy_numbers():
+    config = OptimizerConfig(kind="momentum_gd", learning_rate=np.float64(0.2),
+                             momentum=np.float32(0.5))
+    assert (config.learning_rate, config.momentum) == (0.2, 0.5)
+
+
 def test_vanilla_descent_converges_on_quadratic():
     # f(w) = |w|^2, grad = 2w
     config = OptimizerConfig(learning_rate=0.1)
@@ -309,6 +327,20 @@ def test_train_epochs_threshold_unreachable_runs_all():
     assert result.epochs_run == 3
     assert ledger.training_gradients.total_calls == 2 * 1 * 6 * 3
     assert ledger.scoring.total_calls == 6 * 4
+
+
+@pytest.mark.parametrize("counts", [{"batch_size": 0}, {"batch_size": 2.5},
+                                    {"batch_size": True}, {"n_epochs": -1},
+                                    {"n_epochs": 1.5}, {"n_epochs": "1"}])
+def test_train_epochs_refuses_counts_that_are_not_integers_in_range(counts):
+    (name,) = counts
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+        train_epochs(weights=[0.0], X=np.zeros((4, 1)), targets=np.zeros(4),
+                     evaluate=lambda w, check, batch: (np.zeros(len(check)),
+                                                       np.zeros((len(batch), 1))),
+                     score_fn=lambda v, t: 0.0, ledger=BudgetLedger(),
+                     opt_config=OptimizerConfig(), threshold=1.0, seed=0,
+                     **{"batch_size": 2, "n_epochs": 1, **counts})
 
 
 def test_train_epochs_stops_when_threshold_met():
