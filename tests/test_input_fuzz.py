@@ -21,7 +21,6 @@ from qmlfinder.cli import cli_main
 TABLE = [["f0", "f1", "y"]] + [[repr(0.1 + 0.1 * i), repr(0.9 - 0.07 * i), str(i % 2)]
                                for i in range(8)]
 TASKS = ("classification", "regression", "clustering")
-STUDY = ["--trials", "1", "--seeds", "1", "--epochs", "0"]
 
 
 def _run(argv):
@@ -36,9 +35,11 @@ def _write_table(path, rows):
     path.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
 
 
-def _find_model(workdir, task, data, store, out):
+def _find_model(task, data, store, out, trials=1):
+    """`find-model` of `trials` trials, 1 seed and 0 epochs."""
     target = [] if task == "clustering" else ["--target", "y"]
-    return _run(["find-model", "--task", task, "--data", str(data), *target, *STUDY,
+    return _run(["find-model", "--task", task, "--data", str(data), *target,
+                 "--trials", str(trials), "--seeds", "1", "--epochs", "0",
                  "--store", str(store), "--out", str(out)])
 
 
@@ -52,10 +53,7 @@ def _clean_study(workdir, task):
     """The store lines and model file of a 3-trial study of `task` on TABLE."""
     data, store, model = (workdir / f"clean-{task}.{ext}" for ext in ("csv", "jsonl", "json"))
     _write_table(data, TABLE)
-    target = [] if task == "clustering" else ["--target", "y"]
-    code, err = _run(["find-model", "--task", task, "--data", str(data), *target,
-                      "--trials", "3", "--seeds", "1", "--epochs", "0",
-                      "--store", str(store), "--out", str(model)])
+    code, err = _find_model(task, data, store, model, trials=3)
     assert code == 0, err
     return store.read_text(encoding="utf-8").splitlines(), model
 
@@ -99,7 +97,7 @@ def table_edits(draw):
     rows = [list(row) for row in TABLE]
     i = draw(st.integers(0, len(rows) - 1))
     j = draw(st.integers(0, len(rows[0]) - 1))
-    choices = [*CELL_VALUES, "﻿" + rows[i][j]]
+    choices = [*CELL_VALUES, "\ufeff" + rows[i][j]]
     if i == 0:
         choices += [name for name in rows[0] if name != rows[0][j]]  # a repeated name
     rows[i][j] = draw(st.sampled_from(choices))
@@ -116,7 +114,7 @@ def test_a_table_with_one_bad_cell_studies_predicts_or_ends_in_one_error_line(wo
     _write_table(features, rows if task == "clustering" else [row[:-1] for row in rows])
     _, model = _clean_study(workdir, task)
     for code, err in (
-        _find_model(workdir, task, data, workdir / "s.jsonl", workdir / "m.json"),
+        _find_model(task, data, workdir / "s.jsonl", workdir / "m.json"),
         _run(["predict", "--model", str(model), "--data", str(features),
               "--out", str(workdir / "predictions.csv")]),
     ):

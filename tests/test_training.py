@@ -85,9 +85,8 @@ def test_optimizer_config_validation():
 
 @pytest.mark.parametrize("options", [
     *({"learning_rate": value} for value in (float("nan"), float("inf"), True, "0.1", None,
-                                             -0.1, 0.0, [0.1])),
-    *({"momentum": value} for value in (float("nan"), float("inf"), True, "0.5", None, -0.1,
-                                        1.0)),
+                                             -0.1, [0.1])),
+    *({"momentum": value} for value in (float("nan"), float("inf"), True, "0.5", None, -0.1)),
 ])
 def test_optimizer_config_refuses_values_that_are_not_its_numbers(options):
     (name,) = options
