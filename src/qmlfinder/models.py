@@ -6,14 +6,16 @@ draws the family's own options on a search trial and returns an untrained
 model; `fit(X, y, ledger)` (which sets `train_score`), `predict`, and
 `score`, with every simulated device call booked on the caller's ledger;
 `spec_fields()` freezes a trained model into model-file fields and the
-class-level `from_spec(spec, registry)` restores it. The clusterer also has
-the optional class-level `prepare` hook.
+class-level `from_spec(spec, registry)` restores it. The QNN families and
+the clusterer also have the optional class-level `prepare(models, X, y=None)`
+hook, which trains a study's models ahead, the QNN fits in lockstep.
 Label convention is fixed: class 0 maps to target +1 (the <Z> of |0>), so a
 classifier predicts 1 exactly when its expectation drops to 0 or below.
 """
 
 from __future__ import annotations
 
+import sys
 from copy import deepcopy
 from dataclasses import dataclass
 from functools import partial
@@ -27,7 +29,7 @@ from .records import _require_integer, _require_number
 from .registry import CircuitSpec, Registry, TaskType, base_registry, suggest_circuit
 from .rng import PortableRng, derive_seed
 from .simulator import CallCounter, MergedRuns, expectation_z, run_circuit
-from .training import BudgetLedger, OptimizerConfig, train_epochs
+from .training import BudgetLedger, OptimizerConfig, TrainResult, fit_steps, train_epochs
 
 if TYPE_CHECKING:
     from .search import FinderConfig, Trial
@@ -168,15 +170,18 @@ class QNN(CircuitModel):
     """Variational model read out as <Z_0>, trained by parameter-shift gradient
     descent on the squared error against targets in [-1, 1].
 
-    Subclasses map labels to targets, pick the training score, name their
-    model-file extras in `extras_keys`: constructor keywords that are also
-    attributes, and name the one taking the study threshold in `threshold_key`.
-    A batch size must be an integer >= 1, an epoch count an integer >= 0 and
-    the threshold a number; bools are neither.
+    Subclasses map labels to targets in `_fit_data`, name their model-file
+    extras in `extras_keys`: constructor keywords that are also attributes,
+    name the one taking the study threshold in `threshold_key`, and give in
+    `threshold_range` the thresholds their model file can store. A batch size
+    must be an integer >= 1, an epoch count an integer >= 0 and the threshold
+    a number; bools are neither. Each subclass defines its own `fit`, so
+    profiles tell the families apart.
     """
 
     extras_keys: tuple[str, ...] = ()
     threshold_key: str
+    threshold_range: tuple[float, float]
 
     def __init__(self, circuit: CircuitSpec, *, batch_size: int, n_epochs: int,
                  threshold: float, seed: int, weights: Sequence[float] | None) -> None:
@@ -188,38 +193,94 @@ class QNN(CircuitModel):
         self.n_epochs = n_epochs
         setattr(self, self.threshold_key, threshold)
         self.epochs_run = 0
+        # from `prepare`: the rows and targets it trained on, and its booked calls
+        # and result, or the exception it raised, for the next fit on them
+        self._prepared: tuple[np.ndarray, np.ndarray,
+                              tuple[BudgetLedger, TrainResult] | Exception] | None = None
 
     @classmethod
     def build(cls, trial: "Trial", X: np.ndarray, config: "FinderConfig", registry: Registry,
               seed: int) -> "QNN":
-        """Draws 1-3 layers, then a batch size of 15-25."""
+        """Draws 1-3 layers, then a batch size of 15-25. The early-stop threshold
+        is the study threshold clamped into `threshold_range`; the study
+        threshold alone decides which trials are feasible."""
         circuit = suggest_circuit(trial, registry, X, (1, 3))
+        low, high = cls.threshold_range
         return cls(circuit, batch_size=trial.suggest_int("batch_size", 15, 25),
-                   n_epochs=config.n_epochs, seed=seed, **{cls.threshold_key: config.threshold})
+                   n_epochs=config.n_epochs, seed=seed,
+                   **{cls.threshold_key: min(max(config.threshold, low), high)})
 
     def expectations(self, X: np.ndarray, counter: CallCounter) -> np.ndarray:
         return expectation_z(run_circuit(self.circuit, self.weights, _rows(X), counter), 0)
 
-    def _train(self, X: np.ndarray, targets: np.ndarray,
-               score_fn: Callable[[np.ndarray, np.ndarray], float], threshold: float,
-               ledger: BudgetLedger, optimizer: OptimizerConfig | None) -> "QNN":
-        result = train_epochs(
-            weights=self.weights,
-            X=X,
-            targets=targets,
-            evaluate=MergedRuns(self.circuit, X, 0),  # embeds X once
-            score_fn=score_fn,
-            ledger=ledger,
-            opt_config=optimizer or OptimizerConfig(),
-            batch_size=self.batch_size,
-            n_epochs=self.n_epochs,
-            threshold=threshold,
-            seed=self.seed,
-        )
+    def _options(self, optimizer: OptimizerConfig | None) -> dict[str, Any]:
+        """The keywords of `fit_steps` that this model sets."""
+        return {"weights": self.weights, "opt_config": optimizer or OptimizerConfig(),
+                "batch_size": self.batch_size, "n_epochs": self.n_epochs,
+                "threshold": getattr(self, self.threshold_key), "seed": self.seed}
+
+    def _train(self, X: np.ndarray, y: np.ndarray, ledger: BudgetLedger,
+               optimizer: OptimizerConfig | None) -> "QNN":
+        X, targets, score_fn, fitted = self._fit_data(X, y)
+        for name, value in fitted.items():
+            setattr(self, name, value)
+        prepared, self._prepared = self._prepared, None
+        if (prepared is not None and optimizer is None and _same_bits(X, prepared[0])
+                and _same_bits(targets, prepared[1])):
+            if isinstance(prepared[2], Exception):
+                raise prepared[2]
+            booked, result = prepared[2]
+            ledger.merge(booked)
+        else:
+            runs = MergedRuns(X, 0)  # embeds X once
+            result = train_epochs(
+                X=X, targets=targets, score_fn=score_fn, ledger=ledger,
+                evaluate=lambda w, check, batch: runs([(self.circuit, w, check, batch)])[0],
+                **self._options(optimizer))
         self.weights = result.weights
         self.epochs_run = result.epochs_run
         self.train_score = result.final_score
         return self
+
+    @classmethod
+    def prepare(cls, models: Sequence["QNN"], X: np.ndarray, y=None) -> None:
+        """Train `models` on X and y ahead of their fits, all in lockstep: each
+        fit is a step generator (`training.fit_steps`), and each lockstep step
+        answers every unfinished fit's next request in one `MergedRuns` call,
+        so X is embedded once per embedding and wire count. A model's next
+        `fit`, on the same rows and targets and without an optimizer, books the
+        calls its training booked here and takes its result, or raises what its
+        training raised here (a refused layer, a row its embedding refuses),
+        which leaves the other fits untouched; any other fit trains as it would
+        have. On data no fit accepts nothing trains: each fit raises on it."""
+        try:
+            X, targets, score_fn, _ = cls._fit_data(X, y)
+        except ValueError:
+            return
+        X = X.copy()  # what a replayed fit must match, whatever becomes of the caller's X
+        runs, fits = MergedRuns(X, 0), []
+        for model in models:
+            ledger = BudgetLedger()
+            fits.append((model, ledger, fit_steps(n=len(X), targets=targets, score_fn=score_fn,
+                                                  ledger=ledger, **model._options(None))))
+        answers: list = [None] * len(fits)
+        while fits:  # one request per unfinished fit per step; a finished fit is let go
+            asked, requests = [], []
+            for (model, ledger, steps), answer in zip(fits, answers):
+                try:  # a failed simulation raises where the fit's own run would have
+                    request = (steps.throw(answer) if isinstance(answer, Exception)
+                               else steps.send(answer))
+                except StopIteration as stop:
+                    model._prepared = X, targets, (ledger, stop.value)
+                except Exception as exc:
+                    model._prepared = X, targets, exc
+                else:
+                    asked.append((model, ledger, steps))
+                    requests.append((model.circuit, *request))
+            # the last answers go before the next run: each fit keeps what it needs
+            fits, answers = asked, None
+            if fits:
+                answers = _answers(runs, requests)
 
     def spec_extras(self) -> dict[str, Any]:
         return {key: getattr(self, key) for key in self.extras_keys}
@@ -233,6 +294,21 @@ class QNN(CircuitModel):
         return type(self)(self.circuit, seed=seed, **self.spec_extras())
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _answers(runs: MergedRuns, requests: list) -> list:
+    """`runs(requests)`; if that raises, each request runs alone, and one that
+    raises again is answered with its exception."""
+    try:
+        return runs(requests)
+    except Exception as exc:
+        if len(requests) == 1:
+            return [exc]
+    return [_answers(runs, [request])[0] for request in requests]
+
+
 class QNNClassifier(QNN):
     """Variational binary classifier read out as p(1) = (1 - <Z_0>)/2."""
 
@@ -241,6 +317,7 @@ class QNNClassifier(QNN):
     score_kind = "mean_accuracy"
     extras_keys = ("batch_size", "n_epochs", "accuracy_threshold")
     threshold_key = "accuracy_threshold"
+    threshold_range = (0.0, 1.0)
 
     def __init__(self, circuit: CircuitSpec, *, batch_size: int, n_epochs: int,
                  accuracy_threshold: float, seed: int = 0,
@@ -250,16 +327,27 @@ class QNNClassifier(QNN):
         if not 0.0 <= accuracy_threshold <= 1.0:
             raise ValueError("accuracy_threshold must be in [0, 1]")
 
+    @staticmethod
+    def _fit_data(X, y) -> tuple[np.ndarray, np.ndarray, Callable, dict[str, Any]]:
+        """A fit's rows, targets, score function and fitted attributes (none)."""
+        X, targets = _training_data(X, y, labels=True)
+        return X, targets, _accuracy, {}
+
     def predict(self, X: np.ndarray, counter: CallCounter) -> np.ndarray:
         return (self.expectations(X, counter) <= 0).astype(int)
 
     def fit(self, X: np.ndarray, y: np.ndarray, ledger: BudgetLedger,
             optimizer: OptimizerConfig | None = None) -> "QNNClassifier":
-        X, targets = _training_data(X, y, labels=True)
-        return self._train(X, targets, _accuracy, self.accuracy_threshold, ledger, optimizer)
+        return self._train(X, y, ledger, optimizer)
 
     def score(self, X: np.ndarray, y: np.ndarray, counter: CallCounter) -> float:
         return float(np.mean(self.predict(X, counter) == np.asarray(y)))
+
+
+def _rescale(y: np.ndarray, target_min: float, target_max: float) -> np.ndarray:
+    """y mapped affinely from [target_min, target_max] onto [-1, 1]: 2(y - min) /
+    span - 1, without doubling a span above half the float range."""
+    return (y - target_min) / ((target_max - target_min) / 2.0) - 1.0
 
 
 class QNNRegressor(QNN):
@@ -271,6 +359,7 @@ class QNNRegressor(QNN):
     score_kind = "r2"
     extras_keys = ("batch_size", "n_epochs", "r2_threshold", "target_min", "target_max")
     threshold_key = "r2_threshold"
+    threshold_range = (-sys.float_info.max, 1.0)
 
     def __init__(self, circuit: CircuitSpec, *, batch_size: int, n_epochs: int,
                  r2_threshold: float, seed: int = 0, weights: Sequence[float] | None = None,
@@ -285,9 +374,17 @@ class QNNRegressor(QNN):
         self.target_min = target_min
         self.target_max = target_max
 
-    def _rescale(self, y: np.ndarray) -> np.ndarray:
-        # 2(y - min) / span, without doubling a span above half the float range
-        return (y - self.target_min) / ((self.target_max - self.target_min) / 2.0) - 1.0
+    @staticmethod
+    def _fit_data(X, y) -> tuple[np.ndarray, np.ndarray, Callable, dict[str, Any]]:
+        """A fit's rows, targets, score function and fitted attributes (the
+        target range)."""
+        X, y = _training_data(X, y, labels=False)
+        fitted = {"target_min": float(y.min()), "target_max": float(y.max())}
+        if fitted["target_min"] == fitted["target_max"]:
+            raise ValueError("constant targets: rescaling to [-1, 1] is undefined")
+        _require_range(fitted["target_min"], fitted["target_max"], "target")
+        targets = _rescale(y, **fitted)
+        return X, targets, partial(_r_squared, ss_tot=_ss_tot(targets)), fitted  # one total per fit
 
     def _inverse(self, values: np.ndarray) -> np.ndarray:
         return (values + 1.0) / 2.0 * (self.target_max - self.target_min) + self.target_min
@@ -299,15 +396,7 @@ class QNNRegressor(QNN):
 
     def fit(self, X: np.ndarray, y: np.ndarray, ledger: BudgetLedger,
             optimizer: OptimizerConfig | None = None) -> "QNNRegressor":
-        X, y = _training_data(X, y, labels=False)
-        self.target_min = float(y.min())
-        self.target_max = float(y.max())
-        if self.target_min == self.target_max:
-            raise ValueError("constant targets: rescaling to [-1, 1] is undefined")
-        _require_range(self.target_min, self.target_max, "target")
-        targets = self._rescale(y)
-        score = partial(_r_squared, ss_tot=_ss_tot(targets))  # one total per fit
-        return self._train(X, targets, score, self.r2_threshold, ledger, optimizer)
+        return self._train(X, y, ledger, optimizer)
 
     def score(self, X: np.ndarray, y: np.ndarray, counter: CallCounter) -> float:
         y = np.asarray(y, dtype=float)
@@ -810,7 +899,7 @@ class RBMClusterer:
         self.feature_min, self.feature_max = feature_min, feature_max
 
     @staticmethod
-    def prepare(models: Sequence["RBMClusterer"], X: np.ndarray) -> None:
+    def prepare(models: Sequence["RBMClusterer"], X: np.ndarray, y=None) -> None:
         """Train `models` on X in place; a model's `fit` trains through here too,
         so a later `fit` on X trains nothing. Each distinct encoder, keyed by
         (widths, seed), trains once, all of them in one lockstep; each distinct

@@ -166,8 +166,9 @@ def _plan_repeats(trial: Trial, config: FinderConfig, registry: Registry, X: np.
     return models
 
 
-def _prepare(plan: Iterable[tuple[Trial, list]], registry: Registry, X: np.ndarray) -> None:
-    """Hand each family whose class has a `prepare` hook the models built in `plan`."""
+def _prepare(plan: Iterable[tuple[Trial, list]], registry: Registry, X: np.ndarray, y) -> None:
+    """Hand each family whose class has a `prepare` hook the models built in
+    `plan`, with the data they will be fitted on."""
     families: dict[str, list] = {}
     for trial, models in plan:
         for model in models:
@@ -176,7 +177,7 @@ def _prepare(plan: Iterable[tuple[Trial, list]], registry: Registry, X: np.ndarr
     for name, models in families.items():
         prepare = getattr(registry.model(name), "prepare", None)
         if prepare is not None:
-            prepare(models, X)
+            prepare(models, X, y)
 
 
 def run_trial(
@@ -195,7 +196,7 @@ def run_trial(
     study."""
     if models is None:
         models = _plan_repeats(trial, config, registry, X)
-        _prepare([(trial, models)], registry, X)
+        _prepare([(trial, models)], registry, X, y)
     repeats = iter(models)
 
     def fit_repeat(seed: int, ledger: BudgetLedger) -> float:
@@ -235,8 +236,10 @@ def find_model(
     winner's own repeat-0 model, the one that scored per_seed_scores[0].
 
     Every (trial, repeat) model is built once, before the first trial, and
-    each family's `prepare` gets its models. Between trials only the leading
-    trial's repeat-0 model is kept.
+    each family's `prepare` gets its models with X and y: the QNN families
+    train theirs in lockstep there, the clusterer its encoders and RBMs, and
+    each trial's fit then books and returns what its model's training gave.
+    Between trials only the leading trial's repeat-0 model is kept.
 
     Every candidate family's `build` must return models with `spec_fields`,
     and X and y must be finite; otherwise a ValueError naming the family, or
@@ -257,7 +260,7 @@ def find_model(
                    if not isinstance(m, Exception)):
             raise ValueError(f"model family {trial.sampled['model_type']!r} builds models "
                              "without spec_fields, so its winner could not be saved")
-    _prepare(((trial, plan[trial.trial_id]) for trial in trials), registry, X)
+    _prepare(((trial, plan[trial.trial_id]) for trial in trials), registry, X, y)
     leader = None  # the leading trial's rank key, record and fitted repeat-0 model
 
     def evaluate(trial: Trial) -> TrialRecord:

@@ -10,11 +10,13 @@ Fixed conventions (they are part of the serialization and test contract):
     models.kernel_matrix runs each row once and books 2 calls per kernel pair.
 
 Embeddings run gate by gate; `_simulate` runs the layers on the states it is
-handed, from the gate plan `_plan` compiles once per circuit shape. A fit's
-merged runs (MergedRuns) embed its rows once and build each layer gate's
-matrices once per weight vector, gathered onto the circuits with `take` as
-contiguous (B, 2, 2) arrays, as if built per circuit, so every matmul takes
-the same numpy path and gives the same bits.
+handed, from the gate plan `_plan` compiles once per circuit shape. Merged
+runs (MergedRuns) serve the training of one fit or of many in lockstep: they
+embed the rows once per embedding and build each layer gate's distinct
+matrices once per weight vector, in one call per gate kind for all fits,
+gathered onto the circuits with `take` as contiguous (B, 2, 2) arrays, as if
+built per circuit, so every matmul takes the same numpy path and gives the
+same bits.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from math import pi
+from math import pi, prod
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
@@ -286,28 +288,91 @@ def _plan(n_wires: int, layer_kinds: tuple[LayerKind, ...]
     return MappingProxyType(arrays), tuple(steps)
 
 
-def _simulate(spec: CircuitSpec, weights: np.ndarray, states: np.ndarray,
-              weights_at: np.ndarray | None = None,
-              rows_at: np.ndarray | None = None) -> Statevector:
-    """The circuits' final states from the embedded `states`, booking nothing.
-    Without indices: weights (P,) or (B, P) run on states broadcast to them.
-    With both: circuit k runs weight row weights_at[k] of weights (W, P) on row
-    rows_at[k] of `states`."""
-    amps, n = (states if rows_at is None else states.take(rows_at, axis=0)), spec.n_wires
-    del states  # held no longer than a slice's first gate
-    (columns_of, steps), mats = _plan(spec.n_wires, spec.layer_kinds), {}
+@lru_cache(maxsize=256)
+def _program(n_wires: int, layer_kinds: tuple[LayerKind, ...]) -> tuple:
+    """The gate plan of this shape as merged runs read it: (skeleton, picks,
+    variants). Per step, `skeleton` holds a rotation's wire or a CNOT's
+    (control, target), and `variants` a rotation's (kind position, each
+    shift-table row's matrix) or None; a kind's position is its place among
+    the plan's kinds. A shift table holds 2P+1 weight rows: the weights, then
+    +-pi/2 on each in turn (MergedRuns). Among those rows a gate with q
+    angles has 1 + 2q distinct angle sets: unshifted, then each angle +pi/2,
+    then each -pi/2. A kind's picks are the flat positions in the table of
+    its G gates' angle sets, (q, G * (1 + 2q)) gate by gate, and a step's
+    variants give each table row the index of its gate's matrix among the
+    kind's G * (1 + 2q)."""
+    columns_of, steps = _plan(n_wires, layer_kinds)
+    p, kinds = sum(kind.params_per_layer(n_wires) for kind in layer_kinds), list(columns_of)
+    picks = {}
     for kind, columns in columns_of.items():
-        m = _GATES[kind][1](*weights.T[columns.T])
-        mats[kind] = np.broadcast_to(m, (len(columns), 2, 2)) if m.ndim == 2 else m
+        g, q = columns.shape
+        rows = np.concatenate([np.zeros((g, 1), dtype=np.intp), 1 + columns, 1 + p + columns],
+                              axis=1)
+        picks[kind] = (rows[:, :, None] * p + columns[:, None, :]).transpose(2, 0, 1).reshape(
+            q, g * (1 + 2 * q))
+    skeleton, variants = [], []
     for kind, a, b in steps:
         if kind == "CNOT":
-            amps = _cnot(amps, n, a, b)
+            skeleton.append((a, b))
+            variants.append(None)
             continue
-        m = mats[kind][a]
-        if weights_at is not None and m.ndim > 2:  # one matrix per weight row
-            m = m.take(weights_at, axis=0)
-        amps = _rotate(amps, n, b, m)
-    return Statevector(amps, n)
+        columns, q = columns_of[kind][a], columns_of[kind].shape[1]
+        index = np.full(2 * p + 1, a * (1 + 2 * q), dtype=np.intp)
+        index[1 + columns] += 1 + np.arange(q)
+        index[1 + p + columns] += 1 + q + np.arange(q)
+        skeleton.append(b)
+        variants.append((kinds.index(kind), index))
+    for array in (*picks.values(), *(index for _, index in filter(None, variants))):
+        array.flags.writeable = False  # shared by every circuit of this shape
+    return tuple(skeleton), MappingProxyType(picks), tuple(variants)
+
+
+def _layer_matrices(angle_sets: Sequence[Mapping[str, np.ndarray]]
+                    ) -> tuple[np.ndarray, list[list[int]]]:
+    """The matrices of each set's angles, kind -> (angles, M) for M gates, as
+    one (total, 2, 2) array, kind by kind and within a kind set by set, and
+    for each set the row of its first matrix of each of its kinds, in its
+    kinds' order. Each gate kind builds its matrices in one call over all sets."""
+    kinds: dict[str, list[np.ndarray]] = {}
+    for angles in angle_sets:
+        for kind, piece in angles.items():
+            kinds.setdefault(kind, []).append(piece)
+    blocks, first, size = [], {}, 0
+    for kind, pieces in kinds.items():
+        angles = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
+        m = _GATES[kind][1](*angles)
+        blocks.append(np.broadcast_to(m, (angles.shape[1], 2, 2)) if m.ndim == 2 else m)
+        first[kind], size = size, size + angles.shape[1]
+    starts = []
+    for angles in angle_sets:
+        starts.append([first[kind] for kind in angles])
+        for kind, piece in angles.items():
+            first[kind] += piece.shape[1]
+    mats = blocks[0] if len(blocks) == 1 else np.concatenate(blocks or [np.empty((0, 2, 2))])
+    return mats, starts
+
+
+def _simulate(n: int, steps: tuple, states: np.ndarray, rows_at: np.ndarray | None,
+              at: Sequence, live: Sequence[int] | None = None) -> Statevector:
+    """The final states of circuits run from the embedded `states` (their rows
+    rows_at, else all of them), booking nothing. Step s is a CNOT's (control,
+    target) or a rotation's wire, whose at[s] = (matrices, index) gives every
+    circuit `matrices`, or with an index circuit k matrices[index[k]]. With
+    `live`, only the first live[s] circuits take step s: the rest have
+    finished, and the circuits keep their order."""
+    amps = states if rows_at is None else states.take(rows_at, axis=0)
+    del states  # held no longer than a slice's first gate
+    done = []
+    for s, step in enumerate(steps):
+        if live is not None and live[s] < len(amps):
+            done.append(amps[live[s]:])
+            amps = amps[:live[s]]
+        if isinstance(step, tuple):
+            amps = _cnot(amps, n, *step)
+        else:
+            m, index = at[s]
+            amps = _rotate(amps, n, step, m if index is None else m.take(index, axis=0))
+    return Statevector(np.concatenate([amps, *done[::-1]]) if done else amps, n)
 
 
 def run_circuit(spec: CircuitSpec, weights: Sequence[float], x: Sequence[float],
@@ -317,9 +382,28 @@ def run_circuit(spec: CircuitSpec, weights: Sequence[float], x: Sequence[float],
     w, x = np.asarray(weights, dtype=float), np.asarray(x, dtype=float)
     if w.shape[-1] != spec.param_count:  # refused before embedding
         raise ValueError(f"expected {spec.param_count} weights, got {w.shape[-1]}")
-    state = _simulate(spec, w, _embed(spec, x, np.broadcast_shapes(w.shape[:-1], x.shape[:-1])))
-    counter.increment(int(np.prod(state.amplitudes.shape[:-1])))
-    return state
+    batch, n = np.broadcast_shapes(w.shape[:-1], x.shape[:-1]), spec.n_wires
+    columns, steps = _plan(n, spec.layer_kinds)
+    rows, table = None, w  # 1-D weights: one matrix per gate, broadcast over the circuits
+    if w.ndim > 1:  # gate g's matrices (W, 2, 2), one per weight row, gathered per circuit
+        table = w.reshape(-1, w.shape[-1])
+        rows = np.broadcast_to(np.arange(len(table)).reshape(w.shape[:-1]), batch).reshape(-1)
+    skeleton, at, mats = [], [], {}
+    for kind, c in columns.items():  # a gate without angles has one matrix
+        m = _GATES[kind][1](*table.T[c.T])
+        mats[kind] = np.broadcast_to(m, (len(c), 2, 2)) if m.ndim == 2 else m
+    for kind, a, b in steps:
+        if kind == "CNOT":
+            skeleton.append((a, b))
+            at.append(None)
+        else:
+            m = mats[kind][a]
+            skeleton.append(b)
+            at.append((m, rows if m.ndim > 2 else None))
+    # one row per circuit; no reference outlives its first gate
+    state = _simulate(n, skeleton, _embed(spec, x, batch).reshape(-1, 2**n), None, at)
+    counter.increment(prod(batch))
+    return Statevector(state.amplitudes.reshape(batch + (2**n,)), n)
 
 
 def expectation_z(state: Statevector, wire: int) -> float | np.ndarray:
@@ -337,45 +421,176 @@ def fidelity(a: Statevector, b: Statevector) -> float | np.ndarray:
     return np.abs((a.amplitudes.conj() * b.amplitudes).sum(axis=-1)) ** 2
 
 
+MERGED_SLICE = 2**9  # amplitudes of a slice that runs the circuits of several requests
+LONE_SLICE = 2**20  # amplitudes of a slice of one request too large to merge
+
+
 class MergedRuns:
-    """A fit's runs on the rows X (N, F): called with 1-D weights and row
-    indices `check` and `batch`, <Z_wire> of the rows in `check` and the (B, P)
-    +-pi/2 parameter-shift gradients of those in `batch`, from len(check) +
-    2P*B circuits in slices of at most 2**20 amplitudes; books nothing. X is
-    embedded once if it fits one slice, else each slice embeds its rows."""
+    """The runs of fits on the rows X (N, F), read out at `wire`. Called with
+    one request (spec, weights, check, batch) per fit, it returns each fit's
+    (values, grads): <Z_wire> of the rows in `check` at the 1-D weights, and
+    the (B, P) +-pi/2 parameter-shift gradients of the rows in `batch`, from
+    len(check) + 2P*B circuits; it books nothing. A lone fit's requests are
+    the case of one request.
 
-    def __init__(self, spec: CircuitSpec, X: np.ndarray, wire: int) -> None:
-        self.spec, self.X, self.wire = spec, np.asarray(X, dtype=float), wire
-        self.size = max(1, 2**20 >> spec.n_wires)  # circuits per slice
-        self.states = _embed(spec, self.X, self.X.shape[:-1]) if len(self.X) <= self.size else None
-        p = spec.param_count
-        eye = np.eye(p, dtype=bool)  # weight rows: unshifted, then +-pi/2 on each weight in turn
-        self.mask = np.concatenate([np.zeros((1, p), dtype=bool), eye, eye])
-        self.offsets = np.concatenate([np.zeros((1, p)), eye * (pi / 2), eye * -(pi / 2)])
-        self.layouts: dict[tuple[int, int], np.ndarray] = {}  # weight row of each circuit
+    Requests on one wire count whose skeletons (`_program`) are prefixes of
+    one another run together, deepest first: each gate kind builds its
+    matrices in one call over all their weight vectors, and each step is one
+    `_rotate` of the circuits still running, in slices of at most
+    MERGED_SLICE amplitudes. A request larger than that runs alone, in slices
+    of at most LONE_SLICE. X is embedded once per embedding and wire count if
+    it fits one lone slice, else each slice embeds the rows it uses."""
 
-    def __call__(self, weights: Sequence[float], check: np.ndarray,
-                 batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w = np.asarray(weights, dtype=float)
-        p, n_check = w.size, len(check)
-        table = np.where(self.mask, w + self.offsets, w)
-        weights_at = self.layouts.get((n_check, len(batch)))
-        if weights_at is None:
-            weights_at = self.layouts[n_check, len(batch)] = np.concatenate(
-                [np.zeros(n_check, dtype=np.intp), np.tile(np.arange(1, 2 * p + 1), len(batch))])
-        rows_at, values = np.concatenate([check, np.repeat(batch, 2 * p)]), []
-        for k in range(0, max(1, len(rows_at)), self.size):  # with no circuits, one empty run
-            used, x = rows_at[k : k + self.size], None
-            if self.states is None:  # embed the slice's distinct rows
-                distinct, used = np.unique(used, return_inverse=True)
-                x = self.X[distinct]
-            values.append(expectation_z(  # unbound: a slice's states go before the next's
-                _simulate(self.spec, table, self.states if x is None else
-                          _embed(self.spec, x, x.shape[:-1]), weights_at[k : k + self.size], used),
-                self.wire))
-        values = np.concatenate(values)
-        shifted = values[n_check:].reshape(len(batch), 2, p)
-        return values[:n_check], 0.5 * (shifted[:, 0] - shifted[:, 1])
+    def __init__(self, X: np.ndarray, wire: int) -> None:
+        self.X, self.wire = np.asarray(X, dtype=float), wire
+        # wire count -> a spec per embedding, and X embedded by each in turn (or None)
+        self.embedded: dict[int, tuple[list[CircuitSpec], np.ndarray | None]] = {}
+        self.shifts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _shift(self, p: int) -> tuple[np.ndarray, np.ndarray]:
+        """The weight rows of P weights, unshifted, then +-pi/2 on each weight in
+        turn, as (mask, offsets) of their shifted entries."""
+        shift = self.shifts.get(p)
+        if shift is None:
+            eye = np.eye(p, dtype=bool)
+            shift = self.shifts[p] = (
+                np.concatenate([np.zeros((1, p), dtype=bool), eye, eye]),
+                np.concatenate([np.zeros((1, p)), eye * (pi / 2), eye * -(pi / 2)]))
+        return shift
+
+    def _first_row(self, spec: CircuitSpec) -> int:
+        """The row of X's first row embedded by spec's embedding, among the
+        embedded rows of its wire count."""
+        specs, stacked = self.embedded.get(spec.n_wires, ([], None))
+        for k, known in enumerate(specs):
+            if known.embedding is spec.embedding or known.embedding == spec.embedding:
+                return k * len(self.X)
+        if len(self.X) <= LONE_SLICE >> spec.n_wires:
+            states = _embed(spec, self.X, self.X.shape[:-1])
+            stacked = states if stacked is None else np.concatenate([stacked, states])
+        self.embedded[spec.n_wires] = specs + [spec], stacked
+        return len(specs) * len(self.X)
+
+    def _states(self, n: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Embedded states holding the embedded rows `rows`, and their rows in them."""
+        specs, stacked = self.embedded[n]
+        if stacked is not None:
+            return stacked, rows
+        distinct, used = np.unique(rows, return_inverse=True)
+        owner = distinct // len(self.X)
+        parts = [_embed(specs[k], self.X[distinct[owner == k] - k * len(self.X)],
+                        (int(np.sum(owner == k)),))
+                 for k in (np.unique(owner) if len(owner) else [0])]
+        return (parts[0] if len(parts) == 1 else np.concatenate(parts)), used
+
+    def __call__(self, requests: Sequence[tuple[CircuitSpec, Sequence[float], np.ndarray,
+                                                np.ndarray]]
+                 ) -> list[tuple[np.ndarray, np.ndarray]]:
+        programs = [_program(spec.n_wires, spec.layer_kinds) for spec, *_ in requests]
+        angle_sets = []
+        for (_, w, _, _), (_, picks, _) in zip(requests, programs):
+            w = np.asarray(w, dtype=float)
+            mask, offsets = self._shift(w.size)
+            table = np.where(mask, w + offsets, w).ravel()
+            angle_sets.append({kind: table.take(pick) for kind, pick in picks.items()})
+        mats, starts = _layer_matrices(angle_sets)  # one call per gate kind for all requests
+        del angle_sets
+        counts = [len(check) + 2 * np.size(w) * len(batch) for _, w, check, batch in requests]
+        answers: list = [None] * len(requests)
+        parts: dict[int, list[np.ndarray]] = {}  # of the requests in the running slice
+        layouts = {}
+        for group in self._groups(requests, programs):
+            n = requests[group[0]][0].n_wires
+            for pieces in self._slices(n, [(i, counts[i]) for i in group]):
+                # the circuits' rows, and per step of the slice's deepest the
+                # circuits still running and each one's matrix among mats
+                skeleton = programs[pieces[0][0]][0]
+                rows, live, at = [], [0] * len(skeleton), [[] for _ in skeleton]
+                for i, a, b in pieces:
+                    if not a:
+                        layouts[i] = self._layout(requests[i])
+                    rows.append(layouts[i][0][a:b])
+                    own = layouts[i][1][a:b]
+                    for s, variant in enumerate(programs[i][2]):
+                        live[s] += b - a
+                        if variant is not None:
+                            at[s].append((starts[i][variant[0]], variant[1], own))
+                # a step of one request takes its matrices per weight row, gathered
+                # as it runs; a merged step gathers each circuit's among mats
+                at = [steps and ((mats[steps[0][0]:].take(steps[0][1], axis=0), steps[0][2])
+                                 if len(steps) == 1 else (mats, np.concatenate(
+                                     [start + index.take(own) for start, index, own in steps])))
+                      for steps in at]
+                rows = rows[0] if len(rows) == 1 else np.concatenate(rows)
+                got = expectation_z(_simulate(n, skeleton, *self._states(n, rows), at, live),
+                                    self.wire)
+                k = 0
+                for i, a, b in pieces:
+                    parts.setdefault(i, []).append(got[k : k + b - a])
+                    k += b - a
+                    if b == counts[i]:  # the request's last circuit: answer it
+                        answers[i] = self._answer(requests[i], parts.pop(i))
+                        del layouts[i]
+        return answers
+
+    @staticmethod
+    def _answer(request: tuple, parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """A request's (values, grads) from the values of its circuits, in parts."""
+        _, w, check, batch = request
+        v = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        shifted = v[len(check):].reshape(len(batch), 2, np.size(w))
+        # copied: a view would hold all of its slice's values
+        return v[:len(check)].copy(), 0.5 * (shifted[:, 0] - shifted[:, 1])
+
+    @staticmethod
+    def _groups(requests: Sequence, programs: Sequence) -> list[list[int]]:
+        """The requests that run together: one wire count and skeletons that are
+        prefixes of the first's, deepest first."""
+        groups: list[list[int]] = []
+        for i in sorted(range(len(requests)), key=lambda i: -len(programs[i][0])):
+            n, skeleton = requests[i][0].n_wires, programs[i][0]
+            for group in groups:
+                lead = group[0]  # the deepest of its group
+                if (requests[lead][0].n_wires == n
+                        and programs[lead][0][:len(skeleton)] == skeleton):
+                    group.append(i)
+                    break
+            else:
+                groups.append([i])
+        return groups
+
+    def _layout(self, request: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """Each circuit of a request on P weights: its row among the embedded
+        rows of X, and its weight row, 0 for each checked row, then 1..2P for
+        each batch row."""
+        spec, w, check, batch = request
+        p, first = np.size(w), self._first_row(spec)
+        rows = np.concatenate([check, np.repeat(batch, 2 * p)])
+        weights = np.concatenate([np.zeros(len(check), dtype=np.intp),
+                                  1 + np.arange(2 * p * len(batch)) % (2 * p)])
+        return (rows + first if first else rows), weights
+
+    @staticmethod
+    def _slices(n: int, counts: list[tuple[int, int]]) -> list[list[tuple[int, int, int]]]:
+        """Requests (index, circuit count), in order, cut into slices of pieces
+        (request, first circuit, end): whole requests merged up to MERGED_SLICE
+        amplitudes, or a larger request alone in slices of at most LONE_SLICE.
+        The larger requests come first, so fewer answers are held while their
+        larger slices run."""
+        cap, size = MERGED_SLICE >> n, max(1, LONE_SLICE >> n)
+        alone, slices, merged, total = [], [], [], 0
+        for i, count in counts:
+            if count > cap:
+                alone += [[(i, k, min(k + size, count))] for k in range(0, count, size)]
+            elif total + count > cap:
+                slices.append(merged)
+                merged, total = [(i, 0, count)], count
+            else:
+                merged.append((i, 0, count))
+                total += count
+        if merged:
+            slices.append(merged)
+        return alone + slices
 
 
 def parameter_shift_gradient(spec: CircuitSpec, weights: Sequence[float], x: Sequence[float],
@@ -386,6 +601,6 @@ def parameter_shift_gradient(spec: CircuitSpec, weights: Sequence[float], x: Seq
     if len(w) != spec.param_count:  # refused before embedding
         raise ValueError(f"expected {spec.param_count} weights, got {len(w)}")
     rows = np.atleast_2d(x)
-    _, grads = MergedRuns(spec, rows, wire)(w, np.arange(0), np.arange(len(rows)))
+    ((_, grads),) = MergedRuns(rows, wire)([(spec, w, np.arange(0), np.arange(len(rows)))])
     counter.increment(2 * grads.size)
     return grads.reshape(x.shape[:-1] + grads.shape[1:])

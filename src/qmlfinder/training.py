@@ -8,14 +8,16 @@ residuals (f - t) for an epoch are taken from the expectation values computed
 by the preceding full-train check rather than from extra forward passes.
 Each check shares its simulation with the next epoch's first mini-batch, and
 calls are booked when used: a batch run with the check that stops training is
-simulated but never booked.
+simulated but never booked. One fit's loop is a step generator (`fit_steps`),
+which `train_epochs` drives alone and `QNN.prepare` drives in lockstep with
+other fits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -152,6 +154,57 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     return order
 
 
+def fit_steps(
+    *,
+    weights: Sequence[float],
+    n: int,
+    targets: np.ndarray,
+    score_fn: Callable[[np.ndarray, np.ndarray], float],
+    ledger: BudgetLedger,
+    opt_config: OptimizerConfig,
+    batch_size: int,
+    n_epochs: int,
+    threshold: float,
+    seed: int,
+) -> Generator[tuple[np.ndarray, np.ndarray, np.ndarray],
+               tuple[np.ndarray, np.ndarray], TrainResult]:
+    """One fit of `train_epochs` on n rows, step by step: a generator that
+    yields each simulation the fit needs as (w, check, batch), is sent back
+    its (values, grads), books the calls it uses and returns the TrainResult.
+    `train_epochs` drives one fit; `QNN.prepare` drives many in lockstep."""
+    if n == 0:
+        raise ValueError("empty training data")
+    _require_integer("batch_size", batch_size, 1)
+    _require_integer("n_epochs", n_epochs, 0)
+
+    rows, w = np.arange(n), np.asarray(weights, dtype=float).copy()
+    for epoch in range(n_epochs + 1):  # the check after `epoch` epochs returns at the last
+        # the check shares its simulation with the next epoch's first batch, if that runs
+        order = _epoch_order(seed, epoch + 1, n if epoch < n_epochs else 0)
+        values, grads = yield w, rows, order[:batch_size]
+        ledger.scoring.increment(n)
+        score = score_fn(values, targets)
+        if score >= threshold or epoch == n_epochs:
+            return TrainResult(w, epoch, score)
+        # a lockstep holds every fit between its yields, so a fit keeps no
+        # simulation's outputs or gradients longer than it needs them
+        residuals = 2.0 * (values - targets)
+        del values
+        if not epoch:
+            state = init_opt_state(opt_config, w.size)
+        for start in range(0, n, batch_size):
+            batch = order[start : start + batch_size]
+            if start:
+                _, grads = yield w, rows[:0], batch
+            ledger.training_gradients.increment(2 * w.size * len(batch))
+            # added in row order (numpy's pairwise sum would round differently);
+            # + 0.0 makes an all -0.0 sum +0.0
+            grad = np.add.accumulate(residuals[batch, None] * grads, axis=0)[-1] + 0.0
+            del grads
+            grad /= len(batch)
+            w, state = step(state, w, grad, opt_config)
+
+
 def train_epochs(
     *,
     weights: Sequence[float],
@@ -176,43 +229,15 @@ def train_epochs(
     simulation that books nothing, the output for every row in `check` (all
     or none) and the (B, P) gradients of the rows in `batch`, summed per
     sample in shuffled order. A check books N calls; a batch books 2*P*B when
-    its gradients are used.
+    its gradients are used. The steps are `fit_steps`'.
     """
-    n = len(X)
-    if n == 0:
-        raise ValueError("empty training data")
-    _require_integer("batch_size", batch_size, 1)
-    _require_integer("n_epochs", n_epochs, 0)
-    rows = np.arange(n)
-
-    def check(w: np.ndarray, epoch: int):
-        """Score at w, simulated with the first batch of `epoch` if that epoch runs."""
-        order = _epoch_order(seed, epoch, n if epoch <= n_epochs else 0)
-        values, grads = evaluate(w, rows, order[:batch_size])
-        ledger.scoring.increment(n)
-        return order, values, grads, score_fn(values, targets)
-
-    w = np.asarray(weights, dtype=float).copy()
-    order, values, grads, score = check(w, 1)
-    if score >= threshold or n_epochs == 0:
-        return TrainResult(w, 0, score)
-
-    state = init_opt_state(opt_config, w.size)
-    epochs_run = 0
-    for epoch in range(1, n_epochs + 1):
-        residuals = 2.0 * (values - targets)
-        for start in range(0, n, batch_size):
-            batch = order[start : start + batch_size]
-            if start:
-                _, grads = evaluate(w, rows[:0], batch)
-            ledger.training_gradients.increment(2 * w.size * len(batch))
-            # added in row order (numpy's pairwise sum would round differently);
-            # + 0.0 makes an all -0.0 sum +0.0
-            grad = np.add.accumulate(residuals[batch, None] * grads, axis=0)[-1] + 0.0
-            grad /= len(batch)
-            w, state = step(state, w, grad, opt_config)
-        order, values, grads, score = check(w, epoch + 1)
-        epochs_run = epoch
-        if score >= threshold:
-            break
-    return TrainResult(w, epochs_run, score)
+    steps = fit_steps(weights=weights, n=len(X), targets=targets, score_fn=score_fn,
+                      ledger=ledger, opt_config=opt_config, batch_size=batch_size,
+                      n_epochs=n_epochs, threshold=threshold, seed=seed)
+    answer = None
+    while True:
+        try:
+            request = steps.send(answer)
+        except StopIteration as stop:
+            return stop.value
+        answer = evaluate(*request)

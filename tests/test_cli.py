@@ -437,9 +437,47 @@ def test_infinite_thresholds_keep_their_meaning(tmp_path, blobs_csv, text, tag, 
     assert f"({tag})" in capsys.readouterr().out
 
 
-def test_a_model_file_the_study_cannot_write_leaves_the_previous_one(tmp_path, capsys):
-    # a QNN regressor stores the study threshold, and JSON has no inf: the study
-    # runs, then exits 3 without touching the model file already there
+@pytest.mark.parametrize("text", ["inf", "-inf", "1.5", "-0.5"])
+@pytest.mark.parametrize("task", ["classification", "regression"])
+def test_a_threshold_outside_the_score_range_decides_feasibility_alone(tmp_path, blobs_csv, task,
+                                                                       text):
+    # each QNN stops early at the threshold clamped into what its model file
+    # can store, so every trial completes and the winner's file is written
+    data = blobs_csv
+    if task == "regression":
+        xs = np.linspace(-np.pi, np.pi, 12)
+        data = tmp_path / "sine.csv"
+        write_csv(data, ["f0", "y"], zip(xs, np.sin(xs)))
+    store, model = tmp_path / "study.jsonl", tmp_path / "model.json"
+    code = cli_main(
+        ["find-model", "--task", task, "--data", str(data), "--target", "y", *FAST_FLAGS,
+         f"--threshold={text}", "--store", str(store), "--out", str(model)]
+    )
+    assert code == EXIT_OK
+    threshold = float(text)
+    records = [json.loads(line) for line in store.read_text().splitlines()]
+    assert [r["status"] for r in records] == ["complete"] * 4
+    assert all(r["feasible"] == (r["mean_score"] >= threshold) for r in records)
+    spec = json.loads(model.read_text())
+    metadata = spec["metadata"]
+    assert metadata["feasible"] == {"inf": False, "1.5": False, "-inf": True}.get(
+        text, metadata["mean_score"] >= threshold)
+    key = {"QNN": "accuracy_threshold", "QNN_REGRESSOR": "r2_threshold"}.get(spec["model_family"])
+    if key is not None:
+        low = 0.0 if key == "accuracy_threshold" else -sys.float_info.max
+        assert spec["extras"][key] == min(max(threshold, low), 1.0)
+
+
+def test_a_model_file_the_study_cannot_write_leaves_the_previous_one(tmp_path, capsys,
+                                                                     monkeypatch):
+    # a winner holding a value JSON cannot store, here an infinite target bound
+    # in a QNN regressor's extras: the study runs, then exits 3 without
+    # touching the model file already there
+    from qmlfinder import QNNRegressor
+
+    extras = QNNRegressor.spec_extras
+    monkeypatch.setattr(QNNRegressor, "spec_extras",
+                        lambda self: {**extras(self), "target_max": float("inf")})
     xs = np.linspace(-np.pi, np.pi, 12)
     data = tmp_path / "sine.csv"
     write_csv(data, ["f0", "y"], zip(xs, np.sin(xs)))
@@ -447,8 +485,7 @@ def test_a_model_file_the_study_cannot_write_leaves_the_previous_one(tmp_path, c
     model.write_bytes(b'{"previous":1}')
     code = cli_main(
         ["find-model", "--task", "regression", "--data", str(data), "--target", "y",
-         *FAST_FLAGS, "--threshold=inf", "--store", str(tmp_path / "s.jsonl"),
-         "--out", str(model)]
+         *FAST_FLAGS, "--store", str(tmp_path / "s.jsonl"), "--out", str(model)]
     )
     assert code == EXIT_STUDY
     assert "Out of range float values are not JSON compliant" in capsys.readouterr().err

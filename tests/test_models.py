@@ -29,7 +29,7 @@ from qmlfinder import (
     run_circuit,
     silhouette_score,
 )
-from qmlfinder.models import RBM, BinaryEncoder, _sigmoid
+from qmlfinder.models import RBM, BinaryEncoder, _rescale, _sigmoid
 
 from oracles import (
     brute_silhouette,
@@ -155,9 +155,7 @@ def test_regressor_refuses_a_target_range_past_the_float_range():
 
 def test_regressor_rescales_a_range_above_half_the_float_range():
     # 2 * (y - min) would overflow; the rescaled targets still span [-1, 1]
-    model = QNNRegressor(CircuitSpec(1, ANGLE, ()), batch_size=4, n_epochs=0, r2_threshold=0.9,
-                         target_min=0.0, target_max=1.5e308)
-    assert model._rescale(np.array([0.0, 0.75e308, 1.5e308])).tolist() == [-1.0, 0.0, 1.0]
+    assert _rescale(np.array([0.0, 0.75e308, 1.5e308]), 0.0, 1.5e308).tolist() == [-1.0, 0.0, 1.0]
 
 
 @pytest.mark.parametrize("extras", [{"batch_size": 0}, {"batch_size": True},

@@ -9,7 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qmlfinder.models import RBM, BinaryEncoder, _sigmoid
+from qmlfinder.models import RBM, BinaryEncoder, QNNClassifier, QNNRegressor, _sigmoid
 from qmlfinder.registry import (
     AMPLITUDE,
     ANGLE,
@@ -96,8 +96,8 @@ def merged_runs(draw):
 @given(merged_runs())
 def test_merged_run_equals_the_separate_runs_bit_for_bit(case):
     spec, w, wire, X, rows = case
-    runs = MergedRuns(spec, np.concatenate([X, rows]), wire)
-    values, grads = runs(w, np.arange(len(X)), len(X) + np.arange(len(rows)))
+    runs = MergedRuns(np.concatenate([X, rows]), wire)
+    ((values, grads),) = runs([(spec, w, np.arange(len(X)), len(X) + np.arange(len(rows)))])
     # the 1-D weights build the layer gates from 0-d angles; the merged run
     # gives each circuit its own row of weights
     want = expectation_z(run_circuit(spec, w, X, CallCounter()), wire)
@@ -147,16 +147,79 @@ def fit_runs(draw):
 @given(fit_runs())
 def test_plan_runs_equal_the_gate_loop_bit_for_bit(case):
     spec, wire, X, runs = case
-    merged = MergedRuns(spec, X, wire)  # embeds X once for all of the fit's runs
+    merged = MergedRuns(X, wire)  # embeds X once for all of the fit's runs
     rows = np.arange(len(X))
     for w, scored, batch in runs:
         check, batch = (rows if scored else rows[:0]), np.array(batch, dtype=np.intp)
-        got, want = merged(w, check, batch), gate_loop_merged(spec, w, X, check, batch, wire)
+        got = merged([(spec, w, check, batch)])[0]
+        want = gate_loop_merged(spec, w, X, check, batch, wire)
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         # a cross kernel's one run over both sides' rows, at 1-D weights
         S = run_circuit(spec, w, X, CallCounter()).amplitudes
         assert S.tobytes() == gate_loop_run(spec, w, X).tobytes()
+
+
+@st.composite
+def lockstep_fits(draw):
+    """A task, 2-6 training rows and 1-6 QNN fits of it on them: each on 1-3
+    wires, either embedding and 1-3 layers of the shipped kinds, with a batch
+    size of 1 to N, 0-3 epochs, a seed and a threshold that may stop it at the
+    precheck or mid-training; and for each fit one request of a merged run, a
+    check of all rows or none and a batch of 0-4 rows."""
+    task = draw(st.sampled_from(["classification", "regression"]))
+    circuits = draw(st.lists(st.builds(
+        CircuitSpec, st.integers(1, 3), st.sampled_from([ANGLE, AMPLITUDE]),
+        st.lists(st.sampled_from([BASIC_ENTANGLER, STRONGLY_ENTANGLING]),
+                 min_size=1, max_size=3).map(tuple)), min_size=1, max_size=6))
+    n_rows = draw(st.integers(2, 6))
+    n_features = draw(st.integers(1, min(c.embedding.max_features(c.n_wires) for c in circuits)))
+    X = draw(hnp.arrays(np.float64, (n_rows, n_features),
+                        elements=st.floats(0.1, 2.0) | st.floats(-2.0, -0.1)))
+    if task == "classification":  # both classes
+        y = np.array([0, 1] + draw(st.lists(st.sampled_from([0, 1]), min_size=n_rows - 2,
+                                            max_size=n_rows - 2)))
+        thresholds = st.sampled_from([0.0, 0.5, 0.75, 1.0])
+    else:  # not constant
+        y = np.array([0.0, 1.0] + draw(st.lists(st.floats(-1.0, 2.0), min_size=n_rows - 2,
+                                                max_size=n_rows - 2)))
+        thresholds = st.floats(-3.0, 1.0) | st.sampled_from([-np.inf, 1.0])
+    fits = [(circuit, draw(st.integers(1, n_rows)), draw(st.integers(0, 3)),
+             draw(thresholds), draw(st.integers(0, 3))) for circuit in circuits]
+    requests = [(draw(st.booleans()), draw(st.lists(st.integers(0, n_rows - 1), max_size=4)))
+                for _ in circuits]
+    return task, X, y, fits, requests
+
+
+@settings(deadline=None)
+@given(lockstep_fits())
+def test_qnn_fits_in_lockstep_equal_each_fit_alone_bit_for_bit(case):
+    task, X, y, fits, requests = case
+    family = QNNClassifier if task == "classification" else QNNRegressor
+
+    def models():
+        return [family(circuit, batch_size=batch_size, n_epochs=n_epochs, seed=seed,
+                       **{family.threshold_key: threshold})
+                for circuit, batch_size, n_epochs, threshold, seed in fits]
+
+    together = models()
+    family.prepare(together, X, y)
+    for trained, alone in zip(together, models()):
+        ledgers = BudgetLedger(), BudgetLedger()
+        trained.fit(X, y, ledgers[0])
+        alone.fit(X, y, ledgers[1])
+        assert trained.weights.tobytes() == alone.weights.tobytes()
+        assert trained.epochs_run == alone.epochs_run
+        assert np.float64(trained.train_score).tobytes() == np.float64(alone.train_score).tobytes()
+        assert ledgers[0].as_dict() == ledgers[1].as_dict()
+    # one merged run of every fit's request: each fit's share is the gate loop's
+    rows = np.arange(len(X))
+    asked = [(model.circuit, model.weights, rows if scored else rows[:0],
+              np.array(batch, dtype=np.intp)) for model, (scored, batch) in zip(together, requests)]
+    for request, got in zip(asked, MergedRuns(X, 0)(asked)):
+        want = gate_loop_merged(request[0], request[1], X, request[2], request[3], 0)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # signed zeros and small integers make exact cancellations, and all -0.0 sums, common

@@ -1,6 +1,8 @@
 """Search contracts: sampler determinism and bounds, suggestion schemas,
 trial crash containment, the selection objective, and the tuner."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,8 @@ from qmlfinder import (
     suggest_unsupervised_kwargs,
 )
 from qmlfinder import ANGLE, LayerKind, search
-from qmlfinder.models import BinaryEncoder, QEKClassifier, QNNClassifier, RBMClusterer
+from qmlfinder.models import (BinaryEncoder, QEKClassifier, QNNClassifier, QNNRegressor,
+                              RBMClusterer)
 from qmlfinder.search import _fit_and_score, _suggest_and_build
 from qmlfinder.simulator import rx
 from qmlfinder.store import StudyStore, model_from_spec, model_to_spec
@@ -193,6 +196,19 @@ def test_supervised_kwargs_bounds(registry):
         assert 3 <= trial.sampled["n_layers"] <= 5
         assert "batch_size" not in trial.sampled
         assert model.ridge_lambda == 1e-3
+
+
+@pytest.mark.parametrize("threshold", [float("inf"), float("-inf"), 1.5, -0.5, 0.8])
+def test_a_qnn_stops_early_at_the_study_threshold_clamped_into_its_model_file_range(registry,
+                                                                                   threshold):
+    # [0, 1] for accuracy and [-float max, 1] for R^2: the model file stores
+    # the clamped value; the study threshold alone still decides feasibility
+    X = np.zeros((10, 2))
+    for family, task, low in ((QNNClassifier, TaskType.CLASSIFICATION, 0.0),
+                              (QNNRegressor, TaskType.REGRESSION, -sys.float_info.max)):
+        config = FinderConfig(task=task, threshold=threshold)
+        model = family.build(Trial(0, derive_seed(0, 0)), X, config, registry, 0)
+        assert getattr(model, family.threshold_key) == min(max(threshold, low), 1.0)
 
 
 def test_supervised_wire_rule(registry):
@@ -703,7 +719,7 @@ def test_failures_reach_their_trials_as_without_the_prepass(cluster_blobs, tmp_p
     outcomes = []
     for prepass in ("with", "without"):
         if prepass == "without":  # each fit trains its own encoder and RBM
-            monkeypatch.setattr(search, "_prepare", lambda plan, registry, X: None)
+            monkeypatch.setattr(search, "_prepare", lambda plan, registry, X, y: None)
         study = tmp_path / f"study-{prepass}.jsonl"
         empty = tmp_path / f"empty-{prepass}.jsonl"
         config = _clustering_config(n_trials=6, n_seeds=2, base_seed=2)
@@ -716,6 +732,47 @@ def test_failures_reach_their_trials_as_without_the_prepass(cluster_blobs, tmp_p
     errors = [r.error for r in StudyStore(study).load()]
     assert "RuntimeError: build broke" in errors
     assert any(r.status == "complete" for r in StudyStore(study).load())
+
+
+@pytest.mark.parametrize("base_seed", [0, 1, 2])
+def test_supervised_failures_reach_their_trials_as_without_the_prepass(blobs40, sine20, tmp_path,
+                                                                       monkeypatch, base_seed):
+    """Classification and regression studies write the same stores and model
+    files with the QNN lockstep pre-pass and without it, where some fits fail
+    inside the pre-pass: a refused layer, a row AMPLITUDE cannot embed, and
+    constant regression targets. Each fails in its own trial, with its error
+    text, and the other trials complete."""
+    doubled = LayerKind("DoubledRX", lambda n: n, lambda n, w: [rx(i, 2 * w[i]) for i in range(n)])
+    registry = default_registry().register("layer", doubled)
+    studies = {}
+    for task, (X, y) in ((TaskType.CLASSIFICATION, blobs40), (TaskType.REGRESSION, sine20)):
+        zero = np.zeros((1, X.shape[1]))  # ANGLE embeds it, AMPLITUDE refuses it
+        studies[task] = np.concatenate([X, zero]), np.append(y, y[0])
+    outcomes, errors = [], set()
+    for prepass in ("with", "without"):
+        if prepass == "without":  # each fit simulates its own training
+            monkeypatch.setattr(search, "_prepare", lambda plan, registry, X, y: None)
+        outcome = []
+        for task, (X, y) in studies.items():
+            config = FinderConfig(task=task, n_trials=20, n_seeds=2, n_epochs=3,
+                                  base_seed=base_seed)
+            study = tmp_path / f"{task.value}-{prepass}.jsonl"
+            spec = find_model(config, registry, X, y, StudyStore(study))
+            records = StudyStore(study).load()
+            assert any(r.status == "complete" for r in records)
+            errors.update(r.error for r in records if r.error)
+            outcome += [study.read_bytes(), spec.to_json()]
+        constant = tmp_path / f"constant-{prepass}.jsonl"
+        config = FinderConfig(task=TaskType.REGRESSION, n_trials=4, n_seeds=2, n_epochs=3,
+                              base_seed=base_seed)
+        with pytest.raises(StudyFailureError):
+            find_model(config, registry, sine20[0], np.full(20, 0.5), StudyStore(constant))
+        assert {r.error for r in StudyStore(constant).load()} == {
+            "ValueError: constant targets: rescaling to [-1, 1] is undefined"}
+        outcomes.append(outcome + [constant.read_bytes()])
+    assert outcomes[0] == outcomes[1]
+    assert {"ValueError: layer DoubledRX: each weight must be the angle of exactly one rotation "
+            "gate", "ValueError: AMPLITUDE embedding of an all-zero vector is undefined"} <= errors
 
 
 def test_clustering_store_bytes_match_under_n_cores(registry, cluster_blobs, tmp_path):
@@ -788,9 +845,9 @@ def _record_rbm_trainings(monkeypatch):
     prepared, trainings = [], []
     prepare, train_rbms = RBMClusterer.prepare, RBMClusterer._train_rbms
 
-    def recording_prepare(models, X):
+    def recording_prepare(models, X, y=None):
         prepared.extend(models)
-        prepare(models, X)
+        prepare(models, X, y)
 
     def recording_train_rbms(models, X):
         trainings.extend(models)

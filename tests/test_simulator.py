@@ -518,7 +518,7 @@ def test_merged_run_slices_cut_between_scoring_and_shifted_circuits():
     spec = CircuitSpec(14, ANGLE, (BASIC_ENTANGLER,))
     w = np.array(rng.uniforms(spec.param_count, -np.pi, np.pi))
     X = np.array([rng.uniforms(14, -np.pi, np.pi) for _ in range(3)])
-    values, grads = MergedRuns(spec, X, 0)(w, np.arange(3), np.array([2, 0, 1]))
+    ((values, grads),) = MergedRuns(X, 0)([(spec, w, np.arange(3), np.array([2, 0, 1]))])
     assert values.tobytes() == expectation_z(run_circuit(spec, w, X, CallCounter()), 0).tobytes()
     assert grads.tobytes() == sliced_gradient(spec, w, X[[2, 0, 1]], 0, CallCounter()).tobytes()
 
@@ -539,13 +539,13 @@ def test_a_fit_too_large_for_one_slice_embeds_its_rows_slice_by_slice(monkeypatc
     X = np.array([rng.uniforms(14, -np.pi, np.pi) for _ in range(65)])
     tracemalloc.start()
     try:
-        runs = MergedRuns(spec, X, 0)
-        values, _ = runs(w, np.arange(65), np.arange(0))
-        _, grads = runs(w, np.arange(0), np.array([64, 3, 64]))
+        runs = MergedRuns(X, 0)
+        ((values, _),) = runs([(spec, w, np.arange(65), np.arange(0))])
+        ((_, grads),) = runs([(spec, w, np.arange(0), np.array([64, 3, 64]))])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert runs.states is None and embedded == [64, 1, 2, 1]
+    assert runs.embedded[14][1] is None and embedded == [64, 1, 2, 1]
     assert peak < 64 * 2**20
     assert values.tobytes() == expectation_z(run_circuit(spec, w, X, CallCounter()), 0).tobytes()
     want = sliced_gradient(spec, w, X[[64, 3, 64]], 0, CallCounter())
@@ -556,8 +556,9 @@ def test_merged_run_builds_each_gate_kinds_matrices_in_one_call(monkeypatch):
     # N = 5 scoring rows and a batch of B = 3 (one row twice, one not in X)
     # make N + 2PB = 53 circuits from N + B = 8 embedded rows and 2P + 1 = 17
     # weight vectors: the embedding's RX gates build their matrices over the
-    # rows, and each layer gate kind builds all of its gates' matrices over the
-    # weight vectors in one call, never per circuit
+    # rows, and each layer gate kind builds all of its gates' matrices in one
+    # call, never per circuit: a gate of q angles has 1 + 2q distinct ones
+    # among the weight vectors (unshifted, then each angle shifted +-pi/2)
     import qmlfinder.simulator as simulator
 
     built = []
@@ -578,10 +579,9 @@ def test_merged_run_builds_each_gate_kinds_matrices_in_one_call(monkeypatch):
     w = np.array(rng.uniforms(p, -np.pi, np.pi))
     X = np.array([rng.uniforms(2, -np.pi, np.pi) for _ in range(5)])
     rows = np.array([X[3], rng.uniforms(2, -np.pi, np.pi), X[3]])
-    runs = MergedRuns(spec, np.concatenate([X, rows]), 0)
-    values, grads = runs(w, np.arange(5), np.arange(5, 8))
-    assert built == [("RX", (5 + 3, 2, 2))] * 2 + [
-        ("RX", (2, 2 * p + 1, 2, 2)), ("ROT", (2, 2 * p + 1, 2, 2))]
+    runs = MergedRuns(np.concatenate([X, rows]), 0)
+    ((values, grads),) = runs([(spec, w, np.arange(5), np.arange(5, 8))])
+    assert built == [("RX", (2 * 3, 2, 2)), ("ROT", (2 * 7, 2, 2))] + [("RX", (5 + 3, 2, 2))] * 2
     assert values.shape == (5,) and grads.shape == (3, p)
 
 
