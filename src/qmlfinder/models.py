@@ -29,7 +29,7 @@ from .records import _require_integer, _require_number
 from .registry import CircuitSpec, Registry, TaskType, base_registry, suggest_circuit
 from .rng import PortableRng, derive_seed
 from .simulator import CallCounter, MergedRuns, expectation_z, run_circuit
-from .training import BudgetLedger, OptimizerConfig, TrainResult, fit_steps, train_epochs
+from .training import BudgetLedger, OptimizerConfig, TrainResult, fit_steps
 
 if TYPE_CHECKING:
     from .search import FinderConfig, Trial
@@ -193,8 +193,8 @@ class QNN(CircuitModel):
         self.n_epochs = n_epochs
         setattr(self, self.threshold_key, threshold)
         self.epochs_run = 0
-        # from `prepare`: the rows and targets it trained on, and its booked calls
-        # and result, or the exception it raised, for the next fit on them
+        # from `_lockstep`: the rows and targets it trained on, and its booked
+        # calls and result, or the exception it raised, for the next fit on them
         self._prepared: tuple[np.ndarray, np.ndarray,
                               tuple[BudgetLedger, TrainResult] | Exception] | None = None
 
@@ -225,44 +225,34 @@ class QNN(CircuitModel):
         for name, value in fitted.items():
             setattr(self, name, value)
         prepared, self._prepared = self._prepared, None
-        if (prepared is not None and optimizer is None and _same_bits(X, prepared[0])
-                and _same_bits(targets, prepared[1])):
-            if isinstance(prepared[2], Exception):
-                raise prepared[2]
-            booked, result = prepared[2]
-            ledger.merge(booked)
-        else:
-            runs = MergedRuns(X, 0)  # embeds X once
-            result = train_epochs(
-                X=X, targets=targets, score_fn=score_fn, ledger=ledger,
-                evaluate=lambda w, check, batch: runs([(self.circuit, w, check, batch)])[0],
-                **self._options(optimizer))
+        if (prepared is None or optimizer is not None or not _same_bits(X, prepared[0])
+                or not _same_bits(targets, prepared[1])):
+            self._lockstep([self], X, targets, score_fn, optimizer)
+            prepared, self._prepared = self._prepared, None
+        if isinstance(prepared[2], Exception):
+            raise prepared[2]
+        booked, result = prepared[2]
+        ledger.merge(booked)
         self.weights = result.weights
         self.epochs_run = result.epochs_run
         self.train_score = result.final_score
         return self
 
-    @classmethod
-    def prepare(cls, models: Sequence["QNN"], X: np.ndarray, y=None) -> None:
-        """Train `models` on X and y ahead of their fits, all in lockstep: each
-        fit is a step generator (`training.fit_steps`), and each lockstep step
-        answers every unfinished fit's next request in one `MergedRuns` call,
-        so X is embedded once per embedding and wire count. A model's next
-        `fit`, on the same rows and targets and without an optimizer, books the
-        calls its training booked here and takes its result, or raises what its
-        training raised here (a refused layer, a row its embedding refuses),
-        which leaves the other fits untouched; any other fit trains as it would
-        have. On data no fit accepts nothing trains: each fit raises on it."""
-        try:
-            X, targets, score_fn, _ = cls._fit_data(X, y)
-        except ValueError:
-            return
-        X = X.copy()  # what a replayed fit must match, whatever becomes of the caller's X
+    @staticmethod
+    def _lockstep(models: Sequence["QNN"], X: np.ndarray, targets: np.ndarray,
+                  score_fn: Callable, optimizer: OptimizerConfig | None = None) -> None:
+        """Train `models` on the rows X and `targets` in lockstep: each fit is a
+        step generator (`training.fit_steps`), and each lockstep step answers
+        every unfinished fit's next request in one `MergedRuns` call, so X is
+        embedded once per embedding and wire count. Each model's `_prepared`
+        becomes X, targets and its booked calls and result, or the exception
+        its training raised (a refused layer, a row its embedding refuses),
+        which leaves the other fits untouched."""
         runs, fits = MergedRuns(X, 0), []
         for model in models:
             ledger = BudgetLedger()
             fits.append((model, ledger, fit_steps(n=len(X), targets=targets, score_fn=score_fn,
-                                                  ledger=ledger, **model._options(None))))
+                                                  ledger=ledger, **model._options(optimizer))))
         answers: list = [None] * len(fits)
         while fits:  # one request per unfinished fit per step; a finished fit is let go
             asked, requests = [], []
@@ -281,6 +271,21 @@ class QNN(CircuitModel):
             fits, answers = asked, None
             if fits:
                 answers = _answers(runs, requests)
+
+    @classmethod
+    def prepare(cls, models: Sequence["QNN"], X: np.ndarray, y=None) -> None:
+        """Train `models` on X and y ahead of their fits, all in one lockstep
+        (`_lockstep`). A model's next `fit`, on the same rows and targets and
+        without an optimizer, books the calls its training booked here and
+        takes its result, or raises what its training raised here; any other
+        fit trains in a lockstep of its own, which gives the same bits. On
+        data no fit accepts nothing trains: each fit raises on it."""
+        try:
+            X, targets, score_fn, _ = cls._fit_data(X, y)
+        except ValueError:
+            return
+        # X copied: what a replayed fit must match, whatever becomes of the caller's X
+        cls._lockstep(models, X.copy(), targets, score_fn)
 
     def spec_extras(self) -> dict[str, Any]:
         return {key: getattr(self, key) for key in self.extras_keys}

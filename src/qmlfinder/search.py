@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .models import QNN, Score, default_registry
+from .models import Score, default_registry
 from .records import StudyFailureError, TrialRecord, _require_integer, _require_number, rank_key
 from .registry import Registry, TaskType
 from .rng import PortableRng, derive_seed, repeat_seed
@@ -31,7 +31,8 @@ TUNER_MOMENTUM_RANGE = (0.0, 0.99)
 
 
 class UnsupportedModelError(ValueError):
-    """Raised when the tuner is asked to tune a model that is not a QNN."""
+    """Raised when the tuner is asked to tune a model it cannot retrain per
+    seed: one without `reseeded`."""
 
 
 class Trial:
@@ -92,8 +93,12 @@ def _suggest_and_build(
     return registry.model(model_type).build(trial, X, config, registry, seed)
 
 
-def _require_finite(X: np.ndarray, y) -> None:
-    """Refuse NaN or infinite features or targets before any trial runs on them."""
+def _require_data(X: np.ndarray, y) -> None:
+    """Refuse targets that are not one per row of X, and NaN or infinite
+    features or targets, before any trial runs on them."""
+    if y is not None and np.shape(y)[:1] != X.shape[:1]:
+        raise ValueError(f"y holds {len(np.atleast_1d(y))} targets but X holds "
+                         f"{len(np.atleast_1d(X))} rows")
     for name, values in (("X", X), ("y", y)):
         if values is not None and not np.isfinite(np.asarray(values, dtype=float)).all():
             raise ValueError(f"{name} holds non-finite values (NaN or infinity)")
@@ -242,16 +247,17 @@ def find_model(
     Between trials only the leading trial's repeat-0 model is kept.
 
     Every candidate family's `build` must return models with `spec_fields`,
-    and X and y must be finite; otherwise a ValueError naming the family, or
-    X or y, is raised before any fit or store write. Every registered family's
-    class has `from_spec`, so the winner can be restored from its model file.
+    and X and y must be finite, with one target per row of X; otherwise a
+    ValueError naming the family, or X or y, is raised before any fit or
+    store write. Every registered family's class has `from_spec`, so the
+    winner can be restored from its model file.
     """
     X = np.asarray(X, dtype=float)
     if config.task != TaskType.CLUSTERING:
         if y is None:
             raise ValueError(f"task {config.task.value} requires targets")
         y = np.asarray(y)
-    _require_finite(X, y)
+    _require_data(X, y)
 
     trials = [Trial(t, derive_seed(config.base_seed, t)) for t in range(config.n_trials)]
     plan = {trial.trial_id: _plan_repeats(trial, config, registry, X) for trial in trials}
@@ -290,9 +296,10 @@ class HyperparameterTuner:
     """Compare optimizer configurations on a fixed architecture, retraining it
     from scratch per seed; the best mean final score wins, ties broken by
     fewer device calls then lower trial id. The default registry unless one
-    is given. Non-finite X or y, n_trials or n_seeds not an integer >= 1, or
-    base_seed not an integer, raise a ValueError naming which before the
-    first trial."""
+    is given. The model's class must have `reseeded(seed)` and a `fit` taking
+    `optimizer=`. Non-finite X or y, a y whose length is not X's row count,
+    n_trials or n_seeds not an integer >= 1, or base_seed not an integer,
+    raise a ValueError naming which before the first trial."""
 
     X: np.ndarray
     y: Any
@@ -309,13 +316,13 @@ class HyperparameterTuner:
             _require_integer(name, getattr(self, name), minimum)
         registry = self.registry if self.registry is not None else default_registry()
         model = model_from_spec(self.model_spec, registry)
-        if not isinstance(model, QNN):
+        if not hasattr(model, "reseeded"):
             raise UnsupportedModelError(
                 f"{self.model_spec.model_family} is not gradient-trained; nothing to tune"
             )
         X = np.asarray(self.X, dtype=float)
         y = np.asarray(self.y)
-        _require_finite(X, y)
+        _require_data(X, y)
 
         optimizers: dict[int, OptimizerConfig] = {}
 

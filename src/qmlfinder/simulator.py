@@ -11,12 +11,12 @@ Fixed conventions (they are part of the serialization and test contract):
 
 Embeddings run gate by gate; `_simulate` runs the layers on the states it is
 handed, from the gate plan `_plan` compiles once per circuit shape. Merged
-runs (MergedRuns) serve the training of one fit or of many in lockstep: they
-embed the rows once per embedding and build each layer gate's distinct
-matrices once per weight vector, in one call per gate kind for all fits,
-gathered onto the circuits with `take` as contiguous (B, 2, 2) arrays, as if
-built per circuit, so every matmul takes the same numpy path and gives the
-same bits.
+runs (MergedRuns) serve every QNN fit's training, a lockstep of one fit or
+of many: they embed the rows once per embedding and build each layer gate's
+distinct matrices once per weight vector, in one call per gate kind for all
+fits, gathered onto the circuits with `take` as contiguous (B, 2, 2) arrays,
+as if built per circuit, so every matmul takes the same numpy path and gives
+the same bits. Fits of one wire count and gate skeleton share each step.
 """
 
 from __future__ import annotations
@@ -353,26 +353,20 @@ def _layer_matrices(angle_sets: Sequence[Mapping[str, np.ndarray]]
 
 
 def _simulate(n: int, steps: tuple, states: np.ndarray, rows_at: np.ndarray | None,
-              at: Sequence, live: Sequence[int] | None = None) -> Statevector:
+              at: Sequence) -> Statevector:
     """The final states of circuits run from the embedded `states` (their rows
     rows_at, else all of them), booking nothing. Step s is a CNOT's (control,
     target) or a rotation's wire, whose at[s] = (matrices, index) gives every
-    circuit `matrices`, or with an index circuit k matrices[index[k]]. With
-    `live`, only the first live[s] circuits take step s: the rest have
-    finished, and the circuits keep their order."""
+    circuit `matrices`, or with an index circuit k matrices[index[k]]."""
     amps = states if rows_at is None else states.take(rows_at, axis=0)
     del states  # held no longer than a slice's first gate
-    done = []
-    for s, step in enumerate(steps):
-        if live is not None and live[s] < len(amps):
-            done.append(amps[live[s]:])
-            amps = amps[:live[s]]
+    for step, gate in zip(steps, at):
         if isinstance(step, tuple):
             amps = _cnot(amps, n, *step)
         else:
-            m, index = at[s]
+            m, index = gate
             amps = _rotate(amps, n, step, m if index is None else m.take(index, axis=0))
-    return Statevector(np.concatenate([amps, *done[::-1]]) if done else amps, n)
+    return Statevector(amps, n)
 
 
 def run_circuit(spec: CircuitSpec, weights: Sequence[float], x: Sequence[float],
@@ -433,13 +427,13 @@ class MergedRuns:
     len(check) + 2P*B circuits; it books nothing. A lone fit's requests are
     the case of one request.
 
-    Requests on one wire count whose skeletons (`_program`) are prefixes of
-    one another run together, deepest first: each gate kind builds its
-    matrices in one call over all their weight vectors, and each step is one
-    `_rotate` of the circuits still running, in slices of at most
-    MERGED_SLICE amplitudes. A request larger than that runs alone, in slices
-    of at most LONE_SLICE. X is embedded once per embedding and wire count if
-    it fits one lone slice, else each slice embeds the rows it uses."""
+    Each gate kind builds its matrices in one call over all requests' weight
+    vectors. Requests of one wire count and one skeleton (`_program`) run
+    together: each step is one `_rotate` of all their circuits, in slices of
+    at most MERGED_SLICE amplitudes. A request larger than that runs alone,
+    in slices of at most LONE_SLICE. X is embedded once per embedding and
+    wire count if it fits one lone slice, else each slice embeds the rows it
+    uses."""
 
     def __init__(self, X: np.ndarray, wire: int) -> None:
         self.X, self.wire = np.asarray(X, dtype=float), wire
@@ -499,20 +493,16 @@ class MergedRuns:
         answers: list = [None] * len(requests)
         parts: dict[int, list[np.ndarray]] = {}  # of the requests in the running slice
         layouts = {}
-        for group in self._groups(requests, programs):
-            n = requests[group[0]][0].n_wires
+        for (n, skeleton), group in self._groups(requests, programs).items():
             for pieces in self._slices(n, [(i, counts[i]) for i in group]):
-                # the circuits' rows, and per step of the slice's deepest the
-                # circuits still running and each one's matrix among mats
-                skeleton = programs[pieces[0][0]][0]
-                rows, live, at = [], [0] * len(skeleton), [[] for _ in skeleton]
+                # the circuits' rows, and per step each one's matrix among mats
+                rows, at = [], [[] for _ in skeleton]
                 for i, a, b in pieces:
                     if not a:
                         layouts[i] = self._layout(requests[i])
                     rows.append(layouts[i][0][a:b])
                     own = layouts[i][1][a:b]
                     for s, variant in enumerate(programs[i][2]):
-                        live[s] += b - a
                         if variant is not None:
                             at[s].append((starts[i][variant[0]], variant[1], own))
                 # a step of one request takes its matrices per weight row, gathered
@@ -522,8 +512,7 @@ class MergedRuns:
                                      [start + index.take(own) for start, index, own in steps])))
                       for steps in at]
                 rows = rows[0] if len(rows) == 1 else np.concatenate(rows)
-                got = expectation_z(_simulate(n, skeleton, *self._states(n, rows), at, live),
-                                    self.wire)
+                got = expectation_z(_simulate(n, skeleton, *self._states(n, rows), at), self.wire)
                 k = 0
                 for i, a, b in pieces:
                     parts.setdefault(i, []).append(got[k : k + b - a])
@@ -543,20 +532,11 @@ class MergedRuns:
         return v[:len(check)].copy(), 0.5 * (shifted[:, 0] - shifted[:, 1])
 
     @staticmethod
-    def _groups(requests: Sequence, programs: Sequence) -> list[list[int]]:
-        """The requests that run together: one wire count and skeletons that are
-        prefixes of the first's, deepest first."""
-        groups: list[list[int]] = []
-        for i in sorted(range(len(requests)), key=lambda i: -len(programs[i][0])):
-            n, skeleton = requests[i][0].n_wires, programs[i][0]
-            for group in groups:
-                lead = group[0]  # the deepest of its group
-                if (requests[lead][0].n_wires == n
-                        and programs[lead][0][:len(skeleton)] == skeleton):
-                    group.append(i)
-                    break
-            else:
-                groups.append([i])
+    def _groups(requests: Sequence, programs: Sequence) -> dict[tuple, list[int]]:
+        """The requests that run together, by (wire count, skeleton)."""
+        groups: dict[tuple, list[int]] = {}
+        for i, (request, program) in enumerate(zip(requests, programs)):
+            groups.setdefault((request[0].n_wires, program[0]), []).append(i)
         return groups
 
     def _layout(self, request: tuple) -> tuple[np.ndarray, np.ndarray]:

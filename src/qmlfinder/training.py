@@ -8,9 +8,9 @@ residuals (f - t) for an epoch are taken from the expectation values computed
 by the preceding full-train check rather than from extra forward passes.
 Each check shares its simulation with the next epoch's first mini-batch, and
 calls are booked when used: a batch run with the check that stops training is
-simulated but never booked. One fit's loop is a step generator (`fit_steps`),
-which `train_epochs` drives alone and `QNN.prepare` drives in lockstep with
-other fits.
+simulated but never booked. One fit's loop is a step generator (`fit_steps`).
+Every QNN fit runs it in a lockstep (`QNN._lockstep`, of one fit or of a
+study's many); `train_epochs` drives one fit from an `evaluate` callback.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ def fit_steps(
     """One fit of `train_epochs` on n rows, step by step: a generator that
     yields each simulation the fit needs as (w, check, batch), is sent back
     its (values, grads), books the calls it uses and returns the TrainResult.
-    `train_epochs` drives one fit; `QNN.prepare` drives many in lockstep."""
+    `train_epochs` drives one fit; `QNN._lockstep` drives one or many."""
     if n == 0:
         raise ValueError("empty training data")
     _require_integer("batch_size", batch_size, 1)

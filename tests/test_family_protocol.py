@@ -13,10 +13,12 @@ from qmlfinder import (
     BudgetLedger,
     CallCounter,
     FinderConfig,
+    OptimizerConfig,
     Registry,
     TaskType,
     base_registry,
     default_registry,
+    find_hyperparameters,
     find_model,
     select_best,
     silhouette_score,
@@ -26,6 +28,7 @@ from qmlfinder.store import (
     ModelSpec,
     StudyStore,
     model_from_spec,
+    model_to_spec,
     read_model_spec,
     write_model_spec,
 )
@@ -97,6 +100,34 @@ def test_registered_family_wins_and_round_trips(registry, blobs40, tmp_path):
         restored.predict(X, CallCounter()), expected.predict(X, CallCounter())
     )
     np.testing.assert_array_equal(restored.predict(X, CallCounter()), y)
+
+
+class TunableNearestMean(NearestMean):
+    """The toy family with what the tuner uses: `reseeded` and a `fit` taking
+    `optimizer=`. Its score is best at learning rate 0.1."""
+
+    family = "TUNABLE_NEAREST_MEAN"
+
+    def reseeded(self, seed):
+        return type(self)()
+
+    def fit(self, X, y, ledger, optimizer=None):
+        super().fit(X, y, ledger)
+        self.train_score -= abs(optimizer.learning_rate - 0.1)
+        return self
+
+
+def test_registered_family_with_reseeded_is_tuned(registry, blobs40, tmp_path):
+    X, y = blobs40
+    registry = registry.register("model", TunableNearestMean)
+    spec = model_to_spec(TunableNearestMean().fit(X, y, BudgetLedger(), OptimizerConfig()),
+                         X.shape[1], {})
+    store = StudyStore(tmp_path / "tuning.jsonl")
+    best = find_hyperparameters(spec, X, y, registry, n_trials=6, n_seeds=2, store=store)
+    records = store.load()
+    assert [r.status for r in records] == ["complete"] * 6
+    closest = min(records, key=lambda r: abs(r.sampled["learning_rate"] - 0.1))
+    assert best.learning_rate == closest.sampled["learning_rate"]
 
 
 @pytest.mark.parametrize("missing", ["family", "task", "build", "from_spec"])

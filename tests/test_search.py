@@ -954,6 +954,31 @@ def test_non_finite_data_is_refused_before_any_trial(registry, blobs40, sine20, 
     assert store.load() == []
 
 
+@pytest.mark.parametrize("task", [TaskType.CLASSIFICATION, TaskType.REGRESSION])
+def test_targets_not_one_per_row_are_refused_before_any_trial(task, registry, blobs40, sine20,
+                                                              tmp_path, monkeypatch):
+    from qmlfinder import BASIC_ENTANGLER, CircuitSpec
+
+    trials = []
+    monkeypatch.setattr(search, "evaluate_config",
+                        lambda trial, *args: trials.append(trial) or None)
+    X, y = blobs40 if task is TaskType.CLASSIFICATION else sine20
+    X, y = X[:10], y[-12:]  # 10 rows, 12 targets
+    family = QNNClassifier if task is TaskType.CLASSIFICATION else QNNRegressor
+    model = family(CircuitSpec(X.shape[1], ANGLE, (BASIC_ENTANGLER,)), batch_size=4,
+                   n_epochs=1, seed=0, **{family.threshold_key: 0.5})
+    spec = model_to_spec(model, X.shape[1], {})
+    store = StudyStore(tmp_path / "study.jsonl")
+    message = r"^y holds 12 targets but X holds 10 rows$"
+    with pytest.raises(ValueError, match=message):
+        ModelFinder(task, X, y, registry=registry, store=store, n_trials=2, n_seeds=1,
+                    n_epochs=1).find_model()
+    with pytest.raises(ValueError, match=message):
+        HyperparameterTuner(X, y, spec, registry=registry, store=store, n_trials=2,
+                            n_seeds=1).find_hyperparameters()
+    assert trials == [] and store.load() == []
+
+
 def test_find_model_regression_end_to_end(registry, sine20, tmp_path):
     X, y = sine20
     config = FinderConfig(task=TaskType.REGRESSION, n_trials=4, n_seeds=1, n_epochs=3,

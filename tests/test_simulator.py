@@ -41,6 +41,7 @@ from oracles import (
     STACKED_GATES,
     cnot_unitary,
     fd_gradient,
+    gate_loop_merged,
     ref_expectation_z,
     ref_run_circuit,
     ref_rot,
@@ -583,6 +584,37 @@ def test_merged_run_builds_each_gate_kinds_matrices_in_one_call(monkeypatch):
     ((values, grads),) = runs([(spec, w, np.arange(5), np.arange(5, 8))])
     assert built == [("RX", (2 * 3, 2, 2)), ("ROT", (2 * 7, 2, 2))] + [("RX", (5 + 3, 2, 2))] * 2
     assert values.shape == (5,) and grads.shape == (3, p)
+
+
+def test_merged_requests_share_a_slice_only_with_one_circuit_skeleton(monkeypatch):
+    # on 1 wire each BASIC_ENTANGLER layer is one RX: requests of one depth
+    # have one skeleton, and depths 1, 2 and 3 have prefixes of one another
+    import qmlfinder.simulator as simulator
+
+    slices, simulate = [], simulator._simulate
+
+    def spy(n, steps, states, rows_at, *rest):
+        slices.append((len(steps), len(states if rows_at is None else rows_at)))
+        return simulate(n, steps, states, rows_at, *rest)
+
+    monkeypatch.setattr(simulator, "_simulate", spy)
+    rng = PortableRng(919)
+    X = np.array([rng.uniforms(1, -np.pi, np.pi) for _ in range(3)])
+
+    def request(depth):
+        spec = CircuitSpec(1, ANGLE, (BASIC_ENTANGLER,) * depth)
+        return spec, np.array(rng.uniforms(depth, -np.pi, np.pi)), np.arange(3), np.array([2, 0])
+
+    for depths, want in (((2, 2, 2), [(2, 3 * (3 + 2 * 2 * 2))]),
+                         ((3, 1, 2), [(3, 3 + 2 * 3 * 2), (1, 3 + 2 * 1 * 2),
+                                      (2, 3 + 2 * 2 * 2)])):
+        slices.clear()
+        requests = [request(depth) for depth in depths]
+        answers = MergedRuns(X, 0)(requests)
+        assert slices == want  # one slice per skeleton, in request order
+        for (spec, w, check, batch), got in zip(requests, answers):
+            for a, b in zip(got, gate_loop_merged(spec, w, X, check, batch, 0)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_call_accounting_gradients_plus_forwards():

@@ -15,6 +15,7 @@ from qmlfinder import (
     OptimizerConfig,
     PortableRng,
     QNNClassifier,
+    QNNRegressor,
     init_opt_state,
     step,
     train_epochs,
@@ -23,7 +24,7 @@ from qmlfinder.rng import derive_seed
 from qmlfinder.training import _epoch_order
 
 from conftest import make_blobs
-from oracles import qnn_fit_cost
+from oracles import gate_loop_merged, qnn_fit_cost
 
 
 # -- optimizer steps -----------------------------------------------------------
@@ -224,6 +225,36 @@ def test_qnn_fit_embeds_its_rows_once_and_builds_no_layer_gate(monkeypatch):
     assert model.epochs_run == 3  # 4 checks and 9 batches, in 10 merged runs
     assert embedded == [(2, 12)]  # feature-major: X's 12 rows, once
     assert built == ["RX", "RX"]  # the embedding's gates, one per wire
+
+
+@pytest.mark.parametrize("family", [QNNClassifier, QNNRegressor])
+def test_unprepared_fits_equal_train_epochs_on_the_gate_loop_bit_for_bit(family):
+    """A fit with no `prepare` ahead trains in a lockstep of one. A direct fit,
+    one with the tuner's optimizer and a second fit of a trained model each
+    equal `train_epochs` driven by the gate-by-gate oracle's simulations."""
+    X, y = make_blobs(4, 5, [(0.6, 0.6), (-0.6, -0.6)], 1.2)
+    if family is QNNRegressor:
+        y = np.sin(3.0 * X[:, 0]) + X[:, 1]
+    spec = CircuitSpec(2, ANGLE, (BASIC_ENTANGLER, STRONGLY_ENTANGLING))
+    direct, tuned = [family(spec, batch_size=3, n_epochs=2, seed=7,
+                            **{family.threshold_key: 1.0}) for _ in range(2)]
+    fits = [(direct, None), (tuned, OptimizerConfig("adam", learning_rate=0.05)),
+            (direct, None)]  # the last: a second fit, from the first's weights
+    _, targets, score_fn, _ = family._fit_data(X, y)
+    for model, optimizer in fits:
+        want = BudgetLedger()
+        result = train_epochs(
+            weights=model.weights.copy(), X=X, targets=targets, score_fn=score_fn, ledger=want,
+            evaluate=lambda w, check, batch: gate_loop_merged(spec, w, X, check, batch, 0),
+            opt_config=optimizer or OptimizerConfig(), batch_size=3, n_epochs=2, threshold=1.0,
+            seed=7)
+        assert result.epochs_run == 2
+        got = BudgetLedger()
+        model.fit(X, y, got, optimizer=optimizer)
+        assert model.weights.tobytes() == result.weights.tobytes()
+        assert model.epochs_run == result.epochs_run
+        assert np.float64(model.train_score).tobytes() == np.float64(result.final_score).tobytes()
+        assert got.as_dict() == want.as_dict()
 
 
 def _fit_blobs(n_epochs, threshold):
