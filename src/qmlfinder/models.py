@@ -238,35 +238,54 @@ class QNN(CircuitModel):
         self.train_score = result.final_score
         return self
 
+    def _fit_key(self, n: int, optimizer: OptimizerConfig | None) -> tuple:
+        """What `fit_steps` reads of this model's fit on n rows with `optimizer`:
+        equal keys train alike. A batch size of at least n is one batch of the
+        whole shuffled order, so it reads as n; options are keyed with their
+        types, so a value `fit_steps` refuses never equals one it takes."""
+        options = self._options(optimizer)
+        w = options.pop("weights")
+        if type(options["batch_size"]) is int and options["batch_size"] > n:
+            options["batch_size"] = n
+        return (self.circuit, w.dtype, w.shape, w.tobytes(),
+                *((type(value), value) for value in options.values()))
+
     @staticmethod
     def _lockstep(models: Sequence["QNN"], X: np.ndarray, targets: np.ndarray,
                   score_fn: Callable, optimizer: OptimizerConfig | None = None) -> None:
-        """Train `models` on the rows X and `targets` in lockstep: each fit is a
-        step generator (`training.fit_steps`), and each lockstep step answers
-        every unfinished fit's next request in one `MergedRuns` call, so X is
-        embedded once per embedding and wire count. Each model's `_prepared`
-        becomes X, targets and its booked calls and result, or the exception
-        its training raised (a refused layer, a row its embedding refuses),
-        which leaves the other fits untouched."""
+        """Train `models` on the rows X and `targets` in lockstep: each distinct
+        fit (`_fit_key`) is a step generator (`training.fit_steps`), and each
+        lockstep step answers every unfinished fit's next request in one
+        `MergedRuns` call, so X is embedded once per embedding and wire count.
+        Each model's `_prepared` becomes X, targets and its booked calls and
+        result, or the exception its training raised (a refused layer, a row its
+        embedding refuses), which leaves the other fits untouched. Models of one
+        key share their lead's outcome: its booked calls and error, and a copy
+        of its weights each."""
         runs, fits = MergedRuns(X, 0), []
-        for model in models:
+        for group in _groups(models, lambda model: model._fit_key(len(X), optimizer)):
             ledger = BudgetLedger()
-            fits.append((model, ledger, fit_steps(n=len(X), targets=targets, score_fn=score_fn,
-                                                  ledger=ledger, **model._options(optimizer))))
+            fits.append((group, ledger, fit_steps(n=len(X), targets=targets, score_fn=score_fn,
+                                                  ledger=ledger,
+                                                  **group[0]._options(optimizer))))
         answers: list = [None] * len(fits)
         while fits:  # one request per unfinished fit per step; a finished fit is let go
             asked, requests = [], []
-            for (model, ledger, steps), answer in zip(fits, answers):
+            for (group, ledger, steps), answer in zip(fits, answers):
                 try:  # a failed simulation raises where the fit's own run would have
                     request = (steps.throw(answer) if isinstance(answer, Exception)
                                else steps.send(answer))
                 except StopIteration as stop:
-                    model._prepared = X, targets, (ledger, stop.value)
+                    result = stop.value
+                    for k, model in enumerate(group):
+                        model._prepared = X, targets, (ledger, result if not k else TrainResult(
+                            result.weights.copy(), result.epochs_run, result.final_score))
                 except Exception as exc:
-                    model._prepared = X, targets, exc
+                    for model in group:
+                        model._prepared = X, targets, exc
                 else:
-                    asked.append((model, ledger, steps))
-                    requests.append((model.circuit, *request))
+                    asked.append((group, ledger, steps))
+                    requests.append((group[0].circuit, *request))
             # the last answers go before the next run: each fit keeps what it needs
             fits, answers = asked, None
             if fits:
@@ -275,11 +294,12 @@ class QNN(CircuitModel):
     @classmethod
     def prepare(cls, models: Sequence["QNN"], X: np.ndarray, y=None) -> None:
         """Train `models` on X and y ahead of their fits, all in one lockstep
-        (`_lockstep`). A model's next `fit`, on the same rows and targets and
-        without an optimizer, books the calls its training booked here and
-        takes its result, or raises what its training raised here; any other
-        fit trains in a lockstep of its own, which gives the same bits. On
-        data no fit accepts nothing trains: each fit raises on it."""
+        (`_lockstep`), which trains each distinct fit once. A model's next
+        `fit`, on the same rows and targets and without an optimizer, books
+        the calls its training booked here and takes its result, or raises
+        what its training raised here; any other fit trains in a lockstep of
+        its own, which gives the same bits. On data no fit accepts nothing
+        trains: each fit raises on it."""
         try:
             X, targets, score_fn, _ = cls._fit_data(X, y)
         except ValueError:

@@ -42,13 +42,15 @@ class EmbeddingKind:
     bounds the feature count for a wire count, and `wires_for_features` is the
     wire count the model finder allocates for a feature count. `x` is
     feature-major, (F,) or (F, B) for B rows, so `len(x)` is the feature count.
+    A kind hashes by its other fields, so a `CircuitSpec` can key the fits
+    that train alike (`QNN._lockstep`).
     """
 
     name: str
     build: Callable[[Sequence[float], int], list[Operation]]
     max_features: Callable[[int], int]
     wires_for_features: Callable[[int], int]
-    fixed_options: Mapping[str, Any] = field(default_factory=dict)
+    fixed_options: Mapping[str, Any] = field(default_factory=dict, hash=False)
 
 
 @dataclass(frozen=True)

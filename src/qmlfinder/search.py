@@ -94,8 +94,11 @@ def _suggest_and_build(
 
 
 def _require_data(X: np.ndarray, y) -> None:
-    """Refuse targets that are not one per row of X, and NaN or infinite
-    features or targets, before any trial runs on them."""
+    """Refuse targets that are not a 1-D array of one per row of X, and NaN or
+    infinite features or targets, before any trial runs on them."""
+    if y is not None and np.ndim(y) != 1:
+        raise ValueError(f"y must be 1-D, one target per row of X, but has shape "
+                         f"{np.shape(y)}")
     if y is not None and np.shape(y)[:1] != X.shape[:1]:
         raise ValueError(f"y holds {len(np.atleast_1d(y))} targets but X holds "
                          f"{len(np.atleast_1d(X))} rows")
@@ -247,7 +250,7 @@ def find_model(
     Between trials only the leading trial's repeat-0 model is kept.
 
     Every candidate family's `build` must return models with `spec_fields`,
-    and X and y must be finite, with one target per row of X; otherwise a
+    and X and y must be finite, y 1-D with one target per row of X; otherwise a
     ValueError naming the family, or X or y, is raised before any fit or
     store write. Every registered family's class has `from_spec`, so the
     winner can be restored from its model file.
@@ -297,9 +300,9 @@ class HyperparameterTuner:
     from scratch per seed; the best mean final score wins, ties broken by
     fewer device calls then lower trial id. The default registry unless one
     is given. The model's class must have `reseeded(seed)` and a `fit` taking
-    `optimizer=`. Non-finite X or y, a y whose length is not X's row count,
-    n_trials or n_seeds not an integer >= 1, or base_seed not an integer,
-    raise a ValueError naming which before the first trial."""
+    `optimizer=`. Non-finite X or y, a y that is not 1-D or whose length is
+    not X's row count, n_trials or n_seeds not an integer >= 1, or base_seed
+    not an integer, raise a ValueError naming which before the first trial."""
 
     X: np.ndarray
     y: Any

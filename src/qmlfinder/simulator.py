@@ -21,7 +21,6 @@ the same bits. Fits of one wire count and gate skeleton share each step.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from math import pi, prod
@@ -120,12 +119,12 @@ class Statevector:
 
 
 class CallCounter:
-    """Monotone counter of simulated device calls; increments are thread-safe."""
+    """Monotone counter of simulated device calls. Not locked: trials run one
+    at a time in one thread."""
 
-    __slots__ = ("_lock", "_total")
+    __slots__ = ("_total",)
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._total = 0
 
     @property
@@ -135,8 +134,7 @@ class CallCounter:
     def increment(self, n: int = 1) -> None:
         if n < 0:
             raise ValueError("counter increments must be nonnegative")
-        with self._lock:
-            self._total += n
+        self._total += n
 
 
 def _matrix(a, b, c, d) -> np.ndarray:
@@ -291,18 +289,17 @@ def _plan(n_wires: int, layer_kinds: tuple[LayerKind, ...]
 @lru_cache(maxsize=256)
 def _program(n_wires: int, layer_kinds: tuple[LayerKind, ...]) -> tuple:
     """The gate plan of this shape as merged runs read it: (skeleton, picks,
-    variants). Per step, `skeleton` holds a rotation's wire or a CNOT's
-    (control, target), and `variants` a rotation's (kind position, each
-    shift-table row's matrix) or None; a kind's position is its place among
-    the plan's kinds. A shift table holds 2P+1 weight rows: the weights, then
+    kinds, variants). Per step, `skeleton` holds a rotation's wire or a CNOT's
+    (control, target). A shift table holds 2P+1 weight rows: the weights, then
     +-pi/2 on each in turn (MergedRuns). Among those rows a gate with q
     angles has 1 + 2q distinct angle sets: unshifted, then each angle +pi/2,
     then each -pi/2. A kind's picks are the flat positions in the table of
-    its G gates' angle sets, (q, G * (1 + 2q)) gate by gate, and a step's
-    variants give each table row the index of its gate's matrix among the
-    kind's G * (1 + 2q)."""
+    its G gates' angle sets, (q, G * (1 + 2q)) gate by gate. For the r-th
+    rotation step, kinds[r] is its kind's place among the plan's kinds, and
+    variants[r] (one row of a (rotations, 2P+1) array) gives each table row
+    the index of its gate's matrix among the kind's G * (1 + 2q)."""
     columns_of, steps = _plan(n_wires, layer_kinds)
-    p, kinds = sum(kind.params_per_layer(n_wires) for kind in layer_kinds), list(columns_of)
+    p, order = sum(kind.params_per_layer(n_wires) for kind in layer_kinds), list(columns_of)
     picks = {}
     for kind, columns in columns_of.items():
         g, q = columns.shape
@@ -310,21 +307,22 @@ def _program(n_wires: int, layer_kinds: tuple[LayerKind, ...]) -> tuple:
                               axis=1)
         picks[kind] = (rows[:, :, None] * p + columns[:, None, :]).transpose(2, 0, 1).reshape(
             q, g * (1 + 2 * q))
-    skeleton, variants = [], []
+    skeleton, kinds, variants = [], [], []
     for kind, a, b in steps:
         if kind == "CNOT":
             skeleton.append((a, b))
-            variants.append(None)
             continue
         columns, q = columns_of[kind][a], columns_of[kind].shape[1]
         index = np.full(2 * p + 1, a * (1 + 2 * q), dtype=np.intp)
         index[1 + columns] += 1 + np.arange(q)
         index[1 + p + columns] += 1 + q + np.arange(q)
         skeleton.append(b)
-        variants.append((kinds.index(kind), index))
-    for array in (*picks.values(), *(index for _, index in filter(None, variants))):
+        kinds.append(order.index(kind))
+        variants.append(index)
+    variants = np.array(variants, dtype=np.intp).reshape(len(kinds), 2 * p + 1)
+    for array in (*picks.values(), variants):
         array.flags.writeable = False  # shared by every circuit of this shape
-    return tuple(skeleton), MappingProxyType(picks), tuple(variants)
+    return tuple(skeleton), MappingProxyType(picks), tuple(kinds), variants
 
 
 def _layer_matrices(angle_sets: Sequence[Mapping[str, np.ndarray]]
@@ -415,8 +413,7 @@ def fidelity(a: Statevector, b: Statevector) -> float | np.ndarray:
     return np.abs((a.amplitudes.conj() * b.amplitudes).sum(axis=-1)) ** 2
 
 
-MERGED_SLICE = 2**9  # amplitudes of a slice that runs the circuits of several requests
-LONE_SLICE = 2**20  # amplitudes of a slice of one request too large to merge
+LONE_SLICE = 2**20  # amplitudes of a slice of a merged run
 
 
 class MergedRuns:
@@ -429,11 +426,11 @@ class MergedRuns:
 
     Each gate kind builds its matrices in one call over all requests' weight
     vectors. Requests of one wire count and one skeleton (`_program`) run
-    together: each step is one `_rotate` of all their circuits, in slices of
-    at most MERGED_SLICE amplitudes. A request larger than that runs alone,
-    in slices of at most LONE_SLICE. X is embedded once per embedding and
-    wire count if it fits one lone slice, else each slice embeds the rows it
-    uses."""
+    together as one group: its circuits are laid out as arrays, request by
+    request in order, and each step is one `_rotate` of all of them, in
+    slices of at most LONE_SLICE amplitudes. X is embedded once per
+    embedding and wire count if it fits one slice, else each slice embeds
+    the rows it uses."""
 
     def __init__(self, X: np.ndarray, wire: int) -> None:
         self.X, self.wire = np.asarray(X, dtype=float), wire
@@ -481,96 +478,78 @@ class MergedRuns:
                                                 np.ndarray]]
                  ) -> list[tuple[np.ndarray, np.ndarray]]:
         programs = [_program(spec.n_wires, spec.layer_kinds) for spec, *_ in requests]
-        angle_sets = []
-        for (_, w, _, _), (_, picks, _) in zip(requests, programs):
+        angle_sets, sizes = [], []
+        for (_, w, _, _), (_, picks, *_) in zip(requests, programs):
             w = np.asarray(w, dtype=float)
             mask, offsets = self._shift(w.size)
-            table = np.where(mask, w + offsets, w).ravel()
+            table = np.where(mask, w + offsets, w)  # `take` reads it flat
             angle_sets.append({kind: table.take(pick) for kind, pick in picks.items()})
+            sizes.append(w.size)
         mats, starts = _layer_matrices(angle_sets)  # one call per gate kind for all requests
         del angle_sets
-        counts = [len(check) + 2 * np.size(w) * len(batch) for _, w, check, batch in requests]
+        groups: dict[tuple, list[tuple]] = {}  # the requests that run together
+        for i, ((spec, _, check, batch), (skeleton, _, kinds, variants)) in enumerate(
+                zip(requests, programs)):
+            groups.setdefault((spec.n_wires, skeleton), []).append(
+                (i, spec, sizes[i], check, batch, variants, [starts[i][k] for k in kinds]))
         answers: list = [None] * len(requests)
-        parts: dict[int, list[np.ndarray]] = {}  # of the requests in the running slice
-        layouts = {}
-        for (n, skeleton), group in self._groups(requests, programs).items():
-            for pieces in self._slices(n, [(i, counts[i]) for i in group]):
-                # the circuits' rows, and per step each one's matrix among mats
-                rows, at = [], [[] for _ in skeleton]
-                for i, a, b in pieces:
-                    if not a:
-                        layouts[i] = self._layout(requests[i])
-                    rows.append(layouts[i][0][a:b])
-                    own = layouts[i][1][a:b]
-                    for s, variant in enumerate(programs[i][2]):
-                        if variant is not None:
-                            at[s].append((starts[i][variant[0]], variant[1], own))
-                # a step of one request takes its matrices per weight row, gathered
-                # as it runs; a merged step gathers each circuit's among mats
-                at = [steps and ((mats[steps[0][0]:].take(steps[0][1], axis=0), steps[0][2])
-                                 if len(steps) == 1 else (mats, np.concatenate(
-                                     [start + index.take(own) for start, index, own in steps])))
-                      for steps in at]
-                rows = rows[0] if len(rows) == 1 else np.concatenate(rows)
-                got = expectation_z(_simulate(n, skeleton, *self._states(n, rows), at), self.wire)
-                k = 0
-                for i, a, b in pieces:
-                    parts.setdefault(i, []).append(got[k : k + b - a])
-                    k += b - a
-                    if b == counts[i]:  # the request's last circuit: answer it
-                        answers[i] = self._answer(requests[i], parts.pop(i))
-                        del layouts[i]
+        for (n, skeleton), group in groups.items():
+            rows, columns, table = self._layout(group)
+            size, values = max(1, LONE_SLICE >> n), []
+            for k in range(0, len(rows), size):
+                index = iter(table.take(columns[k : k + size], axis=1))
+                at = [None if isinstance(step, tuple) else (mats, next(index))
+                      for step in skeleton]
+                state = _simulate(n, skeleton, *self._states(n, rows[k : k + size]), at)
+                values.append(expectation_z(state, self.wire))
+            values = values[0] if len(values) == 1 else np.concatenate(values or [np.empty(0)])
+            k = 0
+            for i, _, p, check, batch, *_ in group:  # its checked rows, then its shifted pairs
+                shifted = values[k + len(check) : k + len(check) + 2 * p * len(batch)]
+                shifted = shifted.reshape(len(batch), 2, p)
+                answers[i] = values[k : k + len(check)], 0.5 * (shifted[:, 0] - shifted[:, 1])
+                k += len(check) + shifted.size
         return answers
 
-    @staticmethod
-    def _answer(request: tuple, parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """A request's (values, grads) from the values of its circuits, in parts."""
-        _, w, check, batch = request
-        v = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        shifted = v[len(check):].reshape(len(batch), 2, np.size(w))
-        # copied: a view would hold all of its slice's values
-        return v[:len(check)].copy(), 0.5 * (shifted[:, 0] - shifted[:, 1])
-
-    @staticmethod
-    def _groups(requests: Sequence, programs: Sequence) -> dict[tuple, list[int]]:
-        """The requests that run together, by (wire count, skeleton)."""
-        groups: dict[tuple, list[int]] = {}
-        for i, (request, program) in enumerate(zip(requests, programs)):
-            groups.setdefault((request[0].n_wires, program[0]), []).append(i)
-        return groups
-
-    def _layout(self, request: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """Each circuit of a request on P weights: its row among the embedded
-        rows of X, and its weight row, 0 for each checked row, then 1..2P for
-        each batch row."""
-        spec, w, check, batch = request
-        p, first = np.size(w), self._first_row(spec)
-        rows = np.concatenate([check, np.repeat(batch, 2 * p)])
-        weights = np.concatenate([np.zeros(len(check), dtype=np.intp),
-                                  1 + np.arange(2 * p * len(batch)) % (2 * p)])
-        return (rows + first if first else rows), weights
-
-    @staticmethod
-    def _slices(n: int, counts: list[tuple[int, int]]) -> list[list[tuple[int, int, int]]]:
-        """Requests (index, circuit count), in order, cut into slices of pieces
-        (request, first circuit, end): whole requests merged up to MERGED_SLICE
-        amplitudes, or a larger request alone in slices of at most LONE_SLICE.
-        The larger requests come first, so fewer answers are held while their
-        larger slices run."""
-        cap, size = MERGED_SLICE >> n, max(1, LONE_SLICE >> n)
-        alone, slices, merged, total = [], [], [], 0
-        for i, count in counts:
-            if count > cap:
-                alone += [[(i, k, min(k + size, count))] for k in range(0, count, size)]
-            elif total + count > cap:
-                slices.append(merged)
-                merged, total = [(i, 0, count)], count
-            else:
-                merged.append((i, 0, count))
-                total += count
-        if merged:
-            slices.append(merged)
-        return alone + slices
+    def _layout(self, group: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A group's circuits as arrays, request by request, in a fixed number of
+        numpy calls: each circuit's row among the embedded rows of X, its column
+        in the group's table, and the table. A request (index, spec, P, check,
+        batch, variants, offsets) has its checked rows at its column 0, then 2P
+        circuits for each batch row at its columns 1..2P. The table's row r holds,
+        for the r-th rotation step, each request's 2P + 1 matrix indices among the
+        run's matrices, its `variants` row r plus offsets[r], the requests side by
+        side."""
+        cells, lengths, units, blocks, offsets, widths = [], [], [], [], [], []
+        column = circuit = unit = 0
+        later = False  # whether an embedding is not the first of its wire count
+        for _, spec, p, check, batch, variants, offset in group:
+            first = self._first_row(spec)
+            # two cells, the checked rows and the batch rows, each row `width`
+            # circuits: the group's circuit c runs the row at (c + shift) //
+            # width in `units` (of the embedded X whose first row is `first`),
+            # at column `at` + (c + shift) % width
+            for count, width, indices, at in ((len(check), 1, check, column),
+                                              (len(batch), 2 * p, batch, column + 1)):
+                cells.append((unit * width - circuit, width, at, first))
+                lengths.append(count * width)
+                units.append(indices)
+                circuit, unit = circuit + count * width, unit + count
+            blocks.append(variants)
+            offsets.append(offset)
+            widths.append(2 * p + 1)
+            column += 2 * p + 1
+            later = later or first > 0
+        cells = np.array(cells, dtype=np.intp).repeat(lengths, axis=0)
+        row, columns = np.divmod(np.arange(circuit) + cells[:, 0], cells[:, 1])
+        rows = np.concatenate(units).take(row)
+        if later:
+            rows += cells[:, 3]
+        columns += cells[:, 2]
+        table, offsets = blocks[0], np.array(offsets, dtype=np.intp).T
+        if len(blocks) > 1:  # a request's offsets over each of its columns
+            table, offsets = np.concatenate(blocks, axis=1), offsets.repeat(widths, axis=1)
+        return rows, columns, table + offsets
 
 
 def parameter_shift_gradient(spec: CircuitSpec, weights: Sequence[float], x: Sequence[float],

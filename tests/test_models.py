@@ -30,9 +30,12 @@ from qmlfinder import (
     silhouette_score,
 )
 from qmlfinder.models import RBM, BinaryEncoder, _rescale, _sigmoid
+from qmlfinder.training import train_epochs
 
+from conftest import make_blobs
 from oracles import (
     brute_silhouette,
+    gate_loop_merged,
     ref_expectation_z,
     ref_run_circuit,
     ref_silhouette,
@@ -130,6 +133,66 @@ def test_qnn_fit_is_seed_deterministic(blobs40):
         model.fit(X, y, ledger)
         results.append((model.weights.tobytes(), ledger.total))
     assert results[0] == results[1]
+
+
+def _spy_requests(monkeypatch):
+    """The number of requests of each MergedRuns call, in call order."""
+    import qmlfinder.simulator as simulator
+
+    sizes, call = [], simulator.MergedRuns.__call__
+    monkeypatch.setattr(simulator.MergedRuns, "__call__",
+                        lambda self, requests: sizes.append(len(requests)) or call(self, requests))
+    return sizes
+
+
+def test_a_lockstep_trains_each_distinct_fit_once(monkeypatch):
+    # N = 6 rows: batch sizes 6 and 9 are each one batch of the whole shuffled
+    # order, so those two fits train alike; batch size 4 is two batches
+    X, y = make_blobs(2, 3, [(0.6, 0.6), (-0.6, -0.6)], 1.2)
+    spec = CircuitSpec(2, ANGLE, (STRONGLY_ENTANGLING,))
+    lead, twin, other = (QNNClassifier(spec, batch_size=batch_size, n_epochs=2,
+                                       accuracy_threshold=1.0, seed=5)
+                         for batch_size in (6, 9, 4))
+    sizes = _spy_requests(monkeypatch)
+    QNNClassifier.prepare([lead, twin, other], X, y)
+    # 3 runs of the lead (2 epochs of one batch, a last check) beside the
+    # other's 5 (2 epochs of two batches, a last check): the twin asks nothing
+    assert sizes == [2, 2, 2, 1, 1]
+    _, targets, score_fn, _ = QNNClassifier._fit_data(X, y)
+    for model in (lead, twin, other):
+        want = BudgetLedger()
+        result = train_epochs(
+            weights=model.weights.copy(), X=X, targets=targets, score_fn=score_fn, ledger=want,
+            evaluate=lambda w, check, batch: gate_loop_merged(spec, w, X, check, batch, 0),
+            opt_config=OptimizerConfig(), batch_size=model.batch_size, n_epochs=2,
+            threshold=1.0, seed=5)
+        got = BudgetLedger()
+        model.fit(X, y, got)
+        assert model.weights.tobytes() == result.weights.tobytes()
+        assert model.epochs_run == result.epochs_run == 2
+        assert np.float64(model.train_score).tobytes() == np.float64(result.final_score).tobytes()
+        assert got.as_dict() == want.as_dict()
+    assert not np.shares_memory(lead.weights, twin.weights)
+    assert lead.weights.tobytes() != other.weights.tobytes()
+
+
+def test_a_twin_of_a_failing_fit_raises_its_error(monkeypatch):
+    # an all-zero row has no AMPLITUDE embedding, so the lead's training raises
+    X, y = make_blobs(2, 3, [(0.6, 0.6), (-0.6, -0.6)], 1.2)
+    X[2] = 0.0
+    spec = CircuitSpec(1, AMPLITUDE, (BASIC_ENTANGLER,))
+    lead, twin = (QNNClassifier(spec, batch_size=batch_size, n_epochs=1,
+                                accuracy_threshold=1.0, seed=5) for batch_size in (6, 7))
+    sizes = _spy_requests(monkeypatch)
+    QNNClassifier.prepare([lead, twin], X, y)
+    assert sizes == [1]
+    message = "^AMPLITUDE embedding of an all-zero vector is undefined$"
+    for model in (lead, twin, QNNClassifier(spec, batch_size=6, n_epochs=1,
+                                            accuracy_threshold=1.0, seed=5)):
+        ledger = BudgetLedger()
+        with pytest.raises(ValueError, match=message):
+            model.fit(X, y, ledger)
+        assert ledger.total == 0
 
 
 # -- QNN regressor ---------------------------------------------------------------

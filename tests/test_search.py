@@ -979,6 +979,34 @@ def test_targets_not_one_per_row_are_refused_before_any_trial(task, registry, bl
     assert trials == [] and store.load() == []
 
 
+@pytest.mark.parametrize("task", [TaskType.CLASSIFICATION, TaskType.REGRESSION])
+def test_targets_that_are_not_1d_are_refused_before_any_trial(task, registry, blobs40, sine20,
+                                                               tmp_path, monkeypatch):
+    from qmlfinder import BASIC_ENTANGLER, CircuitSpec
+
+    trials = []
+    monkeypatch.setattr(search, "evaluate_config",
+                        lambda trial, *args: trials.append(trial) or None)
+    X, y = blobs40 if task is TaskType.CLASSIFICATION else sine20
+    X, y = X[:10], y[:10, None]  # one target per row, as a column
+    family = QNNClassifier if task is TaskType.CLASSIFICATION else QNNRegressor
+    model = family(CircuitSpec(X.shape[1], ANGLE, (BASIC_ENTANGLER,)), batch_size=4,
+                   n_epochs=1, seed=0, **{family.threshold_key: 0.5})
+    spec = model_to_spec(model, X.shape[1], {})
+    store = StudyStore(tmp_path / "study.jsonl")
+    message = r"^y must be 1-D, one target per row of X, but has shape \(10, 1\)$"
+    with pytest.raises(ValueError, match=message):
+        ModelFinder(task, X, y, registry=registry, store=store, n_trials=2, n_seeds=1,
+                    n_epochs=1).find_model()
+    with pytest.raises(ValueError, match=message):
+        find_model(FinderConfig(task=task, n_trials=2, n_seeds=1, n_epochs=1), registry, X, y,
+                   store)
+    with pytest.raises(ValueError, match=message):
+        HyperparameterTuner(X, y, spec, registry=registry, store=store, n_trials=2,
+                            n_seeds=1).find_hyperparameters()
+    assert trials == [] and store.load() == []
+
+
 def test_find_model_regression_end_to_end(registry, sine20, tmp_path):
     X, y = sine20
     config = FinderConfig(task=TaskType.REGRESSION, n_trials=4, n_seeds=1, n_epochs=3,

@@ -617,6 +617,45 @@ def test_merged_requests_share_a_slice_only_with_one_circuit_skeleton(monkeypatc
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def test_a_merged_group_answers_each_request_as_it_runs_alone(monkeypatch):
+    # on 1 wire a BASIC_ENTANGLER layer is one RX and a STRONGLY_ENTANGLING
+    # layer one ROT: one skeleton, P = 1 and 3; beside them a circuit without
+    # parameters, and on 14 wires (64 circuits a slice) a request of exactly
+    # 64 circuits, so the slice boundary falls between it and the next
+    import qmlfinder.simulator as simulator
+
+    slices, simulate = [], simulator._simulate
+
+    def spy(n, steps, states, rows_at, *rest):
+        slices.append((n, len(steps), len(states if rows_at is None else rows_at)))
+        return simulate(n, steps, states, rows_at, *rest)
+
+    rng = PortableRng(929)
+    X = np.array([rng.uniforms(2, 0.1, 2.0) for _ in range(8)])
+    rows, none = np.arange(8), np.arange(0)
+
+    def request(spec, check, batch):
+        return spec, np.array(rng.uniforms(spec.param_count, -np.pi, np.pi)), check, np.array(
+            batch, dtype=np.intp)
+
+    rx, rot, bare = (CircuitSpec(1, AMPLITUDE, layers)
+                     for layers in ((BASIC_ENTANGLER,), (STRONGLY_ENTANGLING,), ()))
+    wide = CircuitSpec(14, ANGLE, (BASIC_ENTANGLER,))
+    requests = [request(rx, rows, [2, 0]), request(rot, none, [1, 1, 3]),
+                request(wide, rows, [0, 3]), request(bare, rows, [0, 1]),
+                request(rx, rows, []), request(wide, none, [1])]
+    monkeypatch.setattr(simulator, "_simulate", spy)
+    answers = MergedRuns(X, 0)(requests)
+    assert slices == [(1, 1, 8 + 2 * 2 + 2 * 3 * 3 + 8), (14, 28, 64), (14, 28, 28), (1, 0, 8)]
+    monkeypatch.setattr(simulator, "_simulate", simulate)
+    for (spec, w, check, batch), got in zip(requests, answers):
+        alone = MergedRuns(X, 0)([(spec, w, check, batch)])[0]
+        want = alone if spec is wide else gate_loop_merged(spec, w, X, check, batch, 0)
+        assert got[0].shape == (len(check),) and got[1].shape == (len(batch), spec.param_count)
+        for a, b, c in zip(got, alone, want):
+            assert a.tobytes() == b.tobytes() == c.tobytes()
+
+
 def test_call_accounting_gradients_plus_forwards():
     spec = CircuitSpec(2, ANGLE, (BASIC_ENTANGLER, STRONGLY_ENTANGLING))
     p = spec.param_count
@@ -629,18 +668,12 @@ def test_call_accounting_gradients_plus_forwards():
     assert counter.total_calls == 2 * p * 3 + 5
 
 
-def test_counter_thread_safety():
-    import threading
-
+def test_counter_counts_increments_and_refuses_negative_ones():
     counter = CallCounter()
-
-    def bump():
-        for _ in range(10000):
-            counter.increment()
-
-    threads = [threading.Thread(target=bump) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert counter.total_calls == 80000
+    for n in (1, 0, 5):
+        counter.increment(n)
+    counter.increment()
+    assert counter.total_calls == 7
+    with pytest.raises(ValueError, match="nonnegative"):
+        counter.increment(-1)
+    assert counter.total_calls == 7
