@@ -10,9 +10,11 @@ Fixed conventions (they are part of the serialization and test contract):
     models.kernel_matrix runs each row once and books 2 calls per kernel pair.
 
 Embeddings run gate by gate; `_simulate` runs the layers on the states it is
-handed, from the gate plan `_plan` compiles once per circuit shape. Merged
-runs (MergedRuns) serve every QNN fit's training, a lockstep of one fit or
-of many: they embed the rows once per embedding and build each layer gate's
+handed. Both run_circuit and merged runs read the layers from one plan
+(`_plan`), compiled once per circuit shape: its gate skeleton, each gate
+kind's weight columns and the parameter-shift table. Merged runs
+(MergedRuns) serve every QNN fit's training, a lockstep of one fit or of
+many: they embed the rows once per embedding and build each layer gate's
 distinct matrices once per weight vector, in one call per gate kind for all
 fits, gathered onto the circuits with `take` as contiguous (B, 2, 2) arrays,
 as if built per circuit, so every matmul takes the same numpy path and gives
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import pi, prod
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -250,17 +252,37 @@ def _embed(spec: CircuitSpec, x: np.ndarray, batch: tuple[int, ...]) -> np.ndarr
     return state.amplitudes
 
 
+class Plan(NamedTuple):
+    """The layers of every circuit of one shape as the simulator runs them, with
+    the shift table that merged runs read. Every array is read-only: one plan
+    serves every circuit of its shape."""
+
+    skeleton: tuple  # per step, a rotation's wire or a CNOT's (control, target)
+    columns: Mapping[str, np.ndarray]  # per gate kind, its G gates' weight columns (G, angles)
+    kinds: tuple[int, ...]  # per rotation step, its gate kind's place among `columns`
+    gates: tuple[int, ...]  # per rotation step, its gate's index among its kind's G
+    mask: np.ndarray  # the shift table's (2P+1, P) shifted entries
+    offsets: np.ndarray  # and each table row's shift, (2P+1, 1)
+    picks: Mapping[str, np.ndarray]  # per gate kind, (angles, G * (1 + 2 angles))
+    variants: np.ndarray  # (rotation steps, 2P+1)
+
+
 @lru_cache(maxsize=256)
-def _plan(n_wires: int, layer_kinds: tuple[LayerKind, ...]
-          ) -> tuple[Mapping[str, np.ndarray], tuple[tuple[str, int, int], ...]]:
-    """The layers of every circuit of this shape as the simulator runs them: per
-    gate kind, the read-only weight column of each angle of its G gates,
-    (G, angles), and the steps (kind, index in kind, wire) or ("CNOT", control,
-    target). Compiled from each layer's `build` at weights 2, 3, ... and at their
-    squares; a layer is refused unless each weight is the angle of exactly one
-    rotation gate at both."""
+def _plan(n_wires: int, layer_kinds: tuple[LayerKind, ...]) -> Plan:
+    """The plan of circuits of this shape. Compiled from each layer's `build` at
+    weights 2, 3, ... and at their squares; a layer is refused unless each
+    weight is the angle of exactly one rotation gate at both.
+
+    A shift table holds 2P+1 weight rows: the weights, then +-pi/2 on each in
+    turn (MergedRuns), the shifted entries in `mask` and each row's shift in
+    `offsets` (a column: the process keeps a plan for every shape it meets,
+    so no (2P+1, P) float array). Among those rows a gate with q angles has
+    1 + 2q distinct angle sets: unshifted, then each angle +pi/2, then each
+    -pi/2. A kind's picks are the flat positions in the table of its G gates'
+    angle sets, gate by gate. Row r of `variants` gives each table row the
+    index of the r-th rotation step's matrix among its kind's G * (1 + 2q)."""
     columns: dict[str, list[list[int]]] = {}
-    steps, offset = [], 0
+    skeleton, rotations, p = [], [], 0
     for kind in layer_kinds:
         probe = np.arange(2.0, kind.params_per_layer(n_wires) + 2)  # none its own square
         gates, twins = (kind.build(n_wires, w) for w in (probe, probe**2))
@@ -274,55 +296,35 @@ def _plan(n_wires: int, layer_kinds: tuple[LayerKind, ...]
             if max(gate.wires) >= n_wires:
                 raise ValueError(f"layer {kind.name}: wire {max(gate.wires)} out of range")
             if gate.kind == "CNOT":
-                steps.append(("CNOT", *gate.wires))
+                skeleton.append(gate.wires)
             else:
                 of_kind = columns.setdefault(gate.kind, [])
-                steps.append((gate.kind, len(of_kind), gate.wires[0]))
-                of_kind.append([offset + int(a) - 2 for a in gate.angles])
-        offset += len(probe)
-    arrays = {k: np.array(v, dtype=np.intp) for k, v in columns.items()}
-    for array in arrays.values():
-        array.flags.writeable = False  # shared by every circuit of this shape
-    return MappingProxyType(arrays), tuple(steps)
-
-
-@lru_cache(maxsize=256)
-def _program(n_wires: int, layer_kinds: tuple[LayerKind, ...]) -> tuple:
-    """The gate plan of this shape as merged runs read it: (skeleton, picks,
-    kinds, variants). Per step, `skeleton` holds a rotation's wire or a CNOT's
-    (control, target). A shift table holds 2P+1 weight rows: the weights, then
-    +-pi/2 on each in turn (MergedRuns). Among those rows a gate with q
-    angles has 1 + 2q distinct angle sets: unshifted, then each angle +pi/2,
-    then each -pi/2. A kind's picks are the flat positions in the table of
-    its G gates' angle sets, (q, G * (1 + 2q)) gate by gate. For the r-th
-    rotation step, kinds[r] is its kind's place among the plan's kinds, and
-    variants[r] (one row of a (rotations, 2P+1) array) gives each table row
-    the index of its gate's matrix among the kind's G * (1 + 2q)."""
-    columns_of, steps = _plan(n_wires, layer_kinds)
-    p, order = sum(kind.params_per_layer(n_wires) for kind in layer_kinds), list(columns_of)
+                skeleton.append(gate.wires[0])
+                rotations.append((gate.kind, len(of_kind)))
+                of_kind.append([p + int(a) - 2 for a in gate.angles])
+        p += len(probe)
+    columns_of = {kind: np.array(c, dtype=np.intp) for kind, c in columns.items()}
+    eye = np.eye(p, dtype=bool)
+    mask = np.concatenate([np.zeros((1, p), dtype=bool), eye, eye])
+    offsets = np.repeat([0.0, pi / 2, -pi / 2], [1, p, p]).reshape(-1, 1)
     picks = {}
-    for kind, columns in columns_of.items():
-        g, q = columns.shape
-        rows = np.concatenate([np.zeros((g, 1), dtype=np.intp), 1 + columns, 1 + p + columns],
-                              axis=1)
-        picks[kind] = (rows[:, :, None] * p + columns[:, None, :]).transpose(2, 0, 1).reshape(
+    for kind, c in columns_of.items():
+        g, q = c.shape
+        rows = np.concatenate([np.zeros((g, 1), dtype=np.intp), 1 + c, 1 + p + c], axis=1)
+        picks[kind] = (rows[:, :, None] * p + c[:, None, :]).transpose(2, 0, 1).reshape(
             q, g * (1 + 2 * q))
-    skeleton, kinds, variants = [], [], []
-    for kind, a, b in steps:
-        if kind == "CNOT":
-            skeleton.append((a, b))
-            continue
-        columns, q = columns_of[kind][a], columns_of[kind].shape[1]
-        index = np.full(2 * p + 1, a * (1 + 2 * q), dtype=np.intp)
-        index[1 + columns] += 1 + np.arange(q)
-        index[1 + p + columns] += 1 + q + np.arange(q)
-        skeleton.append(b)
-        kinds.append(order.index(kind))
-        variants.append(index)
-    variants = np.array(variants, dtype=np.intp).reshape(len(kinds), 2 * p + 1)
-    for array in (*picks.values(), variants):
+    variants = np.empty((len(rotations), 2 * p + 1), dtype=np.intp)
+    for r, (kind, a) in enumerate(rotations):
+        c = columns_of[kind][a]
+        variants[r] = a * (1 + 2 * len(c))
+        variants[r, 1 + c] += 1 + np.arange(len(c))
+        variants[r, 1 + p + c] += 1 + len(c) + np.arange(len(c))
+    for array in (*columns_of.values(), mask, offsets, *picks.values(), variants):
         array.flags.writeable = False  # shared by every circuit of this shape
-    return tuple(skeleton), MappingProxyType(picks), tuple(kinds), variants
+    order = list(columns_of)
+    return Plan(tuple(skeleton), MappingProxyType(columns_of),
+                tuple(order.index(kind) for kind, _ in rotations),
+                tuple(a for _, a in rotations), mask, offsets, MappingProxyType(picks), variants)
 
 
 def _layer_matrices(angle_sets: Sequence[Mapping[str, np.ndarray]]
@@ -353,16 +355,17 @@ def _layer_matrices(angle_sets: Sequence[Mapping[str, np.ndarray]]
 def _simulate(n: int, steps: tuple, states: np.ndarray, rows_at: np.ndarray | None,
               at: Sequence) -> Statevector:
     """The final states of circuits run from the embedded `states` (their rows
-    rows_at, else all of them), booking nothing. Step s is a CNOT's (control,
-    target) or a rotation's wire, whose at[s] = (matrices, index) gives every
-    circuit `matrices`, or with an index circuit k matrices[index[k]]."""
+    rows_at, else all of them), booking nothing. A step is a CNOT's (control,
+    target) or a rotation's wire; the r-th rotation's at[r] = (matrices, index)
+    gives every circuit `matrices`, or with an index circuit k matrices[index[k]]."""
     amps = states if rows_at is None else states.take(rows_at, axis=0)
     del states  # held no longer than a slice's first gate
-    for step, gate in zip(steps, at):
+    at = iter(at)
+    for step in steps:
         if isinstance(step, tuple):
             amps = _cnot(amps, n, *step)
         else:
-            m, index = gate
+            m, index = next(at)
             amps = _rotate(amps, n, step, m if index is None else m.take(index, axis=0))
     return Statevector(amps, n)
 
@@ -375,25 +378,19 @@ def run_circuit(spec: CircuitSpec, weights: Sequence[float], x: Sequence[float],
     if w.shape[-1] != spec.param_count:  # refused before embedding
         raise ValueError(f"expected {spec.param_count} weights, got {w.shape[-1]}")
     batch, n = np.broadcast_shapes(w.shape[:-1], x.shape[:-1]), spec.n_wires
-    columns, steps = _plan(n, spec.layer_kinds)
+    plan = _plan(n, spec.layer_kinds)
     rows, table = None, w  # 1-D weights: one matrix per gate, broadcast over the circuits
     if w.ndim > 1:  # gate g's matrices (W, 2, 2), one per weight row, gathered per circuit
         table = w.reshape(-1, w.shape[-1])
         rows = np.broadcast_to(np.arange(len(table)).reshape(w.shape[:-1]), batch).reshape(-1)
-    skeleton, at, mats = [], [], {}
-    for kind, c in columns.items():  # a gate without angles has one matrix
+    mats = []
+    for kind, c in plan.columns.items():  # a gate without angles has one matrix
         m = _GATES[kind][1](*table.T[c.T])
-        mats[kind] = np.broadcast_to(m, (len(c), 2, 2)) if m.ndim == 2 else m
-    for kind, a, b in steps:
-        if kind == "CNOT":
-            skeleton.append((a, b))
-            at.append(None)
-        else:
-            m = mats[kind][a]
-            skeleton.append(b)
-            at.append((m, rows if m.ndim > 2 else None))
+        mats.append(np.broadcast_to(m, (len(c), 2, 2)) if m.ndim == 2 else m)
+    at = [(m, rows if m.ndim > 2 else None)
+          for m in (mats[k][g] for k, g in zip(plan.kinds, plan.gates))]
     # one row per circuit; no reference outlives its first gate
-    state = _simulate(n, skeleton, _embed(spec, x, batch).reshape(-1, 2**n), None, at)
+    state = _simulate(n, plan.skeleton, _embed(spec, x, batch).reshape(-1, 2**n), None, at)
     counter.increment(prod(batch))
     return Statevector(state.amplitudes.reshape(batch + (2**n,)), n)
 
@@ -413,7 +410,7 @@ def fidelity(a: Statevector, b: Statevector) -> float | np.ndarray:
     return np.abs((a.amplitudes.conj() * b.amplitudes).sum(axis=-1)) ** 2
 
 
-LONE_SLICE = 2**20  # amplitudes of a slice of a merged run
+SLICE = 2**20  # amplitudes of a slice of a merged run
 
 
 class MergedRuns:
@@ -425,29 +422,20 @@ class MergedRuns:
     the case of one request.
 
     Each gate kind builds its matrices in one call over all requests' weight
-    vectors. Requests of one wire count and one skeleton (`_program`) run
-    together as one group: its circuits are laid out as arrays, request by
-    request in order, and each step is one `_rotate` of all of them, in
-    slices of at most LONE_SLICE amplitudes. X is embedded once per
-    embedding and wire count if it fits one slice, else each slice embeds
-    the rows it uses."""
+    vectors, read from each request's plan (`_plan`) and its shift table.
+    Requests of one wire count and one skeleton run together as one group:
+    its circuits are laid out as arrays, request by request in order, and
+    each step is one `_rotate` of all of them, in slices of at most SLICE
+    amplitudes. X is embedded once per embedding and wire count if it fits
+    one slice, and then every request's rows are embedded before the first
+    group runs, so a row an embedding refuses raises before anything is
+    simulated. A larger X is embedded slice by slice, each slice the rows it
+    uses, so there a refused row can still raise after some groups ran."""
 
     def __init__(self, X: np.ndarray, wire: int) -> None:
         self.X, self.wire = np.asarray(X, dtype=float), wire
         # wire count -> a spec per embedding, and X embedded by each in turn (or None)
         self.embedded: dict[int, tuple[list[CircuitSpec], np.ndarray | None]] = {}
-        self.shifts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def _shift(self, p: int) -> tuple[np.ndarray, np.ndarray]:
-        """The weight rows of P weights, unshifted, then +-pi/2 on each weight in
-        turn, as (mask, offsets) of their shifted entries."""
-        shift = self.shifts.get(p)
-        if shift is None:
-            eye = np.eye(p, dtype=bool)
-            shift = self.shifts[p] = (
-                np.concatenate([np.zeros((1, p), dtype=bool), eye, eye]),
-                np.concatenate([np.zeros((1, p)), eye * (pi / 2), eye * -(pi / 2)]))
-        return shift
 
     def _first_row(self, spec: CircuitSpec) -> int:
         """The row of X's first row embedded by spec's embedding, among the
@@ -456,7 +444,7 @@ class MergedRuns:
         for k, known in enumerate(specs):
             if known.embedding is spec.embedding or known.embedding == spec.embedding:
                 return k * len(self.X)
-        if len(self.X) <= LONE_SLICE >> spec.n_wires:
+        if len(self.X) <= SLICE >> spec.n_wires:
             states = _embed(spec, self.X, self.X.shape[:-1])
             stacked = states if stacked is None else np.concatenate([stacked, states])
         self.embedded[spec.n_wires] = specs + [spec], stacked
@@ -477,29 +465,29 @@ class MergedRuns:
     def __call__(self, requests: Sequence[tuple[CircuitSpec, Sequence[float], np.ndarray,
                                                 np.ndarray]]
                  ) -> list[tuple[np.ndarray, np.ndarray]]:
-        programs = [_program(spec.n_wires, spec.layer_kinds) for spec, *_ in requests]
-        angle_sets, sizes = [], []
-        for (_, w, _, _), (_, picks, *_) in zip(requests, programs):
+        plans = [_plan(spec.n_wires, spec.layer_kinds) for spec, *_ in requests]
+        angle_sets = []
+        for (_, w, _, _), plan in zip(requests, plans):
             w = np.asarray(w, dtype=float)
-            mask, offsets = self._shift(w.size)
-            table = np.where(mask, w + offsets, w)  # `take` reads it flat
-            angle_sets.append({kind: table.take(pick) for kind, pick in picks.items()})
-            sizes.append(w.size)
+            if w.size != plan.mask.shape[1]:
+                raise ValueError(f"expected {plan.mask.shape[1]} weights, got {w.size}")
+            table = np.where(plan.mask, w + plan.offsets, w)  # `take` reads it flat
+            angle_sets.append({kind: table.take(pick) for kind, pick in plan.picks.items()})
         mats, starts = _layer_matrices(angle_sets)  # one call per gate kind for all requests
         del angle_sets
+        for spec, *_ in requests:
+            self._first_row(spec)  # embedded before any run
         groups: dict[tuple, list[tuple]] = {}  # the requests that run together
-        for i, ((spec, _, check, batch), (skeleton, _, kinds, variants)) in enumerate(
-                zip(requests, programs)):
-            groups.setdefault((spec.n_wires, skeleton), []).append(
-                (i, spec, sizes[i], check, batch, variants, [starts[i][k] for k in kinds]))
+        for i, ((spec, _, check, batch), plan) in enumerate(zip(requests, plans)):
+            groups.setdefault((spec.n_wires, plan.skeleton), []).append(
+                (i, spec, plan.mask.shape[1], check, batch, plan.variants,
+                 [starts[i][k] for k in plan.kinds]))
         answers: list = [None] * len(requests)
         for (n, skeleton), group in groups.items():
             rows, columns, table = self._layout(group)
-            size, values = max(1, LONE_SLICE >> n), []
+            size, values = max(1, SLICE >> n), []
             for k in range(0, len(rows), size):
-                index = iter(table.take(columns[k : k + size], axis=1))
-                at = [None if isinstance(step, tuple) else (mats, next(index))
-                      for step in skeleton]
+                at = [(mats, index) for index in table.take(columns[k : k + size], axis=1)]
                 state = _simulate(n, skeleton, *self._states(n, rows[k : k + size]), at)
                 values.append(expectation_z(state, self.wire))
             values = values[0] if len(values) == 1 else np.concatenate(values or [np.empty(0)])

@@ -194,6 +194,43 @@ def test_a_twin_of_a_failing_fit_raises_its_error(monkeypatch):
             model.fit(X, y, ledger)
         assert ledger.total == 0
 
+def test_a_row_an_embedding_refuses_raises_before_any_circuit_runs(monkeypatch):
+    # X fits one slice, so the lockstep's first merged run embeds every
+    # request's rows before its first group runs: the AMPLITUDE fit's all-zero
+    # row raises there, and only the ANGLE fits' own circuits are simulated,
+    # each once, when the requests run alone
+    import qmlfinder.simulator as simulator
+
+    X, y = make_blobs(2, 3, [(0.6, 0.6), (-0.6, -0.6)], 1.2)
+    X[2] = 0.0
+    angle = CircuitSpec(2, ANGLE, (STRONGLY_ENTANGLING,))
+    fits = [QNNClassifier(angle, batch_size=6, n_epochs=1, accuracy_threshold=1.0, seed=seed)
+            for seed in range(4)]
+    fits.append(QNNClassifier(CircuitSpec(1, AMPLITUDE, (BASIC_ENTANGLER,)), batch_size=6,
+                              n_epochs=1, accuracy_threshold=1.0, seed=0))
+    simulated, simulate = [], simulator._simulate
+
+    def spy(*args):
+        state = simulate(*args)
+        simulated.append(len(state.amplitudes))
+        return state
+
+    monkeypatch.setattr(simulator, "_simulate", spy)
+    QNNClassifier.prepare(fits, X, y)
+    monkeypatch.setattr(simulator, "_simulate", simulate)
+    booked = 0
+    for model in fits[:4]:  # each as trained alone
+        alone, ledger, want = model.reseeded(model.seed), BudgetLedger(), BudgetLedger()
+        model.fit(X, y, ledger)
+        alone.fit(X, y, want)
+        assert model.weights.tobytes() == alone.weights.tobytes()
+        assert ledger.as_dict() == want.as_dict()
+        booked += ledger.total
+    assert sum(simulated) == booked
+    with pytest.raises(ValueError, match="^AMPLITUDE embedding of an all-zero vector"):
+        fits[4].fit(X, y, BudgetLedger())
+
+
 
 # -- QNN regressor ---------------------------------------------------------------
 

@@ -148,22 +148,30 @@ def test_gate_plan_reads_each_weight_column_from_the_layers():
     reversed_rx = LayerKind("ReversedRX", lambda n: n,
                             lambda n, w: [rx(i, w[n - 1 - i]) for i in range(n)] + [h(0)])
     spec = CircuitSpec(3, ANGLE, (STRONGLY_ENTANGLING, reversed_rx))
-    columns, steps = _plan(spec.n_wires, spec.layer_kinds)
-    assert columns["ROT"].tolist() == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
-    assert columns["RX"].tolist() == [[11], [10], [9]] and columns["H"].shape == (1, 0)
-    assert steps == (("ROT", 0, 0), ("ROT", 1, 1), ("ROT", 2, 2), ("CNOT", 0, 1), ("CNOT", 1, 2),
-                     ("CNOT", 2, 0), ("RX", 0, 0), ("RX", 1, 1), ("RX", 2, 2), ("H", 0, 0))
+    plan = _plan(spec.n_wires, spec.layer_kinds)
+    assert list(plan.columns) == ["ROT", "RX", "H"]
+    assert plan.columns["ROT"].tolist() == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+    assert plan.columns["RX"].tolist() == [[11], [10], [9]] and plan.columns["H"].shape == (1, 0)
+    # the steps in order: rotations on a wire, each of a kind and a gate of it, and CNOTs
+    assert plan.skeleton == (0, 1, 2, (0, 1), (1, 2), (2, 0), 0, 1, 2, 0)
+    assert plan.kinds == (0, 0, 0, 1, 1, 1, 2) and plan.gates == (0, 1, 2, 0, 1, 2, 0)
     # compiled once per circuit shape, whatever the embedding
     assert _plan(3, (STRONGLY_ENTANGLING, reversed_rx)) is _plan(3, spec.layer_kinds)
 
 
 def test_gate_plan_arrays_cannot_be_written():
-    columns, _ = _plan(2, (STRONGLY_ENTANGLING, BASIC_ENTANGLER))
-    for array in columns.values():
+    arrays = []
+    for field in _plan(2, (STRONGLY_ENTANGLING, BASIC_ENTANGLER)):
+        if isinstance(field, np.ndarray):
+            arrays.append(field)
+        elif not isinstance(field, tuple):  # a mapping of gate kinds
+            arrays.extend(field.values())
+            with pytest.raises(TypeError):
+                field["RX"] = field["ROT"]
+    assert len(arrays) == 3 + 2 * 2  # the shift table and variants; columns and picks per kind
+    for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
-            array[0, 0] = 0
-    with pytest.raises(TypeError):
-        columns["RX"] = columns["ROT"]
+            array[(0,) * array.ndim] = 0
 
 
 def _counted_layer(name, builds, rotation=rx):
@@ -197,9 +205,10 @@ def test_layers_of_one_name_with_different_builds_get_different_plans():
     builds = []
     as_rx, as_ry = _counted_layer("Same", builds, rx), _counted_layer("Same", builds, ry)
     assert as_rx != as_ry
-    (rx_columns, rx_steps), (ry_columns, ry_steps) = _plan(2, (as_rx,)), _plan(2, (as_ry,))
-    assert list(rx_columns) == ["RX"] and list(ry_columns) == ["RY"]
-    assert rx_steps[0] == ("RX", 0, 0) and ry_steps[0] == ("RY", 0, 0)
+    rx_plan, ry_plan = _plan(2, (as_rx,)), _plan(2, (as_ry,))
+    assert list(rx_plan.columns) == ["RX"] and list(ry_plan.columns) == ["RY"]
+    for plan in (rx_plan, ry_plan):
+        assert plan.skeleton[0] == 0 and (plan.kinds[0], plan.gates[0]) == (0, 0)
     w, x = [0.3, -1.1], [0.5, 0.7]
     runs = []
     for kind in (as_rx, as_ry):

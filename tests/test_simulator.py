@@ -677,3 +677,11 @@ def test_counter_counts_increments_and_refuses_negative_ones():
     with pytest.raises(ValueError, match="nonnegative"):
         counter.increment(-1)
     assert counter.total_calls == 7
+
+
+def test_merged_run_refuses_weights_of_another_count():
+    # one weight would broadcast over the shift table, and more would index it
+    spec = CircuitSpec(2, ANGLE, (BASIC_ENTANGLER,))
+    for w in ([0.1], [0.1, 0.2, 0.3]):
+        with pytest.raises(ValueError, match=f"^expected 2 weights, got {len(w)}$"):
+            MergedRuns(np.zeros((2, 2)), 0)([(spec, w, np.arange(2), np.arange(1))])
